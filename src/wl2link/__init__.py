@@ -48,7 +48,6 @@ from .harness import (
     batch_refine,
     builtin_fixtures,
     fixtures_corpus,
-    magic_square_search,
     oracle_soundness,
     power_check,
     random_corpus,

@@ -89,11 +89,11 @@ def cmd_refine(args) -> int:
         _emit(args, f"iteration {t}: {cmap.num_classes()} classes")
     if mask is not None:
         final = result.final
-        if kind.pair_indexed:
-            target_color = final.colors[tuple(mask)]
-        else:
-            target_color = final.colors[mask[0]]
-        size = sum(1 for c in final.colors.values() if c == target_color)
+        target_color = final.session.ordered_key(mask)[0]
+        # count read-outs as units too, as featurize does, so the class
+        # always includes the target
+        units = {**final.session.colors, **final.session.readouts}
+        size = sum(1 for c in units.values() if c == target_color)
         _emit(args, f"target stable color class size: {size}")
     return 0
 

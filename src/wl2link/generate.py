@@ -25,6 +25,36 @@ def star_graph(leaves: int) -> Graph:
     return Graph.build(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
+def rook_graph(k: int) -> Graph:
+    """k x k rook's graph: cell r*k + c, adjacent within a row or a column."""
+    cells = [divmod(v, k) for v in range(k * k)]
+    return Graph.build(
+        k * k,
+        [
+            (a, b)
+            for a in range(k * k)
+            for b in range(a + 1, k * k)
+            if cells[a][0] == cells[b][0] or cells[a][1] == cells[b][1]
+        ],
+    )
+
+
+def shrikhande_graph() -> Graph:
+    """Cayley graph on Z4 x Z4 with generators ±(0,1), ±(1,0), ±(1,1).
+
+    Node 4*a + b is (a, b). Strongly regular with the parameters of the 4 x 4
+    rook's graph, SRG(16, 6, 2, 2), but not isomorphic to it.
+    """
+    gens = ((0, 1), (1, 0), (1, 1))
+    edges = [
+        (4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)
+        for a in range(4)
+        for b in range(4)
+        for da, db in gens
+    ]
+    return Graph.build(16, edges)
+
+
 def from_networkx(nxg) -> Graph:
     mapping = {v: i for i, v in enumerate(sorted(nxg.nodes()))}
     edges = [(mapping[u], mapping[v]) for u, v in nxg.edges() if u != v]

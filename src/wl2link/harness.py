@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 from dataclasses import dataclass, field
 
-from .generate import complete_graph, cycle_graph, erdos_renyi
+from .generate import (
+    complete_graph,
+    cycle_graph,
+    erdos_renyi,
+    rook_graph,
+    shrikhande_graph,
+)
 from .graph import Graph, disjoint_union
 from .refine import (
     ALL_KINDS,
@@ -73,8 +78,8 @@ def all_pairs_corpus(g: Graph) -> Corpus:
 
 # ---------------------------------------------------------------------------
 # Batch lockstep refinement: all instances of one kind refined together with
-# a single interner, so colors are comparable corpus-wide. Sessions are
-# deduplicated where targets provably cannot influence each other.
+# a single interner, so colors are comparable corpus-wide. Every kind except
+# WL1_Label01 runs one session per (graph, masked edge) for all its targets.
 # ---------------------------------------------------------------------------
 
 
@@ -111,36 +116,30 @@ def _canon_edge(g: Graph, pair):
 
 def batch_refine(kind: TestKind, corpus: Corpus, max_iters: int = None) -> BatchResult:
     interner = Interner()
-    sessions = {}
-    session_targets = {}
+    groups = {}  # session key -> (graph, mask, targets)
     assignments = []  # per instance: (session key, target)
 
     for g, target in corpus.instances:
-        p, q = target
-        edge = _canon_edge(g, target)
-        if kind in (TestKind.WL1, TestKind.WL2, TestKind.FWL2):
-            key = (id(g), edge)
-        elif kind is TestKind.WL2_LOCAL:
-            key = (id(g), edge)
-        else:  # WL1_Label01, FWL2_Local: labeling / tracking is target-specific
-            key = (id(g), frozenset(target))
-        if key not in sessions:
-            sessions[key] = (g, edge, target)
-            session_targets[key] = set()
-        session_targets[key].add(target)
+        if kind is TestKind.WL1_LABEL01:
+            # the 0/1 labels mark the target itself
+            key, mask = (id(g), frozenset(target)), target
+        else:
+            # the session depends on the masked graph only: no other unit
+            # reads a local kind's targets, so they share it too
+            mask = _canon_edge(g, target)
+            key = (id(g), mask)
+        if key not in groups:
+            groups[key] = (g, mask, set())
+        groups[key][2].add(target)
         assignments.append((key, target))
 
-    built = {}
-    for key, (g, edge, target) in sessions.items():
-        if kind in (TestKind.WL1_LABEL01, TestKind.FWL2_LOCAL):
-            built[key] = make_session(kind, g, mask=target, interner=interner)
-        elif kind is TestKind.WL2_LOCAL:
-            extras = sorted(session_targets[key])
-            built[key] = make_session(
-                kind, g, mask=edge, interner=interner, extra_targets=extras
-            )
-        else:
-            built[key] = make_session(kind, g, mask=edge, interner=interner)
+    built = {
+        key: make_session(
+            kind, g, mask=mask, interner=interner,
+            extra_targets=sorted(targets) if kind.local else (),
+        )
+        for key, (g, mask, targets) in groups.items()
+    }
 
     if max_iters is None:
         max_iters = max(
@@ -202,11 +201,13 @@ class Fixture:
         )
 
 
-def _fixture_defs():
+def builtin_fixtures():
+    """The pinned fixture families."""
     c6 = cycle_graph(6)
     c3c3, _ = disjoint_union(cycle_graph(3), cycle_graph(3))
     k2 = complete_graph(2)
     k2k2, _ = disjoint_union(k2, k2)
+    rook, shrikhande = rook_graph(4), shrikhande_graph()
     fixtures = [
         Fixture(
             name="F1-symmetric-endpoints",
@@ -261,28 +262,25 @@ def _fixture_defs():
             },
             note="0/1 marking cannot separate these; folklore pair tests can",
         ),
+        Fixture(
+            name="F5a-srg-non-edge",
+            graph_a=rook,
+            target_a=(0, 5),
+            graph_b=shrikhande,
+            target_b=(0, 2),
+            expected={kind: False for kind in ALL_KINDS},
+            note="SRG(16,6,2,2) pair: non-adjacent targets, two common neighbors each",
+        ),
+        Fixture(
+            name="F5b-srg-edge",
+            graph_a=rook,
+            target_a=(0, 1),
+            graph_b=shrikhande,
+            target_b=(0, 1),
+            expected={kind: True for kind in ALL_KINDS},
+            note="the same SRG pair with an edge target masked",
+        ),
     ]
-    return fixtures
-
-
-def builtin_fixtures(include_magic_square: bool = True):
-    """The pinned fixture families, plus the regular-grid pair if found."""
-    fixtures = _fixture_defs()
-    if include_magic_square:
-        witness = magic_square_search()
-        if witness is not None:
-            g1, e1, g2, e2 = witness
-            fixtures.append(
-                Fixture(
-                    name="F5-number-grid",
-                    graph_a=g1,
-                    target_a=e1,
-                    graph_b=g2,
-                    target_b=e2,
-                    expected={TestKind.FWL2: False, TestKind.WL1_LABEL01: True},
-                    note="regular 16-node grid graphs from number squares",
-                )
-            )
     return fixtures
 
 
@@ -294,97 +292,6 @@ def fixtures_corpus(fixtures=None) -> Corpus:
         instances.append((f.graph_a, f.target_a))
         instances.append((f.graph_b, f.target_b))
     return Corpus(instances, {"generator": "fixtures", "names": [f.name for f in fixtures]})
-
-
-# ---------------------------------------------------------------------------
-# Number-square search (16-node grid graphs)
-# ---------------------------------------------------------------------------
-
-
-def latin_squares_4():
-    """All 4x4 latin squares over {0, 1, 2, 3} as flat 16-tuples."""
-    squares = []
-    perms = list(itertools.permutations(range(4)))
-
-    def extend(rows):
-        if len(rows) == 4:
-            squares.append(tuple(x for row in rows for x in row))
-            return
-        for perm in perms:
-            if all(perm[c] != row[c] for row in rows for c in range(4)):
-                extend(rows + [perm])
-
-    extend([])
-    return squares
-
-
-def number_grid_graph(square) -> Graph:
-    """16 nodes (4x4 cells); edges join same row, same column, or same number."""
-    edges = []
-    for a in range(16):
-        for b in range(a + 1, 16):
-            ra, ca = divmod(a, 4)
-            rb, cb = divmod(b, 4)
-            if ra == rb or ca == cb or square[a] == square[b]:
-                edges.append((a, b))
-    return Graph.build(16, edges)
-
-
-def _two_common_neighbors_everywhere(g: Graph) -> bool:
-    sets = [set(ns) for ns in g.adj]
-    for a in range(g.n):
-        for b in range(a + 1, g.n):
-            if len(sets[a] & sets[b]) != 2:
-                return False
-    return True
-
-
-def magic_square_search(pool=None, max_candidates: int = 8):
-    """Look for a pair of grid-graph links telling 0/1-marked 1-WL apart from 2-FWL.
-
-    Filters the pool by the exactly-two-common-neighbors regularity predicate,
-    then scans target pairs for a witness that the folklore pair test reports
-    indistinguishable while marked node refinement distinguishes. Returns the
-    first witness or None (absence is an outcome, not an error).
-    """
-    if pool is None:
-        pool = latin_squares_4()
-    survivors = []
-    seen = set()
-    for square in pool:
-        g = number_grid_graph(square)
-        if not _two_common_neighbors_everywhere(g):
-            continue
-        key = link_certificate(g, (0, 1), masked=False) if g.n <= 9 else None
-        if key is not None and key in seen:
-            continue
-        if key is not None:
-            seen.add(key)
-        survivors.append(g)
-        if len(survivors) >= max_candidates:
-            break
-    if not survivors:
-        return None
-    targets = [(p, q) for p in range(16) for q in range(p + 1, 16)]
-    instances = []
-    for gi, g in enumerate(survivors):
-        for t in targets:
-            instances.append((g, t))
-    corpus = Corpus(instances, {"generator": "number_grid"})
-    fwl2 = batch_refine(TestKind.FWL2, corpus)
-    lab01 = batch_refine(TestKind.WL1_LABEL01, corpus)
-    fwl2_keys = fwl2.final_keys()
-    lab01_keys = lab01.final_keys()
-    groups = {}
-    for i, key in enumerate(fwl2_keys):
-        groups.setdefault(key, []).append(i)
-    for members in groups.values():
-        for i, j in itertools.combinations(members, 2):
-            if lab01_keys[i] != lab01_keys[j]:
-                g1, e1 = corpus.instances[i]
-                g2, e2 = corpus.instances[j]
-                return (g1, e1, g2, e2)
-    return None
 
 
 # ---------------------------------------------------------------------------

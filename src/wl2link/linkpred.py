@@ -61,8 +61,8 @@ _canon = Interner()
 _canon_lock = threading.Lock()
 
 
-def _canonical_color_ids(session):
-    sigs = session.interner.signatures
+def _canonical_color_ids(interner, colors):
+    sigs = interner.signatures
     intern = _canon.intern
     memo = {}
 
@@ -91,15 +91,15 @@ def _canonical_color_ids(session):
         return ("s", prev, *branches)
 
     with _canon_lock:
-        return {c: crank(c) for c in set(session.colors.values())}
+        return {c: crank(c) for c in set(colors.values())}
 
 
-def _color_ranks(session):
+def _color_ranks(interner, colors):
     """Rank distinct final colors by class size, then canonical form."""
     sizes = {}
-    for c in session.colors.values():
+    for c in colors.values():
         sizes[c] = sizes.get(c, 0) + 1
-    canon = _canonical_color_ids(session)
+    canon = _canonical_color_ids(interner, colors)
     ordered = sorted(sizes, key=lambda c: (sizes[c], canon[c]))
     return {c: r for r, c in enumerate(ordered)}
 
@@ -147,14 +147,16 @@ def featurize(
         ee = float(cn_from_fwl2_signature(g_train, target))
     else:
         ee = 0.0
+    # FWL2_Local holds the target apart as a read-out; it counts as a unit
+    colors = {**session.colors, **session.readouts}
     if kind.pair_indexed:
-        units = [u for u in session.colors if u[0] in (p, q) or u[1] in (p, q)]
+        units = [u for u in colors if u[0] in (p, q) or u[1] in (p, q)]
     else:
         units = sorted(set(eff.adj[p]) | set(eff.adj[q]))
     hist = [0.0] * width
-    ranks = _color_ranks(session)
+    ranks = _color_ranks(session.interner, colors)
     for u in units:
-        hist[ranks[session.colors[u]] % width] += 1.0
+        hist[ranks[colors[u]] % width] += 1.0
     # Relative frequencies: the histogram encodes color composition only.
     # Raw counts would re-encode |N(p) ∪ N(q)|, i.e. degree information that
     # belongs to the PA heuristic, not to the refinement colors.

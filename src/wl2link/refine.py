@@ -8,7 +8,9 @@ restricted to observed edges.
 Masked-target semantics: when a pair is the prediction target, its edge (if
 present) is removed from the working edge set before refinement, so neither
 the pair's own indicator nor any neighborhood can leak whether the link
-exists.
+exists. The local folklore test also keeps its targets out of the tracked
+pairs: a target is a read-out, coloured from the tracked pairs each step but
+never fed back into them.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ class TestKind(enum.Enum):
     @property
     def dense(self) -> bool:
         return self in (TestKind.WL2, TestKind.FWL2)
+
+    @property
+    def local(self) -> bool:
+        return self in (TestKind.WL2_LOCAL, TestKind.FWL2_LOCAL)
 
     @staticmethod
     def parse(name: str) -> "TestKind":
@@ -135,12 +141,11 @@ class RefinementSession:
             )
         if kind is TestKind.WL1_LABEL01 and mask is None:
             raise RefinementError("WL1_Label01 requires a target pair")
-        if extra_targets and kind is not TestKind.WL2_LOCAL:
-            raise RefinementError("extra targets only supported for WL2_Local")
+        if extra_targets and not kind.local:
+            raise RefinementError("extra targets only supported for local pair kinds")
 
         self.kind = kind
         self.graph = graph
-        self._extra_targets = tuple(extra_targets)
         self.mask = tuple(mask) if mask is not None else None
         self.interner = interner if interner is not None else Interner()
         self.eff = graph.without_edge(*mask) if mask is not None else graph
@@ -150,11 +155,15 @@ class RefinementSession:
             self.labels = self.eff.labels
         self.iteration = 0
         self.colors = {}
-        self._init_colors()
+        # FWL2_Local targets: pair -> current read-out colour, for pairs not
+        # tracked; _readout_init holds each one's init colour.
+        self.readouts = {}
+        self._readout_init = {}
+        self._init_colors(extra_targets)
 
     # -- initialization ---------------------------------------------------
 
-    def _init_colors(self):
+    def _init_colors(self, extra_targets):
         kind, eff, intern = self.kind, self.eff, self.interner.intern
         labels = self.labels
         if not kind.pair_indexed:
@@ -172,17 +181,20 @@ class RefinementSession:
         for u, v in eff.edges:
             tracked.add((u, v))
             tracked.add((v, u))
-        targets = [self.mask] if self.mask is not None else []
-        targets.extend(self.extra_targets_init())
-        for p, q in targets:
-            tracked.add((p, q))
-            tracked.add((q, p))
+        # WL2_Local may track its targets, since no other pair's signature
+        # reads them; FWL2_Local's folklore entries would, so it reads them out.
+        readout = kind is TestKind.FWL2_LOCAL
+        targets = set()
+        for p, q in ([self.mask] if self.mask is not None else []) + list(extra_targets):
+            (targets if readout else tracked).update(((p, q), (q, p)))
         self.colors = {
             pair: intern(_init_pair_sig(labels, eff, *pair)) for pair in tracked
         }
-
-    def extra_targets_init(self):
-        return getattr(self, "_extra_targets", ())
+        self._readout_init = {
+            pair: intern(_init_pair_sig(labels, eff, *pair))
+            for pair in targets - tracked
+        }
+        self.readouts = dict(self._readout_init)
 
     # -- stepping ---------------------------------------------------------
 
@@ -278,6 +290,13 @@ class RefinementSession:
             for pair in candidates:
                 virtual_prev = intern(_init_pair_sig(labels, eff, *pair))
                 new[pair] = intern(self._fwl2_local_sig(virtual_prev, *pair))
+        # Read-outs follow the expansion rule, so a read-out that expansion
+        # starts tracking carries on with the same colour.
+        self.readouts = {
+            pair: intern(self._fwl2_local_sig(virtual_prev, *pair))
+            for pair, virtual_prev in self._readout_init.items()
+            if pair not in new
+        }
         return new
 
     def _check_split_only(self, new):
@@ -286,16 +305,19 @@ class RefinementSession:
         origin = {}
         for unit, old in self.colors.items():
             cur = new[unit]
-            prev = origin.setdefault(cur, old)
-            assert prev == old, "refinement merged two color classes"
+            if origin.setdefault(cur, old) != old:
+                raise RefinementError("refinement merged two color classes")
 
     # -- readout ----------------------------------------------------------
 
     def ordered_key(self, pair):
+        """Colours of both orientations: tracked if tracked, else read out."""
         p, q = pair
-        if self.kind.pair_indexed:
-            return (self.colors[(p, q)], self.colors[(q, p)])
-        return (self.colors[p], self.colors[q])
+        c = self.colors
+        if not self.kind.pair_indexed:
+            return (c[p], c[q])
+        pq, qp, r = (p, q), (q, p), self.readouts
+        return (c[pq] if pq in c else r[pq], c[qp] if qp in c else r[qp])
 
     def link_key(self, pair):
         """Undirected link color: the multiset over both orientations."""
@@ -397,8 +419,8 @@ def refine_to_stable(
             stable_at = t
             break
         prev_classes, prev_units = classes, units
-    if stable_at is not None:
-        assert stable_at <= session.num_units() + 1, "stabilization bound violated"
+    if stable_at is not None and stable_at > session.num_units() + 1:
+        raise RefinementError("stabilization bound violated")
     return RefinementResult(
         kind=kind,
         mask=session.mask,

@@ -221,9 +221,13 @@ def link_certificate(g: Graph, e, masked: bool = True):
     """Canonical form of (graph, target): equal iff target-fixing isomorphic.
 
     Pins the target to positions (0, 1) and minimizes the (labels, edges)
-    encoding over all placements of the remaining nodes. Exponential; only
-    for small n.
+    encoding over all placements of the remaining nodes. Exponential: graphs
+    above ``DEFAULT_ISO_BOUND`` nodes are refused.
     """
+    if g.n > DEFAULT_ISO_BOUND:
+        raise UnrollError(
+            f"n={g.n} exceeds the exhaustive-search bound {DEFAULT_ISO_BOUND}"
+        )
     p, q = e
     if masked:
         g = g.without_edge(p, q)

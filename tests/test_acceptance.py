@@ -217,9 +217,10 @@ def test_criterion8_ring_lattice_auc_margin():
 
 
 def test_criterion9_monotone_refinement():
-    # The engine assert-checks split-only refinement and the stabilization
-    # bound on every step of every run; make sure assertions are live and
-    # re-verify the properties explicitly on a mixed sample.
+    # The engine checks split-only refinement and the stabilization bound on
+    # every step of every run (raising RefinementError, so -O keeps them);
+    # make sure this test's own asserts are live and re-verify the
+    # properties explicitly on a mixed sample.
     live = False
     try:
         assert False

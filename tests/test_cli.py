@@ -50,6 +50,14 @@ class TestRefine:
         assert d["mask"] == [0, 1]
         assert all(len(row) == 3 for row in d["colors"]["0"])
 
+    def test_untracked_local_folklore_target(self, k2_files, capsys):
+        # a cross-component target is never tracked by FWL2_Local: its class
+        # is its own two read-outs
+        assert main(
+            ["refine", "--graph", k2_files[1], "--test", "FWL2_Local", "--mask", "0,2"]
+        ) == 0
+        assert "target stable color class size: 2" in capsys.readouterr().out
+
     def test_bogus_kind_usage_error(self, c6_file, capsys):
         assert main(["refine", "--graph", c6_file, "--test", "BOGUS"]) == 1
         assert "valid" in capsys.readouterr().err

@@ -1,17 +1,16 @@
+import itertools
 import json
 
 import pytest
 
-from wl2link.generate import cycle_graph, erdos_renyi
+from wl2link.generate import cycle_graph, erdos_renyi, rook_graph, shrikhande_graph
+from wl2link.graph import Graph
 from wl2link.harness import (
     Corpus,
     all_pairs_corpus,
     batch_refine,
     builtin_fixtures,
     fixtures_corpus,
-    latin_squares_4,
-    magic_square_search,
-    number_grid_graph,
     oracle_soundness,
     power_check,
     random_corpus,
@@ -81,17 +80,60 @@ class TestFixtures:
                 )
                 assert res.distinguished == expect, (fixture.name, kind)
 
-    def test_number_grid_search_runs(self):
-        # The exactly-two-common-neighbors filter rejects every latin-square
-        # grid graph, so the search honestly reports no witness.
-        assert magic_square_search() is None
+    def test_srg_pair(self):
+        # Both are SRG(16, 6, 2, 2): 6-regular, adjacent nodes share two
+        # neighbours and so do non-adjacent ones.
+        for g in (rook_graph(4), shrikhande_graph()):
+            sets = [set(ns) for ns in g.adj]
+            assert g.n == 16 and all(len(ns) == 6 for ns in sets)
+            for a in range(16):
+                for b in range(a + 1, 16):
+                    assert len(sets[a] & sets[b]) == 2
+        # not isomorphic: a rook's-graph row is a 4-clique, Shrikhande has none
+        assert _has_four_clique(rook_graph(4))
+        assert not _has_four_clique(shrikhande_graph())
 
-    def test_latin_square_pool(self):
-        pool = latin_squares_4()
-        assert len(pool) == 576
-        g = number_grid_graph(pool[0])
-        assert g.n == 16
-        assert all(g.degree(v) == 9 for v in range(16))
+
+def _has_four_clique(g):
+    return any(
+        all(g.has_edge(a, b) for a, b in itertools.combinations((v, *rest), 2))
+        for v in range(g.n)
+        for rest in itertools.combinations(g.adj[v], 3)
+    )
+
+
+class TestFwl2LocalReadouts:
+    def test_srg_non_edge_not_distinguished(self):
+        # FWL2 cannot tell this pair apart, so its local restriction may not
+        # either: a target that fed back into the tracked pairs split it.
+        res = indistinguishable(
+            TestKind.FWL2_LOCAL, (0, 5), rook_graph(4), (0, 2), shrikhande_graph()
+        )
+        assert not res.distinguished
+
+    def test_shared_sessions_match_one_session_per_instance(self):
+        shared = Corpus.merge(fixtures_corpus(), random_corpus(count=4, seed=3))
+        # a Graph copy per instance forces a session per instance
+        alone = Corpus(
+            [(Graph.build(g.n, g.edges, g.labels), e) for g, e in shared.instances],
+            {},
+        )
+        a = batch_refine(TestKind.FWL2_LOCAL, shared)
+        b = batch_refine(TestKind.FWL2_LOCAL, alone)
+        assert a.iterations == b.iterations
+        for t in range(a.iterations + 1):
+            assert _partition(a, t) == _partition(b, t), t
+        n = len(shared)
+        for i in range(0, n, 13):
+            for j in range(i + 1, n, 29):
+                assert a.first_difference(i, j) == b.first_difference(i, j)
+
+
+def _partition(result, t):
+    classes = {}
+    for i in range(len(result.histories)):
+        classes.setdefault(result.link_key(i, t), set()).add(i)
+    return sorted(map(sorted, classes.values()))
 
 
 @pytest.fixture(scope="module")

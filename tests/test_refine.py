@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -269,5 +272,63 @@ class TestSplitOnlyGuard:
         a = session.colors[0]
         b = session.colors[1]
         assert a != b
-        with pytest.raises(AssertionError, match="merged"):
+        with pytest.raises(RefinementError, match="merged"):
             session._check_split_only({0: 99, 1: 99, 2: 99})
+
+    def test_merge_detected_under_optimize(self):
+        # the invariant is a raised error, not an assert, so -O keeps it
+        code = (
+            "from wl2link.generate import path_graph\n"
+            "from wl2link.refine import RefinementError, TestKind, make_session\n"
+            "assert False, 'asserts are live'\n"
+            "s = make_session(TestKind.WL1, path_graph(3))\n"
+            "s.step()\n"
+            "try:\n"
+            "    s._check_split_only({0: 99, 1: 99, 2: 99})\n"
+            "except RefinementError as err:\n"
+            "    print(err)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert "merged" in out.stdout
+
+
+class TestFwl2LocalReadouts:
+    def test_targets_are_not_tracked(self):
+        g = path_graph(4)
+        session = make_session(
+            TestKind.FWL2_LOCAL, g, mask=(0, 3), extra_targets=[(0, 2)]
+        )
+        assert not {(0, 3), (3, 0), (0, 2), (2, 0)} & set(session.colors)
+        assert set(session.readouts) == {(0, 3), (3, 0), (0, 2), (2, 0)}
+        assert session.num_units() == 2 * g.m
+        # targets change neither the tracked colours nor their growth
+        plain = make_session(TestKind.FWL2_LOCAL, g, interner=session.interner)
+        for _ in range(3):
+            session.step()
+            plain.step()
+            assert session.colors == plain.colors
+            # (0, 2) is walk-reachable and now tracked: the key reads it there
+            assert session.ordered_key((0, 2)) == (
+                plain.colors[(0, 2)], plain.colors[(2, 0)]
+            )
+
+    def test_readout_carries_on_when_tracked(self):
+        # a read-out that expansion starts tracking keeps its colour
+        g = path_graph(4)
+        read = make_session(TestKind.FWL2_LOCAL, g, extra_targets=[(0, 2)])
+        grow = make_session(
+            TestKind.FWL2_LOCAL, g, extra_targets=[(0, 2)], interner=read.interner
+        )
+        read.step(expand=False)
+        grow.step()
+        assert (0, 2) not in read.colors and (0, 2) not in grow.readouts
+        assert read.readouts[(0, 2)] == grow.colors[(0, 2)]
+
+    def test_extra_targets_rejected_for_global_kinds(self):
+        with pytest.raises(RefinementError, match="local"):
+            make_session(TestKind.WL2, path_graph(3), extra_targets=[(0, 2)])

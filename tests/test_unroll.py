@@ -128,6 +128,12 @@ class TestCertificate:
                 got = link_certificate(g1, e1) == link_certificate(g2, e2)
                 assert want == got
 
+    def test_size_bound(self):
+        # 8! placements at n = 10: refused before any is tried
+        g = erdos_renyi(10, 0.3, seed=0)
+        with pytest.raises(UnrollError, match="bound"):
+            link_certificate(g, (0, 1))
+
     def test_orientation_matters_only_when_asymmetric(self):
         g = path_graph(3)
         assert link_certificate(g, (0, 1)) == link_certificate(g, (2, 1))
