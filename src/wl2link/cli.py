@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .generate import erdos_renyi, ring_lattice
 from .graph import GraphError, load_edgelist, load_labels
-from .linkpred import LinkPredError, TrainConfig, benchmark
+from .linkpred import LinkPredError, benchmark
 from .harness import (
     Corpus,
     builtin_fixtures,
@@ -244,11 +244,7 @@ def cmd_predict(args) -> int:
     else:
         g = _generate_graph(args.generate)
         dataset = args.generate
-    config = TrainConfig(seed=args.seed)
-    report = benchmark(
-        g, kind, split_seed=args.seed, train_config=config,
-        width=args.width, dataset=dataset, workers=args.threads,
-    )
+    report = benchmark(g, kind, split_seed=args.seed, width=args.width, dataset=dataset)
     if args.output == "json":
         print(report.to_json())
     else:
@@ -282,7 +278,6 @@ def _global_flags() -> argparse.ArgumentParser:
     common.add_argument("--max-iters", type=int, default=d)
     common.add_argument("--output", choices=("json", "table"), default=d)
     common.add_argument("--quiet", action="store_true", default=d)
-    common.add_argument("--threads", type=int, default=d)
     return common
 
 
@@ -335,10 +330,6 @@ def main(argv=None) -> int:
         for name, value in GLOBAL_DEFAULTS.items():
             if not hasattr(args, name):
                 setattr(args, name, value)
-        if not hasattr(args, "threads"):
-            args.threads = int(os.environ.get("WL2_THREADS", "1"))
-        if args.threads < 1:
-            raise UsageError("--threads must be >= 1")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

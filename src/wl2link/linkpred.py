@@ -4,17 +4,13 @@ from __future__ import annotations
 
 import json
 import random
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .graph import Graph, GraphError, sample_non_edges, split_links
 from .refine import (
-    ABSENT,
-    Interner,
     TestKind,
     cn_from_fwl2_signature,
     make_session,
@@ -54,53 +50,13 @@ def heuristic_ra(g: Graph, p: int, q: int) -> float:
 
 # -- color features ----------------------------------------------------------
 
-# Colors are canonicalized into this process-wide interner before ranking,
-# so histogram bucketing is invariant under graph isomorphism (raw session
-# ids depend on unit enumeration order, which is not).
-_canon = Interner()
-_canon_lock = threading.Lock()
 
-
-def _canonical_color_ids(interner, colors):
-    sigs = interner.signatures
-    intern = _canon.intern
-    memo = {}
-
-    def crank(c):
-        if c == ABSENT:
-            return intern(("absent",))
-        r = memo.get(c)
-        if r is None:
-            memo[c] = r = intern(expand(sigs[c]))
-        return r
-
-    def expand(sig):
-        if sig[0] == "i":
-            return sig
-        if sig[0] != "s":
-            raise AssertionError(f"unknown signature tag {sig[0]!r}")
-        prev = crank(sig[1])
-        branches = []
-        for branch in sig[2:]:
-            if branch and isinstance(branch[0], tuple):
-                branches.append(
-                    tuple(sorted((crank(a), crank(b)) for a, b in branch))
-                )
-            else:
-                branches.append(tuple(sorted(crank(c) for c in branch)))
-        return ("s", prev, *branches)
-
-    with _canon_lock:
-        return {c: crank(c) for c in set(colors.values())}
-
-
-def _color_ranks(interner, colors):
-    """Rank distinct final colors by class size, then canonical form."""
+def _color_ranks(colors):
+    """Rank distinct final colors by class size, then color id."""
     sizes = {}
     for c in colors.values():
         sizes[c] = sizes.get(c, 0) + 1
-    canon = _canonical_color_ids(interner, colors)
-    ordered = sorted(sizes, key=lambda c: (sizes[c], canon[c]))
+    ordered = sorted(sizes, key=lambda c: (sizes[c], c))
     return {c: r for r, c in enumerate(ordered)}
 
 
@@ -121,8 +77,13 @@ def featurize(
     what refinement alone sees). ``ee`` counts the first-iteration
     (edge, edge) aggregation entries, nonzero only for folklore kinds.
     The histogram buckets the final colors of the units incident to the
-    target (pairs touching p or q; nodes adjacent to p or q) by canonical
-    color rank modulo width.
+    target (pairs touching p or q; nodes adjacent to p or q) by color rank
+    modulo width.
+
+    The refinement session runs alone, so it numbers its colors canonically
+    (sorted signatures per iteration) and the vector is a pure function of
+    (kind, graph, target, width, max_iters): isomorphic inputs give equal
+    vectors, and earlier calls do not change it.
     """
     if width < 1:
         raise LinkPredError("width must be >= 1")
@@ -154,7 +115,7 @@ def featurize(
     else:
         units = sorted(set(eff.adj[p]) | set(eff.adj[q]))
     hist = [0.0] * width
-    ranks = _color_ranks(session.interner, colors)
+    ranks = _color_ranks(colors)
     for u in units:
         hist[ranks[colors[u]] % width] += 1.0
     # Relative frequencies: the histogram encodes color composition only.
@@ -173,7 +134,6 @@ def featurize(
 class TrainConfig:
     learning_rate: float = 0.1
     epochs: int = 500
-    seed: int = 0
 
 
 @dataclass
@@ -291,7 +251,6 @@ def benchmark(
     train_config: TrainConfig = None,
     width: int = 8,
     dataset: str = "custom",
-    workers: int = 1,
 ) -> BenchmarkReport:
     """10%/5% held-out split, self-masked training features, val/test AUC.
 
@@ -312,13 +271,7 @@ def benchmark(
     def feats(pairs):
         nonlocal elapsed
         t0 = time.perf_counter()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(
-                    pool.map(lambda e: featurize(kind, train, e, width=width), pairs)
-                )
-        else:
-            rows = [featurize(kind, train, e, width=width) for e in pairs]
+        rows = [featurize(kind, train, e, width=width) for e in pairs]
         elapsed += time.perf_counter() - t0
         return np.array(rows)
 

@@ -70,7 +70,11 @@ DEFAULT_DENSE_NODE_LIMIT = 128
 
 
 class Interner:
-    """Injective signature -> dense color id table (exact, no lossy hashing)."""
+    """Injective signature -> dense color id table (exact, no lossy hashing).
+
+    Ids are handed out in first-appearance order. Sessions that run in
+    lockstep share one, so their ids compare across sessions and iterations.
+    """
 
     def __init__(self):
         self.table = {}
@@ -90,11 +94,16 @@ class Interner:
 
 @dataclass
 class ColorMap:
-    """Colors for one iteration; unit keys are node ids or ordered pairs."""
+    """Colors for one iteration; unit keys are node ids or ordered pairs.
+
+    ``readouts`` holds the iteration's read-out colours (FWL2_Local targets
+    that are not tracked); they are not units of the partition.
+    """
 
     colors: dict
     pair_indexed: bool
     session: "RefinementSession" = field(repr=False, compare=False, default=None)
+    readouts: dict = field(default_factory=dict)
 
     def num_classes(self) -> int:
         return len(set(self.colors.values()))
@@ -111,12 +120,36 @@ def _init_pair_sig(labels, eff: Graph, r: int, s: int):
     return ("i", labels[r], labels[s], e_ind, 1 if r == s else 0)
 
 
+def _canonical_ids(signatures, colors, readouts):
+    """Renumber one iteration's colours in the sorted order of their signatures.
+
+    Tracked colours come first and read-out-only colours after, so read-outs
+    never shift a tracked id.
+    """
+    ids = {}
+    for group in (colors.values(), readouts.values()):
+        for c in sorted(set(group) - ids.keys(), key=signatures.__getitem__):
+            ids[c] = len(ids)
+    return (
+        {u: ids[c] for u, c in colors.items()},
+        {u: ids[c] for u, c in readouts.items()},
+    )
+
+
 class RefinementSession:
     """One refinement run: a graph, a test kind, an optional masked target.
 
-    Sessions sharing an Interner produce comparable colors because every
-    signature is purely structural. A session is single-threaded; distinct
-    sessions over shared graphs may run in parallel.
+    Colour ids are numbered in one of two ways:
+
+    - With a shared ``interner`` (lockstep runs such as ``indistinguishable``
+      and ``batch_refine``), ids are the table's first-appearance ids. Every
+      signature is purely structural, so ids compare across the sessions
+      that share the table, at every iteration.
+    - Without one, the session runs alone and numbers each iteration
+      canonically: it sorts that iteration's distinct signatures and
+      numbers the colours in that order (Shervashidze et al., JMLR 2011).
+      Ids then depend only on (kind, graph, mask, targets) up to
+      isomorphism, and restart at 0 every iteration.
     """
 
     def __init__(
@@ -147,36 +180,43 @@ class RefinementSession:
         self.kind = kind
         self.graph = graph
         self.mask = tuple(mask) if mask is not None else None
-        self.interner = interner if interner is not None else Interner()
+        self.interner = interner
         self.eff = graph.without_edge(*mask) if mask is not None else graph
         if kind is TestKind.WL1_LABEL01:
             self.labels = label01(self.eff, mask).labels
         else:
             self.labels = self.eff.labels
         self.iteration = 0
-        self.colors = {}
-        # FWL2_Local targets: pair -> current read-out colour, for pairs not
-        # tracked; _readout_init holds each one's init colour.
-        self.readouts = {}
-        self._readout_init = {}
-        self._init_colors(extra_targets)
+        # FWL2_Local targets: readouts maps each pair that is not tracked to
+        # its current read-out colour; _readout_sigs to its init signature.
+        palette = self._palette()
+        colors, self._readout_sigs = self._init_colors(palette.intern, extra_targets)
+        readouts = {pair: palette.intern(sig) for pair, sig in self._readout_sigs.items()}
+        self._settle(palette, colors, readouts)
+
+    def _palette(self) -> Interner:
+        # the shared table in lockstep runs, else a fresh one per iteration
+        return self.interner if self.interner is not None else Interner()
+
+    def _settle(self, palette, colors, readouts):
+        if self.interner is None:
+            colors, readouts = _canonical_ids(palette.signatures, colors, readouts)
+        self.colors, self.readouts = colors, readouts
 
     # -- initialization ---------------------------------------------------
 
-    def _init_colors(self, extra_targets):
-        kind, eff, intern = self.kind, self.eff, self.interner.intern
-        labels = self.labels
+    def _init_colors(self, intern, extra_targets):
+        """Init colours of the tracked units, and init signatures of read-outs."""
+        kind, eff, labels = self.kind, self.eff, self.labels
         if not kind.pair_indexed:
-            self.colors = {v: intern(("i", labels[v])) for v in range(eff.n)}
-            return
+            return {v: intern(("i", labels[v])) for v in range(eff.n)}, {}
         if kind.dense:
             n = eff.n
-            self.colors = {
+            return {
                 (p, q): intern(_init_pair_sig(labels, eff, p, q))
                 for p in range(n)
                 for q in range(n)
-            }
-            return
+            }, {}
         tracked = set()
         for u, v in eff.edges:
             tracked.add((u, v))
@@ -187,14 +227,10 @@ class RefinementSession:
         targets = set()
         for p, q in ([self.mask] if self.mask is not None else []) + list(extra_targets):
             (targets if readout else tracked).update(((p, q), (q, p)))
-        self.colors = {
-            pair: intern(_init_pair_sig(labels, eff, *pair)) for pair in tracked
+        colors = {pair: intern(_init_pair_sig(labels, eff, *pair)) for pair in tracked}
+        return colors, {
+            pair: _init_pair_sig(labels, eff, *pair) for pair in targets - tracked
         }
-        self._readout_init = {
-            pair: intern(_init_pair_sig(labels, eff, *pair))
-            for pair in targets - tracked
-        }
-        self.readouts = dict(self._readout_init)
 
     # -- stepping ---------------------------------------------------------
 
@@ -205,31 +241,41 @@ class RefinementSession:
         test (newly reachable pairs); other kinds ignore it.
         """
         kind = self.kind
+        palette = self._palette()
+        intern = palette.intern
         if kind.pair_indexed:
             if kind is TestKind.WL2:
-                new = self._step_wl2()
+                new = self._step_wl2(intern)
             elif kind is TestKind.FWL2:
-                new = self._step_fwl2()
+                new = self._step_fwl2(intern)
             elif kind is TestKind.WL2_LOCAL:
-                new = self._step_wl2_local()
+                new = self._step_wl2_local(intern)
             else:
-                new = self._step_fwl2_local(expand)
+                new = self._step_fwl2_local(intern, expand)
         else:
-            new = self._step_wl1()
+            new = self._step_wl1(intern)
         self._check_split_only(new)
-        self.colors = new
+        # Read-outs follow the expansion rule: in sessions that share an
+        # interner, a read-out that expansion starts tracking carries on with
+        # the same colour.
+        readouts = {
+            pair: intern(("v", sig, self._folklore_entries(*pair)))
+            for pair, sig in self._readout_sigs.items()
+            if pair not in new
+        }
+        self._settle(palette, new, readouts)
         self.iteration += 1
-        return new
+        return self.colors
 
-    def _step_wl1(self):
-        c, intern, adj = self.colors, self.interner.intern, self.eff.adj
+    def _step_wl1(self, intern):
+        c, adj = self.colors, self.eff.adj
         return {
             v: intern(("s", c[v], tuple(sorted(c[u] for u in adj[v]))))
             for v in c
         }
 
-    def _step_wl2(self):
-        n, c, intern = self.eff.n, self.colors, self.interner.intern
+    def _step_wl2(self, intern):
+        n, c = self.eff.n, self.colors
         cols = [tuple(sorted(c[(u, q)] for u in range(n))) for q in range(n)]
         rows = [tuple(sorted(c[(p, v)] for v in range(n))) for p in range(n)]
         return {
@@ -238,8 +284,8 @@ class RefinementSession:
             for q in range(n)
         }
 
-    def _step_fwl2(self):
-        n, c, intern = self.eff.n, self.colors, self.interner.intern
+    def _step_fwl2(self, intern):
+        n, c = self.eff.n, self.colors
         rng = range(n)
         return {
             (p, q): intern(
@@ -249,8 +295,8 @@ class RefinementSession:
             for q in rng
         }
 
-    def _step_wl2_local(self):
-        c, intern, adj = self.colors, self.interner.intern, self.eff.adj
+    def _step_wl2_local(self, intern):
+        c, adj = self.colors, self.eff.adj
         in_col = {}
         out_row = {}
         new = {}
@@ -264,18 +310,19 @@ class RefinementSession:
             new[(p, q)] = intern(("s", c[(p, q)], b1, b2))
         return new
 
-    def _fwl2_local_sig(self, prev, p, q):
-        c, adj = self.colors, self.eff.adj
-        get = c.get
-        entries = sorted(
+    def _folklore_entries(self, p, q):
+        adj, get = self.eff.adj, self.colors.get
+        return tuple(sorted(
             (get((u, q), ABSENT), get((p, u), ABSENT))
             for u in set(adj[p]).union(adj[q])
-        )
-        return ("s", prev, tuple(entries))
+        ))
 
-    def _step_fwl2_local(self, expand: bool):
-        c, intern = self.colors, self.interner.intern
-        new = {pair: intern(self._fwl2_local_sig(c[pair], *pair)) for pair in c}
+    def _step_fwl2_local(self, intern, expand: bool):
+        # A pair that is not tracked yet has no previous colour; it carries
+        # its init signature under its own tag instead, because a canonical
+        # init id may repeat as a tracked id of a later iteration.
+        c, entries = self.colors, self._folklore_entries
+        new = {pair: intern(("s", c[pair], entries(*pair))) for pair in c}
         if expand:
             adj, labels, eff = self.eff.adj, self.labels, self.eff
             candidates = set()
@@ -288,15 +335,7 @@ class RefinementSession:
                     if (x, u) not in c:
                         candidates.add((x, u))
             for pair in candidates:
-                virtual_prev = intern(_init_pair_sig(labels, eff, *pair))
-                new[pair] = intern(self._fwl2_local_sig(virtual_prev, *pair))
-        # Read-outs follow the expansion rule, so a read-out that expansion
-        # starts tracking carries on with the same colour.
-        self.readouts = {
-            pair: intern(self._fwl2_local_sig(virtual_prev, *pair))
-            for pair, virtual_prev in self._readout_init.items()
-            if pair not in new
-        }
+                new[pair] = intern(("v", _init_pair_sig(labels, eff, *pair), entries(*pair)))
         return new
 
     def _check_split_only(self, new):
@@ -329,6 +368,11 @@ class RefinementSession:
     def num_classes(self) -> int:
         return len(set(self.colors.values()))
 
+    def color_map(self) -> ColorMap:
+        """This iteration's colours. A step replaces the session's dicts and
+        never mutates them, so the map shares them."""
+        return ColorMap(self.colors, self.kind.pair_indexed, self, self.readouts)
+
 
 def make_session(kind, graph, mask=None, interner=None, extra_targets=(), **kw):
     return RefinementSession(
@@ -348,34 +392,31 @@ class RefinementResult:
     history: list  # ColorMap per iteration, t = 0..T
     stable_at: int  # first t with partition unchanged; None if cap reached
     reached_cap: bool
-    interner: Interner
 
     @property
     def final(self) -> ColorMap:
         return self.history[-1]
 
     def to_json(self) -> str:
-        colors = {}
-        for t, cmap in enumerate(self.history):
-            if cmap.pair_indexed:
-                rows = sorted([p, q, c] for (p, q), c in cmap.colors.items())
-            else:
-                rows = sorted([v, c] for v, c in cmap.colors.items())
-            colors[str(t)] = rows
+        def rows(colors):
+            if self.kind.pair_indexed:
+                return sorted([p, q, c] for (p, q), c in colors.items())
+            return sorted([v, c] for v, c in colors.items())
+
         return json.dumps(
             {
                 "test": self.kind.value,
                 "stable_at": self.stable_at,
                 "reached_cap": self.reached_cap,
                 "mask": list(self.mask) if self.mask else None,
-                "colors": colors,
+                "colors": {str(t): rows(m.colors) for t, m in enumerate(self.history)},
+                "readouts": {str(t): rows(m.readouts) for t, m in enumerate(self.history)},
             }
         )
 
 
 def init_colors(kind: TestKind, g: Graph, mask=None, interner: Interner = None) -> ColorMap:
-    session = make_session(kind, g, mask=mask, interner=interner)
-    return ColorMap(dict(session.colors), kind.pair_indexed, session)
+    return make_session(kind, g, mask=mask, interner=interner).color_map()
 
 
 def refine_step(kind: TestKind, g: Graph, colors: ColorMap, interner: Interner) -> ColorMap:
@@ -384,10 +425,10 @@ def refine_step(kind: TestKind, g: Graph, colors: ColorMap, interner: Interner) 
         raise RefinementError("color map does not belong to this (kind, graph) session")
     if interner is not session.interner:
         raise RefinementError("interner session mismatch")
-    if colors.colors != session.colors:
+    if colors.colors is not session.colors:
         raise RefinementError("stale color map: session has already advanced")
-    new = session.step()
-    return ColorMap(dict(new), kind.pair_indexed, session)
+    session.step()
+    return session.color_map()
 
 
 def refine_to_stable(
@@ -408,12 +449,12 @@ def refine_to_stable(
         kind, g, mask=mask, interner=interner, extra_targets=extra_targets,
         dense_node_limit=dense_node_limit,
     )
-    history = [ColorMap(dict(session.colors), kind.pair_indexed, session)]
+    history = [session.color_map()]
     stable_at = None
     prev_classes, prev_units = session.num_classes(), session.num_units()
     for t in range(1, max_iters + 1):
         session.step()
-        history.append(ColorMap(dict(session.colors), kind.pair_indexed, session))
+        history.append(session.color_map())
         classes, units = session.num_classes(), session.num_units()
         if classes == prev_classes and units == prev_units:
             stable_at = t
@@ -427,7 +468,6 @@ def refine_to_stable(
         history=history,
         stable_at=stable_at,
         reached_cap=stable_at is None,
-        interner=session.interner,
     )
 
 

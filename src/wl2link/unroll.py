@@ -18,8 +18,6 @@ from .refine import Interner
 
 TREE_KINDS = ("T_A", "T_B", "T_C", "T_D")
 
-_default_interner = Interner()
-
 
 class UnrollError(ValueError):
     pass
@@ -142,7 +140,11 @@ _BUILDERS = {"T_A": _unroll_a, "T_B": _unroll_b, "T_C": _unroll_c, "T_D": _unrol
 
 
 def unroll(kind: str, g: Graph, e, depth: int, interner: Interner = None) -> UnrollTree:
-    """Build the depth-limited tree for target pair e with masked semantics."""
+    """Build the depth-limited tree for target pair e with masked semantics.
+
+    Trees compare only when built with the same ``interner``; without one,
+    the tree gets a fresh table of its own.
+    """
     if kind not in _BUILDERS:
         raise UnrollError(f"unknown tree kind {kind!r}; valid: {TREE_KINDS}")
     if depth < 0:
@@ -150,7 +152,7 @@ def unroll(kind: str, g: Graph, e, depth: int, interner: Interner = None) -> Unr
     p, q = e
     if not (0 <= p < g.n and 0 <= q < g.n):
         raise UnrollError(f"target ({p}, {q}) out of range")
-    interner = interner if interner is not None else _default_interner
+    interner = interner if interner is not None else Interner()
     eff = g.without_edge(p, q)
     cid = _BUILDERS[kind](eff, p, q, depth, interner.intern, {})
     return UnrollTree(kind=kind, depth=depth, canonical_id=cid, interner=interner)

@@ -58,6 +58,20 @@ class TestRefine:
         ) == 0
         assert "target stable color class size: 2" in capsys.readouterr().out
 
+    def test_untracked_local_folklore_target_json(self, k2_files, capsys):
+        # the JSON carries the target's read-out colour at every iteration,
+        # numbered after the tracked colours
+        assert main(
+            ["--output", "json", "refine", "--graph", k2_files[1],
+             "--test", "FWL2_Local", "--mask", "0,2"]
+        ) == 0
+        d = json.loads(capsys.readouterr().out)
+        assert set(d["readouts"]) == set(d["colors"])
+        for t, rows in d["readouts"].items():
+            tracked = {c for _, _, c in d["colors"][t]}
+            assert [r[:2] for r in rows] == [[0, 2], [2, 0]]
+            assert rows[0][2] == rows[1][2] == len(tracked)
+
     def test_bogus_kind_usage_error(self, c6_file, capsys):
         assert main(["refine", "--graph", c6_file, "--test", "BOGUS"]) == 1
         assert "valid" in capsys.readouterr().err

@@ -245,6 +245,36 @@ class TestEquivariance:
         assert not res.distinguished
 
 
+class TestCanonicalIds:
+    @pytest.mark.parametrize("kind", ALL)
+    def test_ids_follow_relabelling(self, kind):
+        # a lone session numbers colours by sorted signature, so relabelled
+        # nodes keep their colour ids at every iteration, read-outs included
+        g, _ = disjoint_union(erdos_renyi(8, 0.4, seed=5), path_graph(3))
+        pi = list(range(g.n))
+        random.Random(1).shuffle(pi)
+        h = permute(g, pi)
+
+        def moved(pair):
+            return (pi[pair[0]], pi[pair[1]])
+
+        def image(unit):
+            return moved(unit) if kind.pair_indexed else pi[unit]
+
+        mask, cross = (1, 4), (0, 9)  # cross joins the two components
+        extra = [cross] if kind.local else []
+        a = refine_to_stable(kind, g, mask=mask, extra_targets=extra)
+        b = refine_to_stable(
+            kind, h, mask=moved(mask), extra_targets=[moved(e) for e in extra]
+        )
+        assert len(a.history) == len(b.history)
+        for ma, mb in zip(a.history, b.history):
+            assert {image(u): c for u, c in ma.colors.items()} == mb.colors
+            assert {image(u): c for u, c in ma.readouts.items()} == mb.readouts
+        if kind is TestKind.FWL2_LOCAL:
+            assert cross in a.final.readouts
+
+
 class TestCnFromSignature:
     def test_triangle(self):
         tri = complete_graph(3)
@@ -299,15 +329,25 @@ class TestSplitOnlyGuard:
 
 class TestFwl2LocalReadouts:
     def test_targets_are_not_tracked(self):
+        # both sessions intern into one table
+        self._check_targets_not_tracked(Interner())
+
+    def test_targets_are_not_tracked_canonical(self):
+        # each session runs alone and numbers its own colours, read-outs
+        # after tracked ones
+        self._check_targets_not_tracked(None)
+
+    @staticmethod
+    def _check_targets_not_tracked(it):
         g = path_graph(4)
         session = make_session(
-            TestKind.FWL2_LOCAL, g, mask=(0, 3), extra_targets=[(0, 2)]
+            TestKind.FWL2_LOCAL, g, mask=(0, 3), extra_targets=[(0, 2)], interner=it
         )
         assert not {(0, 3), (3, 0), (0, 2), (2, 0)} & set(session.colors)
         assert set(session.readouts) == {(0, 3), (3, 0), (0, 2), (2, 0)}
         assert session.num_units() == 2 * g.m
         # targets change neither the tracked colours nor their growth
-        plain = make_session(TestKind.FWL2_LOCAL, g, interner=session.interner)
+        plain = make_session(TestKind.FWL2_LOCAL, g, interner=it)
         for _ in range(3):
             session.step()
             plain.step()
@@ -318,12 +358,12 @@ class TestFwl2LocalReadouts:
             )
 
     def test_readout_carries_on_when_tracked(self):
-        # a read-out that expansion starts tracking keeps its colour
-        g = path_graph(4)
-        read = make_session(TestKind.FWL2_LOCAL, g, extra_targets=[(0, 2)])
-        grow = make_session(
-            TestKind.FWL2_LOCAL, g, extra_targets=[(0, 2)], interner=read.interner
-        )
+        # sessions sharing a table: a read-out's signature is the one
+        # expansion gives the pair, so it keeps its colour once tracked
+        g = path_graph(5)
+        it = Interner()
+        read = make_session(TestKind.FWL2_LOCAL, g, extra_targets=[(0, 2)], interner=it)
+        grow = make_session(TestKind.FWL2_LOCAL, g, extra_targets=[(0, 2)], interner=it)
         read.step(expand=False)
         grow.step()
         assert (0, 2) not in read.colors and (0, 2) not in grow.readouts
