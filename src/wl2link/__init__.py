@@ -25,9 +25,7 @@ from .refine import (
     TestKind,
     cn_from_fwl2_signature,
     indistinguishable,
-    init_colors,
-    make_session,
-    refine_step,
+    lockstep,
     refine_to_stable,
 )
 from .unroll import (

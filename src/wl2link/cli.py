@@ -88,11 +88,11 @@ def cmd_refine(args) -> int:
     for t, cmap in enumerate(result.history):
         _emit(args, f"iteration {t}: {cmap.num_classes()} classes")
     if mask is not None:
-        final = result.final
-        target_color = final.session.ordered_key(mask)[0]
+        session = result.session
+        target_color = session.ordered_key(mask)[0]
         # count read-outs as units too, as featurize does, so the class
         # always includes the target
-        units = {**final.session.colors, **final.session.readouts}
+        units = {**session.colors, **session.readouts}
         size = sum(1 for c in units.values() if c == target_color)
         _emit(args, f"target stable color class size: {size}")
     return 0

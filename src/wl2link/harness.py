@@ -17,9 +17,9 @@ from .graph import Graph, disjoint_union
 from .refine import (
     ALL_KINDS,
     Interner,
+    RefinementSession,
     TestKind,
-    default_max_iters,
-    make_session,
+    lockstep,
 )
 from .unroll import link_certificate
 
@@ -134,46 +134,20 @@ def batch_refine(kind: TestKind, corpus: Corpus, max_iters: int = None) -> Batch
         assignments.append((key, target))
 
     built = {
-        key: make_session(
+        key: RefinementSession(
             kind, g, mask=mask, interner=interner,
             extra_targets=sorted(targets) if kind.local else (),
         )
         for key, (g, mask, targets) in groups.items()
     }
-
-    if max_iters is None:
-        max_iters = max(
-            default_max_iters(kind, g) for g, _ in corpus.instances
-        )
-
+    readers = [(built[key].ordered_key, target) for key, target in assignments]
     histories = [[] for _ in corpus.instances]
 
-    def record():
-        for i, (key, target) in enumerate(assignments):
-            histories[i].append(built[key].ordered_key(target))
+    def record(t):
+        for history, (ordered_key, target) in zip(histories, readers):
+            history.append(ordered_key(target))
 
-    def state():
-        colors = set()
-        units = 0
-        for s in built.values():
-            colors.update(s.colors.values())
-            units += s.num_units()
-        return (len(colors), units)
-
-    record()
-    prev = state()
-    stable = False
-    iterations = 0
-    for _ in range(max_iters):
-        for s in built.values():
-            s.step()
-        iterations += 1
-        record()
-        cur = state()
-        if cur == prev:
-            stable = True
-            break
-        prev = cur
+    iterations, stable = lockstep(list(built.values()), max_iters, record)
     return BatchResult(kind=kind, histories=histories, iterations=iterations, stable=stable)
 
 
@@ -432,15 +406,19 @@ def power_check(corpus: Corpus, kinds=None, max_iters: int = None) -> PowerRepor
     )
 
 
-def oracle_soundness(corpus: Corpus, results: dict, max_n: int = 7) -> dict:
+# Largest graph the soundness check certifies: (n - 2)! placements each.
+SOUNDNESS_MAX_N = 7
+
+
+def oracle_soundness(corpus: Corpus, results: dict) -> dict:
     """No test may distinguish a pair the exhaustive oracle deems isomorphic.
 
-    Groups small instances by their target-fixing canonical certificate
-    (masked, matching engine semantics); within a group every kind's final
-    link colors must coincide.
+    Groups instances of at most ``SOUNDNESS_MAX_N`` nodes by their
+    target-fixing canonical certificate (masked, matching engine semantics);
+    within a group every kind's final link colors must coincide.
     """
     small = [
-        i for i, (g, _) in enumerate(corpus.instances) if g.n <= max_n
+        i for i, (g, _) in enumerate(corpus.instances) if g.n <= SOUNDNESS_MAX_N
     ]
     groups = {}
     for i in small:

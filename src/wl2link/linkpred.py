@@ -9,11 +9,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, GraphError, sample_non_edges, split_links
+from .graph import Graph, sample_non_edges, split_links
 from .refine import (
+    RefinementSession,
     TestKind,
     cn_from_fwl2_signature,
-    make_session,
     refine_to_stable,
 )
 
@@ -68,7 +68,6 @@ def featurize(
     g_train: Graph,
     target,
     width: int = 8,
-    max_iters: int = None,
 ) -> np.ndarray:
     """Feature vector [cn, pa, ra, ee, hist_0..hist_{width-1}] for a target.
 
@@ -82,8 +81,8 @@ def featurize(
 
     The refinement session runs alone, so it numbers its colors canonically
     (sorted signatures per iteration) and the vector is a pure function of
-    (kind, graph, target, width, max_iters): isomorphic inputs give equal
-    vectors, and earlier calls do not change it.
+    (kind, graph, target, width): isomorphic inputs give equal vectors, and
+    earlier calls do not change it.
     """
     if width < 1:
         raise LinkPredError("width must be >= 1")
@@ -91,12 +90,10 @@ def featurize(
     if kind is TestKind.FWL2_LOCAL:
         # One sharpening step over the observed pairs; expansion to longer
         # walks is not needed for target-incident readout.
-        session = make_session(kind, g_train, mask=target)
-        for _ in range(1 if max_iters is None else max_iters):
-            session.step(expand=False)
+        session = RefinementSession(kind, g_train, mask=target)
+        session.step(expand=False)
     else:
-        result = refine_to_stable(kind, g_train, mask=target, max_iters=max_iters)
-        session = result.final.session
+        session = refine_to_stable(kind, g_train, mask=target).session
     eff = session.eff
     if kind.pair_indexed:
         cn = float(heuristic_cn(eff, p, q))
@@ -105,7 +102,7 @@ def featurize(
     else:
         cn = pa = ra = 0.0
     if kind in (TestKind.FWL2, TestKind.FWL2_LOCAL):
-        ee = float(cn_from_fwl2_signature(g_train, target))
+        ee = float(cn_from_fwl2_signature(eff, target))
     else:
         ee = 0.0
     # FWL2_Local holds the target apart as a read-out; it counts as a unit

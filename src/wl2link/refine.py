@@ -19,7 +19,7 @@ import enum
 import json
 from dataclasses import dataclass, field
 
-from .graph import Graph, GraphError, label01
+from .graph import Graph, label01
 
 
 class RefinementError(ValueError):
@@ -102,7 +102,6 @@ class ColorMap:
 
     colors: dict
     pair_indexed: bool
-    session: "RefinementSession" = field(repr=False, compare=False, default=None)
     readouts: dict = field(default_factory=dict)
 
     def num_classes(self) -> int:
@@ -159,7 +158,6 @@ class RefinementSession:
         mask=None,
         interner: Interner = None,
         extra_targets=(),
-        dense_node_limit: int = DEFAULT_DENSE_NODE_LIMIT,
     ):
         if mask is not None:
             p, q = mask
@@ -167,13 +165,14 @@ class RefinementSession:
                 raise RefinementError(f"mask ({p}, {q}) out of range")
             if p == q:
                 raise RefinementError("mask nodes must be distinct")
-        if kind.dense and graph.n > dense_node_limit:
+        if kind.dense and graph.n > DEFAULT_DENSE_NODE_LIMIT:
             raise MemoryGateError(
                 f"{kind.value} needs n^2 state; n={graph.n} exceeds the "
-                f"dense node limit {dense_node_limit}"
+                f"dense node limit {DEFAULT_DENSE_NODE_LIMIT}"
             )
         if kind is TestKind.WL1_LABEL01 and mask is None:
             raise RefinementError("WL1_Label01 requires a target pair")
+        extra_targets = list(extra_targets)
         if extra_targets and not kind.local:
             raise RefinementError("extra targets only supported for local pair kinds")
 
@@ -186,7 +185,6 @@ class RefinementSession:
             self.labels = label01(self.eff, mask).labels
         else:
             self.labels = self.eff.labels
-        self.iteration = 0
         # FWL2_Local targets: readouts maps each pair that is not tracked to
         # its current read-out colour; _readout_sigs to its init signature.
         palette = self._palette()
@@ -225,7 +223,7 @@ class RefinementSession:
         # reads them; FWL2_Local's folklore entries would, so it reads them out.
         readout = kind is TestKind.FWL2_LOCAL
         targets = set()
-        for p, q in ([self.mask] if self.mask is not None else []) + list(extra_targets):
+        for p, q in ([self.mask] if self.mask is not None else []) + extra_targets:
             (targets if readout else tracked).update(((p, q), (q, p)))
         colors = {pair: intern(_init_pair_sig(labels, eff, *pair)) for pair in tracked}
         return colors, {
@@ -264,7 +262,6 @@ class RefinementSession:
             if pair not in new
         }
         self._settle(palette, new, readouts)
-        self.iteration += 1
         return self.colors
 
     def _step_wl1(self, intern):
@@ -365,24 +362,48 @@ class RefinementSession:
     def num_units(self) -> int:
         return len(self.colors)
 
-    def num_classes(self) -> int:
-        return len(set(self.colors.values()))
+    @property
+    def default_max_iters(self) -> int:
+        n = self.graph.n
+        return (n * n + 2) if self.kind.pair_indexed else (n + 2)
 
     def color_map(self) -> ColorMap:
         """This iteration's colours. A step replaces the session's dicts and
         never mutates them, so the map shares them."""
-        return ColorMap(self.colors, self.kind.pair_indexed, self, self.readouts)
+        return ColorMap(self.colors, self.kind.pair_indexed, self.readouts)
 
 
-def make_session(kind, graph, mask=None, interner=None, extra_targets=(), **kw):
-    return RefinementSession(
-        kind, graph, mask=mask, interner=interner,
-        extra_targets=tuple(extra_targets), **kw
-    )
+def lockstep(sessions, max_iters: int = None, observe=None):
+    """Step ``sessions`` together until their joint partition stops splitting.
 
+    ``observe(t)`` runs after init (t = 0) and after every step; a true
+    result stops the run there. The run is stable at the first step that
+    changes neither the number of distinct colours across all sessions nor
+    their total number of units. ``max_iters`` must be >= 1 and defaults to
+    the largest session default. Returns ``(iterations, stable)``.
+    """
+    if max_iters is None:
+        max_iters = max(s.default_max_iters for s in sessions)
+    elif max_iters < 1:
+        raise RefinementError("max_iters must be >= 1")
 
-def default_max_iters(kind: TestKind, g: Graph) -> int:
-    return (g.n * g.n + 2) if kind.pair_indexed else (g.n + 2)
+    def state():
+        colors = [s.colors for s in sessions]
+        return len(set().union(*[c.values() for c in colors])), sum(map(len, colors))
+
+    if observe is not None and observe(0):
+        return 0, False
+    prev = state()
+    for t in range(1, max_iters + 1):
+        for s in sessions:
+            s.step()
+        if observe is not None and observe(t):
+            return t, False
+        cur = state()
+        if cur == prev:
+            return t, True
+        prev = cur
+    return max_iters, False
 
 
 @dataclass
@@ -392,6 +413,7 @@ class RefinementResult:
     history: list  # ColorMap per iteration, t = 0..T
     stable_at: int  # first t with partition unchanged; None if cap reached
     reached_cap: bool
+    session: RefinementSession = field(repr=False, compare=False)
 
     @property
     def final(self) -> ColorMap:
@@ -415,59 +437,28 @@ class RefinementResult:
         )
 
 
-def init_colors(kind: TestKind, g: Graph, mask=None, interner: Interner = None) -> ColorMap:
-    return make_session(kind, g, mask=mask, interner=interner).color_map()
-
-
-def refine_step(kind: TestKind, g: Graph, colors: ColorMap, interner: Interner) -> ColorMap:
-    session = colors.session
-    if session is None or session.kind is not kind or session.graph is not g:
-        raise RefinementError("color map does not belong to this (kind, graph) session")
-    if interner is not session.interner:
-        raise RefinementError("interner session mismatch")
-    if colors.colors is not session.colors:
-        raise RefinementError("stale color map: session has already advanced")
-    session.step()
-    return session.color_map()
-
-
 def refine_to_stable(
     kind: TestKind,
     g: Graph,
     mask=None,
     max_iters: int = None,
-    interner: Interner = None,
     extra_targets=(),
-    dense_node_limit: int = DEFAULT_DENSE_NODE_LIMIT,
 ) -> RefinementResult:
-    """Iterate until the induced partition stops splitting (or cap reached)."""
-    if max_iters is not None and max_iters < 1:
-        raise RefinementError("max_iters must be >= 1")
-    if max_iters is None:
-        max_iters = default_max_iters(kind, g)
-    session = make_session(
-        kind, g, mask=mask, interner=interner, extra_targets=extra_targets,
-        dense_node_limit=dense_node_limit,
+    """Refine one lone, canonically numbered session until it stops splitting."""
+    session = RefinementSession(kind, g, mask=mask, extra_targets=extra_targets)
+    history = []
+    iterations, stable = lockstep(
+        [session], max_iters, lambda t: history.append(session.color_map())
     )
-    history = [session.color_map()]
-    stable_at = None
-    prev_classes, prev_units = session.num_classes(), session.num_units()
-    for t in range(1, max_iters + 1):
-        session.step()
-        history.append(session.color_map())
-        classes, units = session.num_classes(), session.num_units()
-        if classes == prev_classes and units == prev_units:
-            stable_at = t
-            break
-        prev_classes, prev_units = classes, units
-    if stable_at is not None and stable_at > session.num_units() + 1:
+    if stable and iterations > session.num_units() + 1:
         raise RefinementError("stabilization bound violated")
     return RefinementResult(
         kind=kind,
         mask=session.mask,
         history=history,
-        stable_at=stable_at,
-        reached_cap=stable_at is None,
+        stable_at=iterations if stable else None,
+        reached_cap=not stable,
+        session=session,
     )
 
 
@@ -496,34 +487,15 @@ def indistinguishable(
     the target; pair of node colors for node-level tests) at every
     iteration. Masking applies to e1 in g1 and e2 in g2.
     """
-    for e, g in ((e1, g1), (e2, g2)):
-        p, q = e
-        if not (0 <= p < g.n and 0 <= q < g.n):
-            raise RefinementError(f"target ({p}, {q}) out of range")
-    if max_iters is None:
-        max_iters = max(default_max_iters(kind, g1), default_max_iters(kind, g2))
     interner = Interner()
-    s1 = make_session(kind, g1, mask=e1, interner=interner)
-    s2 = make_session(kind, g2, mask=e2, interner=interner)
-    if s1.link_key(e1) != s2.link_key(e2):
-        return DistinguishResult(0, 0, False)
-    prev = (
-        len({*s1.colors.values(), *s2.colors.values()}),
-        s1.num_units() + s2.num_units(),
-    )
-    for t in range(1, max_iters + 1):
-        s1.step()
-        s2.step()
-        if s1.link_key(e1) != s2.link_key(e2):
-            return DistinguishResult(t, t, False)
-        cur = (
-            len({*s1.colors.values(), *s2.colors.values()}),
-            s1.num_units() + s2.num_units(),
-        )
-        if cur == prev:
-            return DistinguishResult(None, t, True)
-        prev = cur
-    return DistinguishResult(None, max_iters, False)
+    s1 = RefinementSession(kind, g1, mask=e1, interner=interner)
+    s2 = RefinementSession(kind, g2, mask=e2, interner=interner)
+
+    def split(t):
+        return s1.link_key(e1) != s2.link_key(e2)
+
+    iterations, stable = lockstep([s1, s2], max_iters, split)
+    return DistinguishResult(iterations if split(iterations) else None, iterations, stable)
 
 
 def cn_from_fwl2_signature(g: Graph, target) -> int:

@@ -169,20 +169,21 @@ def tree_equal(t1: UnrollTree, t2: UnrollTree) -> bool:
 DEFAULT_ISO_BOUND = 9
 
 
-def link_isomorphic(
-    g1: Graph, e1, g2: Graph, e2, masked: bool = False, max_n: int = DEFAULT_ISO_BOUND
-) -> bool:
+def link_isomorphic(g1: Graph, e1, g2: Graph, e2, masked: bool = False) -> bool:
     """Exhaustively search for a target-fixing edge/label-preserving bijection.
 
     With ``masked`` the target edge (if any) is removed from both graphs
-    first, matching the engine's masked-target semantics.
+    first, matching the engine's masked-target semantics. Graphs above
+    ``DEFAULT_ISO_BOUND`` nodes are refused.
     """
     p1, q1 = e1
     p2, q2 = e2
     if g1.n != g2.n:
         return False
-    if g1.n > max_n:
-        raise UnrollError(f"n={g1.n} exceeds the exhaustive-search bound {max_n}")
+    if g1.n > DEFAULT_ISO_BOUND:
+        raise UnrollError(
+            f"n={g1.n} exceeds the exhaustive-search bound {DEFAULT_ISO_BOUND}"
+        )
     if masked:
         g1 = g1.without_edge(p1, q1)
         g2 = g2.without_edge(p2, q2)

@@ -77,7 +77,7 @@ def test_criterion2_wl1_equals_wl2_local(default_power_report):
 
 
 def test_criterion3_oracle_soundness(default_corpus, default_power_report):
-    result = oracle_soundness(default_corpus, default_power_report.results, max_n=7)
+    result = oracle_soundness(default_corpus, default_power_report.results)
     assert result["checked"] > 0
     assert result["violations"] == 0, result["details"]
 
@@ -236,7 +236,7 @@ def test_criterion9_monotone_refinement():
             counts = [c.num_classes() for c in result.history]
             assert counts == sorted(counts), kind
             assert result.stable_at is not None
-            assert result.stable_at <= result.final.session.num_units() + 1
+            assert result.stable_at <= result.session.num_units() + 1
 
 
 # -- 10. Complexity sanity ---------------------------------------------------

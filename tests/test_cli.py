@@ -103,6 +103,15 @@ class TestDistinguish:
              "--graph-b", c6_file, "--link-b", "0,1", "--test", "WL1"]
         ) == 1
 
+    def test_max_iters_below_one_runtime_error(self, k2_files, capsys):
+        k2, k2k2 = k2_files
+        assert main(
+            ["distinguish", "--graph-a", k2, "--link-a", "0,1",
+             "--graph-b", k2k2, "--link-b", "0,1", "--test", "WL1",
+             "--max-iters", "0"]
+        ) == 2
+        assert "max_iters must be >= 1" in capsys.readouterr().err
+
 
 class TestFixturesCommand:
     def test_writes_manifest_and_validates(self, tmp_path, capsys):
@@ -132,6 +141,10 @@ class TestPowerCheckCommand:
 
     def test_unknown_corpus(self, capsys):
         assert main(["power-check", "--corpus", "bogus"]) == 1
+
+    def test_max_iters_below_one_runtime_error(self, capsys):
+        assert main(["power-check", "--corpus", "fixtures", "--max-iters", "0"]) == 2
+        assert "max_iters must be >= 1" in capsys.readouterr().err
 
 
 class TestPredictCommand:

@@ -1,0 +1,79 @@
+"""Byte-identical CLI output for fixed inputs.
+
+The files under ``tests/golden/`` hold what ``refine``, ``distinguish`` and
+``power-check`` print with ``--output json``, and the manifest that
+``fixtures`` writes, for small fixed graphs. ``predict`` is left out: its
+timings are not byte-stable. After a deliberate output change, regenerate
+the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and record the change in CHANGES.md.
+"""
+
+import contextlib
+import io
+import pathlib
+import sys
+import tempfile
+
+import pytest
+
+from wl2link.cli import main
+from wl2link.generate import path_graph
+from wl2link.graph import Graph, disjoint_union
+from wl2link.refine import ALL_KINDS
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def _graphs():
+    k2 = path_graph(2)
+    k2k2, _ = disjoint_union(k2, k2)
+    house = Graph.build(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 4)])
+    return {"k2": k2, "k2k2": k2k2, "house": house}
+
+
+# case name -> CLI arguments; "@name" stands for the edge list of graph name
+CASES = {"power-check-fixtures": ("power-check", "--corpus", "fixtures")}
+for _kind in ALL_KINDS:
+    _k = _kind.value
+    CASES[f"refine-{_k}-k2k2"] = ("refine", "--graph", "@k2k2", "--test", _k, "--mask", "0,2")
+    CASES[f"refine-{_k}-house"] = ("refine", "--graph", "@house", "--test", _k, "--mask", "1,4")
+    CASES[f"distinguish-{_k}-k2-k2k2"] = (
+        "distinguish", "--graph-a", "@k2", "--link-a", "0,1",
+        "--graph-b", "@k2k2", "--link-b", "0,1", "--test", _k,
+    )
+MANIFEST = "fixtures-manifest"
+
+
+def _output(name, workdir: pathlib.Path) -> str:
+    if name == MANIFEST:
+        out = workdir / "fixtures"
+        assert main(["--quiet", "fixtures", "--out", str(out)]) == 0
+        return (out / "manifest.json").read_text()
+    for graph_name, g in _graphs().items():
+        text = "".join(f"{u} {v}\n" for u, v in g.edge_list())
+        (workdir / f"{graph_name}.edgelist").write_text(text)
+    argv = ["--output", "json"] + [
+        str(workdir / f"{a[1:]}.edgelist") if a.startswith("@") else a
+        for a in CASES[name]
+    ]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + [MANIFEST])
+def test_cli_output_matches_golden(name, tmp_path):
+    expected = (GOLDEN / f"{name}.json").read_bytes()
+    assert _output(name, tmp_path).encode() == expected
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(CASES) + [MANIFEST]:
+            (GOLDEN / f"{name}.json").write_bytes(_output(name, pathlib.Path(tmp)).encode())
+    print(f"wrote {len(CASES) + 1} files to {GOLDEN}", file=sys.stderr)

@@ -1,10 +1,11 @@
 import itertools
 import json
+import random
 
 import pytest
 
 from wl2link.generate import cycle_graph, erdos_renyi, rook_graph, shrikhande_graph
-from wl2link.graph import Graph
+from wl2link.graph import Graph, disjoint_union
 from wl2link.harness import (
     Corpus,
     all_pairs_corpus,
@@ -15,7 +16,7 @@ from wl2link.harness import (
     power_check,
     random_corpus,
 )
-from wl2link.refine import TestKind, indistinguishable
+from wl2link.refine import RefinementError, TestKind, indistinguishable, refine_to_stable
 
 
 class TestCorpora:
@@ -68,6 +69,34 @@ class TestBatchRefine:
         g2, e2 = corpus.instances[3]
         ref = indistinguishable(TestKind.FWL2, e1, g1, e2, g2)
         assert result.first_difference(2, 3) == ref.distinguished_at
+
+
+def _stop_rule_instances():
+    rng = random.Random(4)
+    graphs = [
+        erdos_renyi(n, p, seed=rng.randrange(2**31)) for n in (5, 8, 11) for p in (0.2, 0.4)
+    ]
+    graphs += [rook_graph(4), shrikhande_graph(), disjoint_union(cycle_graph(3), cycle_graph(4))[0]]
+    return [(g, tuple(rng.sample(range(g.n), 2))) for g in graphs for _ in range(7)]
+
+
+class TestStopRule:
+    @pytest.mark.parametrize("kind", list(TestKind))
+    def test_runners_stop_together(self, kind):
+        # the lone, batched and pairwise runners share one stop rule
+        for g, e in _stop_rule_instances():
+            alone = refine_to_stable(kind, g, mask=e)
+            batch = batch_refine(kind, Corpus([(g, e)], {}))
+            pair = indistinguishable(kind, e, g, e, g)
+            assert alone.stable_at == batch.iterations == pair.iterations, (g.n, e)
+            assert batch.stable and pair.stable
+
+    def test_max_iters_below_one_rejected(self):
+        g = cycle_graph(4)
+        with pytest.raises(RefinementError, match="max_iters must be >= 1"):
+            indistinguishable(TestKind.WL1, (0, 1), g, (0, 2), g, max_iters=0)
+        with pytest.raises(RefinementError, match="max_iters must be >= 1"):
+            batch_refine(TestKind.WL1, all_pairs_corpus(g), max_iters=0)
 
 
 class TestFixtures:

@@ -21,12 +21,10 @@ from wl2link.refine import (
     Interner,
     MemoryGateError,
     RefinementError,
+    RefinementSession,
     TestKind,
     cn_from_fwl2_signature,
     indistinguishable,
-    init_colors,
-    make_session,
-    refine_step,
     refine_to_stable,
 )
 
@@ -82,14 +80,13 @@ class TestInterner:
 class TestInitColors:
     def test_wl1_by_label(self):
         g = Graph.build(3, [(0, 1)], labels=[5, 5, 7])
-        cmap = init_colors(TestKind.WL1, g)
-        assert cmap.colors[0] == cmap.colors[1] != cmap.colors[2]
+        colors = RefinementSession(TestKind.WL1, g).colors
+        assert colors[0] == colors[1] != colors[2]
 
     def test_fwl2_init_on_path_three_classes(self):
         # P3 pairs split into: diagonal, edge, non-edge (single label).
-        cmap = init_colors(TestKind.FWL2, path_graph(3))
         classes = {}
-        for pair, c in cmap.colors.items():
+        for pair, c in RefinementSession(TestKind.FWL2, path_graph(3)).colors.items():
             classes.setdefault(c, set()).add(pair)
         assert len(classes) == 3
         by_kind = {frozenset(v) for v in classes.values()}
@@ -100,53 +97,29 @@ class TestInitColors:
     def test_mask_zeroes_indicator(self):
         g = path_graph(3)
         it = Interner()
-        masked = init_colors(TestKind.WL2, g, mask=(0, 1), interner=it)
-        unmasked = init_colors(TestKind.WL2, g, interner=it)
-        assert masked.colors[(0, 1)] != unmasked.colors[(0, 1)]
-        assert masked.colors[(0, 1)] == unmasked.colors[(0, 2)]  # both non-edges now
+        masked = RefinementSession(TestKind.WL2, g, mask=(0, 1), interner=it).colors
+        unmasked = RefinementSession(TestKind.WL2, g, interner=it).colors
+        assert masked[(0, 1)] != unmasked[(0, 1)]
+        assert masked[(0, 1)] == unmasked[(0, 2)]  # both non-edges now
 
     def test_local_tracks_edges_and_target(self):
         g = path_graph(4)
-        cmap = init_colors(TestKind.WL2_LOCAL, g, mask=(0, 3))
-        assert (0, 3) in cmap.colors and (3, 0) in cmap.colors
-        assert (0, 1) in cmap.colors and (1, 0) in cmap.colors
-        assert (0, 2) not in cmap.colors
+        colors = RefinementSession(TestKind.WL2_LOCAL, g, mask=(0, 3)).colors
+        assert (0, 3) in colors and (3, 0) in colors
+        assert (0, 1) in colors and (1, 0) in colors
+        assert (0, 2) not in colors
 
     def test_label01_requires_mask(self):
         with pytest.raises(RefinementError):
-            init_colors(TestKind.WL1_LABEL01, path_graph(3))
+            RefinementSession(TestKind.WL1_LABEL01, path_graph(3))
 
     def test_memory_gate(self):
         big = Graph.build(DEFAULT_DENSE_NODE_LIMIT + 1, [])
         with pytest.raises(MemoryGateError, match="dense node limit"):
-            init_colors(TestKind.FWL2, big)
+            RefinementSession(TestKind.FWL2, big)
         # node-level and local kinds are not gated
-        init_colors(TestKind.WL1, big)
-        init_colors(TestKind.WL2_LOCAL, big)
-
-
-class TestSessionStepping:
-    def test_refine_step_carries_session(self):
-        g = path_graph(4)
-        it = Interner()
-        cmap = init_colors(TestKind.WL1, g, interner=it)
-        nxt = refine_step(TestKind.WL1, g, cmap, it)
-        assert nxt.num_classes() >= cmap.num_classes()
-
-    def test_refine_step_rejects_stale_map(self):
-        g = path_graph(4)
-        it = Interner()
-        cmap = init_colors(TestKind.WL1, g, interner=it)
-        refine_step(TestKind.WL1, g, cmap, it)
-        with pytest.raises(RefinementError, match="stale"):
-            refine_step(TestKind.WL1, g, cmap, it)
-
-    def test_refine_step_rejects_wrong_interner(self):
-        g = path_graph(4)
-        it = Interner()
-        cmap = init_colors(TestKind.WL1, g, interner=it)
-        with pytest.raises(RefinementError, match="interner"):
-            refine_step(TestKind.WL1, g, cmap, Interner())
+        RefinementSession(TestKind.WL1, big)
+        RefinementSession(TestKind.WL2_LOCAL, big)
 
 
 class TestStablePartitions:
@@ -297,7 +270,7 @@ class TestCnFromSignature:
 
 class TestSplitOnlyGuard:
     def test_merge_detected(self):
-        session = make_session(TestKind.WL1, path_graph(3))
+        session = RefinementSession(TestKind.WL1, path_graph(3))
         session.step()  # colors now {0: a, 1: b, 2: a}
         a = session.colors[0]
         b = session.colors[1]
@@ -309,9 +282,9 @@ class TestSplitOnlyGuard:
         # the invariant is a raised error, not an assert, so -O keeps it
         code = (
             "from wl2link.generate import path_graph\n"
-            "from wl2link.refine import RefinementError, TestKind, make_session\n"
+            "from wl2link.refine import RefinementError, RefinementSession, TestKind\n"
             "assert False, 'asserts are live'\n"
-            "s = make_session(TestKind.WL1, path_graph(3))\n"
+            "s = RefinementSession(TestKind.WL1, path_graph(3))\n"
             "s.step()\n"
             "try:\n"
             "    s._check_split_only({0: 99, 1: 99, 2: 99})\n"
@@ -340,14 +313,14 @@ class TestFwl2LocalReadouts:
     @staticmethod
     def _check_targets_not_tracked(it):
         g = path_graph(4)
-        session = make_session(
+        session = RefinementSession(
             TestKind.FWL2_LOCAL, g, mask=(0, 3), extra_targets=[(0, 2)], interner=it
         )
         assert not {(0, 3), (3, 0), (0, 2), (2, 0)} & set(session.colors)
         assert set(session.readouts) == {(0, 3), (3, 0), (0, 2), (2, 0)}
         assert session.num_units() == 2 * g.m
         # targets change neither the tracked colours nor their growth
-        plain = make_session(TestKind.FWL2_LOCAL, g, interner=it)
+        plain = RefinementSession(TestKind.FWL2_LOCAL, g, interner=it)
         for _ in range(3):
             session.step()
             plain.step()
@@ -362,8 +335,8 @@ class TestFwl2LocalReadouts:
         # expansion gives the pair, so it keeps its colour once tracked
         g = path_graph(5)
         it = Interner()
-        read = make_session(TestKind.FWL2_LOCAL, g, extra_targets=[(0, 2)], interner=it)
-        grow = make_session(TestKind.FWL2_LOCAL, g, extra_targets=[(0, 2)], interner=it)
+        read = RefinementSession(TestKind.FWL2_LOCAL, g, extra_targets=[(0, 2)], interner=it)
+        grow = RefinementSession(TestKind.FWL2_LOCAL, g, extra_targets=[(0, 2)], interner=it)
         read.step(expand=False)
         grow.step()
         assert (0, 2) not in read.colors and (0, 2) not in grow.readouts
@@ -371,4 +344,4 @@ class TestFwl2LocalReadouts:
 
     def test_extra_targets_rejected_for_global_kinds(self):
         with pytest.raises(RefinementError, match="local"):
-            make_session(TestKind.WL2, path_graph(3), extra_targets=[(0, 2)])
+            RefinementSession(TestKind.WL2, path_graph(3), extra_targets=[(0, 2)])
