@@ -23,7 +23,6 @@ from .refine import (
     RefinementResult,
     RefinementSession,
     TestKind,
-    cn_from_fwl2_signature,
     indistinguishable,
     lockstep,
     refine_to_stable,

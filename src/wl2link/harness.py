@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass, field
@@ -90,9 +91,6 @@ class BatchResult:
     iterations: int
     stable: bool
 
-    def ordered_key(self, i: int, t: int):
-        return self.histories[i][t]
-
     def link_key(self, i: int, t: int = -1):
         return tuple(sorted(self.histories[i][t]))
 
@@ -125,7 +123,7 @@ def batch_refine(kind: TestKind, corpus: Corpus, max_iters: int = None) -> Batch
             key, mask = (id(g), frozenset(target)), target
         else:
             # the session depends on the masked graph only: no other unit
-            # reads a local kind's targets, so they share it too
+            # reads a target, so the targets of one masked graph share it
             mask = _canon_edge(g, target)
             key = (id(g), mask)
         if key not in groups:
@@ -135,8 +133,7 @@ def batch_refine(kind: TestKind, corpus: Corpus, max_iters: int = None) -> Batch
 
     built = {
         key: RefinementSession(
-            kind, g, mask=mask, interner=interner,
-            extra_targets=sorted(targets) if kind.local else (),
+            kind, g, mask=mask, interner=interner, extra_targets=sorted(targets)
         )
         for key, (g, mask, targets) in groups.items()
     }
@@ -167,12 +164,6 @@ class Fixture:
     target_b: tuple
     expected: dict  # TestKind -> bool (distinguished?)
     note: str = ""
-
-    def corpus(self) -> Corpus:
-        return Corpus(
-            [(self.graph_a, self.target_a), (self.graph_b, self.target_b)],
-            {"generator": "fixture", "name": self.name},
-        )
 
 
 def builtin_fixtures():
@@ -347,26 +338,6 @@ def _implication_violations(keys_a, keys_b):
     return violations, example
 
 
-def _strictness_witness(keys_a, keys_b, result_b: BatchResult):
-    """First pair distinguished by B but not by A, with B's iteration."""
-    groups = {}
-    for i, ka in enumerate(keys_a):
-        groups.setdefault(ka, []).append(i)
-    for ka in sorted(groups, key=lambda k: groups[k][0]):
-        members = groups[ka]
-        if len(members) < 2:
-            continue
-        by_b = {}
-        for i in members:
-            by_b.setdefault(keys_b[i], []).append(i)
-        if len(by_b) < 2:
-            continue
-        reps = sorted(v[0] for v in by_b.values())
-        i, j = reps[0], reps[1]
-        return {"pair": (i, j), "iteration": result_b.first_difference(i, j)}
-    return None
-
-
 def power_check(corpus: Corpus, kinds=None, max_iters: int = None) -> PowerReport:
     """Pairwise distinguishability of every corpus instance pair, per test kind."""
     if not corpus.instances:
@@ -376,26 +347,26 @@ def power_check(corpus: Corpus, kinds=None, max_iters: int = None) -> PowerRepor
     results = {k: batch_refine(k, corpus, max_iters=max_iters) for k in kinds}
     keys = {k: results[k].final_keys() for k in kinds}
     implications = {}
+    for a, b in itertools.permutations(kinds, 2):
+        violations, example = _implication_violations(keys[a], keys[b])
+        entry = {"holds": violations == 0, "violations": violations}
+        if example is not None:
+            entry["example"] = list(example)
+        implications[f"{a.value}->{b.value}"] = entry
+    # B is strictly stronger than A where B distinguishes a pair A does not:
+    # an example of the implication B -> A failing
     witnesses = []
-    for a in kinds:
-        for b in kinds:
-            if a is b:
-                continue
-            violations, example = _implication_violations(keys[a], keys[b])
-            entry = {"holds": violations == 0, "violations": violations}
-            if example is not None:
-                entry["example"] = list(example)
-            implications[f"{a.value}->{b.value}"] = entry
-            wit = _strictness_witness(keys[a], keys[b], results[b])
-            if wit is not None:
-                witnesses.append(
-                    {
-                        "weaker": a.value,
-                        "stronger": b.value,
-                        "instances": list(wit["pair"]),
-                        "iteration": wit["iteration"],
-                    }
-                )
+    for a, b in itertools.permutations(kinds, 2):
+        example = implications[f"{b.value}->{a.value}"].get("example")
+        if example is not None:
+            witnesses.append(
+                {
+                    "weaker": a.value,
+                    "stronger": b.value,
+                    "instances": list(example),
+                    "iteration": results[b].first_difference(*example),
+                }
+            )
     return PowerReport(
         corpus_spec=corpus.spec,
         kinds=list(kinds),

@@ -10,12 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph, sample_non_edges, split_links
-from .refine import (
-    RefinementSession,
-    TestKind,
-    cn_from_fwl2_signature,
-    refine_to_stable,
-)
+from .refine import RefinementSession, TestKind, refine_to_stable
 
 
 class LinkPredError(ValueError):
@@ -73,8 +68,9 @@ def featurize(
 
     The target is always masked. Heuristics are populated for pair-indexed
     kinds and zero-filled for node-level kinds (whose point is to measure
-    what refinement alone sees). ``ee`` counts the first-iteration
-    (edge, edge) aggregation entries, nonzero only for folklore kinds.
+    what refinement alone sees). ``ee`` counts the (edge, edge) entries
+    of the target's first folklore multiset, which are its common
+    neighbours: it equals ``cn`` for folklore kinds and is 0 otherwise.
     The histogram buckets the final colors of the units incident to the
     target (pairs touching p or q; nodes adjacent to p or q) by color rank
     modulo width.
@@ -101,11 +97,9 @@ def featurize(
         ra = heuristic_ra(eff, p, q)
     else:
         cn = pa = ra = 0.0
-    if kind in (TestKind.FWL2, TestKind.FWL2_LOCAL):
-        ee = float(cn_from_fwl2_signature(eff, target))
-    else:
-        ee = 0.0
-    # FWL2_Local holds the target apart as a read-out; it counts as a unit
+    ee = cn if kind.folklore else 0.0
+    # a folklore kind holds an untracked target apart as a read-out; it
+    # counts as a unit
     colors = {**session.colors, **session.readouts}
     if kind.pair_indexed:
         units = [u for u in colors if u[0] in (p, q) or u[1] in (p, q)]
@@ -145,9 +139,6 @@ class LinearScorer:
     def score(self, features: np.ndarray) -> np.ndarray:
         x = (np.atleast_2d(features) - self.mean) / self.std
         return x @ self.weights + self.bias
-
-    def score_one(self, features) -> float:
-        return float(self.score(features)[0])
 
 
 def _sigmoid(z):
@@ -245,7 +236,6 @@ def benchmark(
     g: Graph,
     kind: TestKind,
     split_seed: int,
-    train_config: TrainConfig = None,
     width: int = 8,
     dataset: str = "custom",
 ) -> BenchmarkReport:
@@ -274,7 +264,7 @@ def benchmark(
 
     x_train = np.vstack([feats(train_pos), feats(train_neg)])
     y_train = np.array([1] * len(train_pos) + [0] * len(train_neg))
-    scorer = train_scorer(x_train, y_train, train_config)
+    scorer = train_scorer(x_train, y_train)
 
     def eval_auc(pos, neg):
         x = np.vstack([feats(pos), feats(neg)])

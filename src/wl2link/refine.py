@@ -1,16 +1,18 @@
 """Color refinement for node-level and node-pair-level WL-style tests.
 
 Six tests share one machinery: classic node refinement (plain and with the
-two target nodes marked), refinement over all ordered node pairs (plain and
-folklore aggregation), and the sparse local variants whose neighborhoods are
-restricted to observed edges.
+two target nodes marked) and two pair rules, plain and folklore. Each pair
+rule runs over one neighbourhood per node: every node for the dense tests
+(WL2, FWL2), or the node's neighbours in the observed edges for the local
+tests (WL2_Local, FWL2_Local). A dense session tracks all ordered pairs, a
+local one both orientations of every edge.
 
 Masked-target semantics: when a pair is the prediction target, its edge (if
 present) is removed from the working edge set before refinement, so neither
 the pair's own indicator nor any neighborhood can leak whether the link
-exists. The local folklore test also keeps its targets out of the tracked
-pairs: a target is a read-out, coloured from the tracked pairs each step but
-never fed back into them.
+exists. The folklore tests also keep their targets out of the tracked pairs:
+a target that is not tracked already is a read-out, coloured from the
+tracked pairs each step but never fed back into them.
 """
 
 from __future__ import annotations
@@ -49,6 +51,10 @@ class TestKind(enum.Enum):
     @property
     def local(self) -> bool:
         return self in (TestKind.WL2_LOCAL, TestKind.FWL2_LOCAL)
+
+    @property
+    def folklore(self) -> bool:
+        return self in (TestKind.FWL2, TestKind.FWL2_LOCAL)
 
     @staticmethod
     def parse(name: str) -> "TestKind":
@@ -96,12 +102,11 @@ class Interner:
 class ColorMap:
     """Colors for one iteration; unit keys are node ids or ordered pairs.
 
-    ``readouts`` holds the iteration's read-out colours (FWL2_Local targets
+    ``readouts`` holds the iteration's read-out colours (folklore targets
     that are not tracked); they are not units of the partition.
     """
 
     colors: dict
-    pair_indexed: bool
     readouts: dict = field(default_factory=dict)
 
     def num_classes(self) -> int:
@@ -138,6 +143,11 @@ def _canonical_ids(signatures, colors, readouts):
 class RefinementSession:
     """One refinement run: a graph, a test kind, an optional masked target.
 
+    ``extra_targets`` are further pairs whose link colours the caller reads.
+    A pair kind keeps every target coloured: the dense kinds track all pairs
+    already, WL2_Local tracks its targets and FWL2_Local reads them out.
+    Node kinds only check them.
+
     Colour ids are numbered in one of two ways:
 
     - With a shared ``interner`` (lockstep runs such as ``indistinguishable``
@@ -159,12 +169,14 @@ class RefinementSession:
         interner: Interner = None,
         extra_targets=(),
     ):
+        targets = [tuple(t) for t in extra_targets]
         if mask is not None:
-            p, q = mask
+            targets.insert(0, tuple(mask))
+        for p, q in targets:
             if not (0 <= p < graph.n and 0 <= q < graph.n):
-                raise RefinementError(f"mask ({p}, {q}) out of range")
+                raise RefinementError(f"target ({p}, {q}) out of range")
             if p == q:
-                raise RefinementError("mask nodes must be distinct")
+                raise RefinementError(f"target nodes must be distinct, got ({p}, {q})")
         if kind.dense and graph.n > DEFAULT_DENSE_NODE_LIMIT:
             raise MemoryGateError(
                 f"{kind.value} needs n^2 state; n={graph.n} exceeds the "
@@ -172,9 +184,6 @@ class RefinementSession:
             )
         if kind is TestKind.WL1_LABEL01 and mask is None:
             raise RefinementError("WL1_Label01 requires a target pair")
-        extra_targets = list(extra_targets)
-        if extra_targets and not kind.local:
-            raise RefinementError("extra targets only supported for local pair kinds")
 
         self.kind = kind
         self.graph = graph
@@ -185,10 +194,12 @@ class RefinementSession:
             self.labels = label01(self.eff, mask).labels
         else:
             self.labels = self.eff.labels
-        # FWL2_Local targets: readouts maps each pair that is not tracked to
+        n = graph.n
+        self.nbrs = (tuple(range(n)),) * n if kind.dense else self.eff.adj
+        # folklore targets: readouts maps each pair that is not tracked to
         # its current read-out colour; _readout_sigs to its init signature.
         palette = self._palette()
-        colors, self._readout_sigs = self._init_colors(palette.intern, extra_targets)
+        colors, self._readout_sigs = self._init_colors(palette.intern, targets)
         readouts = {pair: palette.intern(sig) for pair, sig in self._readout_sigs.items()}
         self._settle(palette, colors, readouts)
 
@@ -203,32 +214,31 @@ class RefinementSession:
 
     # -- initialization ---------------------------------------------------
 
-    def _init_colors(self, intern, extra_targets):
-        """Init colours of the tracked units, and init signatures of read-outs."""
-        kind, eff, labels = self.kind, self.eff, self.labels
-        if not kind.pair_indexed:
+    def _init_colors(self, intern, targets):
+        """Init colours of the tracked units, and init signatures of read-outs.
+
+        A pair kind tracks (p, u) for every u in nbrs[p].
+        """
+        eff, labels, nbrs = self.eff, self.labels, self.nbrs
+        if not self.kind.pair_indexed:
             return {v: intern(("i", labels[v])) for v in range(eff.n)}, {}
-        if kind.dense:
-            n = eff.n
-            return {
-                (p, q): intern(_init_pair_sig(labels, eff, p, q))
-                for p in range(n)
-                for q in range(n)
-            }, {}
-        tracked = set()
-        for u, v in eff.edges:
-            tracked.add((u, v))
-            tracked.add((v, u))
-        # WL2_Local may track its targets, since no other pair's signature
-        # reads them; FWL2_Local's folklore entries would, so it reads them out.
-        readout = kind is TestKind.FWL2_LOCAL
-        targets = set()
-        for p, q in ([self.mask] if self.mask is not None else []) + extra_targets:
-            (targets if readout else tracked).update(((p, q), (q, p)))
-        colors = {pair: intern(_init_pair_sig(labels, eff, *pair)) for pair in tracked}
-        return colors, {
-            pair: _init_pair_sig(labels, eff, *pair) for pair in targets - tracked
+        colors = {
+            (p, u): intern(_init_pair_sig(labels, eff, p, u))
+            for p, nb in enumerate(nbrs)
+            for u in nb
         }
+        untracked = {
+            pair: _init_pair_sig(labels, eff, *pair)
+            for p, q in targets
+            for pair in ((p, q), (q, p))
+            if pair not in colors
+        }
+        # the plain rule may track targets, since no other pair's signature
+        # reads them; folklore entries would, so the folklore rule reads them out
+        if self.kind.folklore:
+            return colors, untracked
+        colors.update((pair, intern(sig)) for pair, sig in untracked.items())
+        return colors, {}
 
     # -- stepping ---------------------------------------------------------
 
@@ -236,22 +246,18 @@ class RefinementSession:
         """Advance one iteration; returns the new color map.
 
         ``expand`` controls sparse-tracking growth for the local folklore
-        test (newly reachable pairs); other kinds ignore it.
+        test (newly reachable pairs); other kinds ignore it. A dense session
+        already tracks every pair.
         """
         kind = self.kind
         palette = self._palette()
         intern = palette.intern
-        if kind.pair_indexed:
-            if kind is TestKind.WL2:
-                new = self._step_wl2(intern)
-            elif kind is TestKind.FWL2:
-                new = self._step_fwl2(intern)
-            elif kind is TestKind.WL2_LOCAL:
-                new = self._step_wl2_local(intern)
-            else:
-                new = self._step_fwl2_local(intern, expand)
-        else:
+        if not kind.pair_indexed:
             new = self._step_wl1(intern)
+        elif kind.folklore:
+            new = self._step_folklore(intern, expand and kind.local)
+        else:
+            new = self._step_plain(intern)
         self._check_split_only(new)
         # Read-outs follow the expansion rule: in sessions that share an
         # interner, a read-out that expansion starts tracking carries on with
@@ -265,70 +271,43 @@ class RefinementSession:
         return self.colors
 
     def _step_wl1(self, intern):
-        c, adj = self.colors, self.eff.adj
+        c, nbrs = self.colors, self.nbrs
         return {
-            v: intern(("s", c[v], tuple(sorted(c[u] for u in adj[v]))))
+            v: intern(("s", c[v], tuple(sorted(c[u] for u in nbrs[v]))))
             for v in c
         }
 
-    def _step_wl2(self, intern):
-        n, c = self.eff.n, self.colors
-        cols = [tuple(sorted(c[(u, q)] for u in range(n))) for q in range(n)]
-        rows = [tuple(sorted(c[(p, v)] for v in range(n))) for p in range(n)]
+    def _step_plain(self, intern):
+        # one multiset per node, shared by every pair in its row or column
+        c, nbrs = self.colors, self.nbrs
+        rows = [tuple(sorted(c[(p, v)] for v in nb)) for p, nb in enumerate(nbrs)]
+        cols = [tuple(sorted(c[(u, q)] for u in nb)) for q, nb in enumerate(nbrs)]
         return {
-            (p, q): intern(("s", c[(p, q)], cols[q], rows[p]))
-            for p in range(n)
-            for q in range(n)
+            (p, q): intern(("s", cpq, cols[q], rows[p]))
+            for (p, q), cpq in c.items()
         }
-
-    def _step_fwl2(self, intern):
-        n, c = self.eff.n, self.colors
-        rng = range(n)
-        return {
-            (p, q): intern(
-                ("s", c[(p, q)], tuple(sorted((c[(u, q)], c[(p, u)]) for u in rng)))
-            )
-            for p in rng
-            for q in rng
-        }
-
-    def _step_wl2_local(self, intern):
-        c, adj = self.colors, self.eff.adj
-        in_col = {}
-        out_row = {}
-        new = {}
-        for p, q in c:
-            b1 = in_col.get(q)
-            if b1 is None:
-                b1 = in_col[q] = tuple(sorted(c[(u, q)] for u in adj[q]))
-            b2 = out_row.get(p)
-            if b2 is None:
-                b2 = out_row[p] = tuple(sorted(c[(p, v)] for v in adj[p]))
-            new[(p, q)] = intern(("s", c[(p, q)], b1, b2))
-        return new
 
     def _folklore_entries(self, p, q):
-        adj, get = self.eff.adj, self.colors.get
-        return tuple(sorted(
-            (get((u, q), ABSENT), get((p, u), ABSENT))
-            for u in set(adj[p]).union(adj[q])
-        ))
+        nbrs, get = self.nbrs, self.colors.get
+        # the dense kinds share one all-nodes tuple: no union to build
+        via = nbrs[p] if nbrs[p] is nbrs[q] else set(nbrs[p]).union(nbrs[q])
+        return tuple(sorted((get((u, q), ABSENT), get((p, u), ABSENT)) for u in via))
 
-    def _step_fwl2_local(self, intern, expand: bool):
+    def _step_folklore(self, intern, expand: bool):
         # A pair that is not tracked yet has no previous colour; it carries
         # its init signature under its own tag instead, because a canonical
         # init id may repeat as a tracked id of a later iteration.
         c, entries = self.colors, self._folklore_entries
-        new = {pair: intern(("s", c[pair], entries(*pair))) for pair in c}
+        new = {pair: intern(("s", cpq, entries(*pair))) for pair, cpq in c.items()}
         if expand:
-            adj, labels, eff = self.eff.adj, self.labels, self.eff
+            nbrs, labels, eff = self.nbrs, self.labels, self.eff
             candidates = set()
             for p, u in c:
-                for q in adj[u]:
+                for q in nbrs[u]:
                     if (p, q) not in c:
                         candidates.add((p, q))
                 # walk extension on the left: x - p where {x, p} in E
-                for x in adj[p]:
+                for x in nbrs[p]:
                     if (x, u) not in c:
                         candidates.add((x, u))
             for pair in candidates:
@@ -370,7 +349,7 @@ class RefinementSession:
     def color_map(self) -> ColorMap:
         """This iteration's colours. A step replaces the session's dicts and
         never mutates them, so the map shares them."""
-        return ColorMap(self.colors, self.kind.pair_indexed, self.readouts)
+        return ColorMap(self.colors, self.readouts)
 
 
 def lockstep(sessions, max_iters: int = None, observe=None):
@@ -496,24 +475,3 @@ def indistinguishable(
 
     iterations, stable = lockstep([s1, s2], max_iters, split)
     return DistinguishResult(iterations if split(iterations) else None, iterations, stable)
-
-
-def cn_from_fwl2_signature(g: Graph, target) -> int:
-    """Common-neighbor count read off the first folklore pair iteration.
-
-    With the target masked, entry u of the target's multiset carries the
-    edge indicators of (u, q) and (p, u); counting the (1, 1) entries yields
-    |N(p) ∩ N(q)|.
-    """
-    p, q = target
-    if p == q:
-        raise RefinementError("target nodes must be distinct")
-    eff = g.without_edge(p, q)
-    labels = eff.labels
-    count = 0
-    for u in range(eff.n):
-        sig_uq = _init_pair_sig(labels, eff, u, q)
-        sig_pu = _init_pair_sig(labels, eff, p, u)
-        if sig_uq[3] == 1 and sig_pu[3] == 1:
-            count += 1
-    return count

@@ -27,7 +27,6 @@ from wl2link.refine import (
     Interner,
     MemoryGateError,
     TestKind,
-    cn_from_fwl2_signature,
     indistinguishable,
     refine_to_stable,
 )
@@ -123,18 +122,20 @@ def test_criterion4_tree_correspondence(
 # -- 5. Common neighbors from the folklore signature -------------------------
 
 
-def test_criterion5_cn_recovery():
-    rng = random.Random(50)
-    mismatches = 0
-    for trial in range(50):
-        n = rng.randint(4, 20)
-        g = erdos_renyi(n, rng.choice([0.15, 0.3, 0.5]), seed=trial)
-        for p in range(n):
-            for q in range(p + 1, n):
-                direct = len(set(g.adj[p]) & set(g.adj[q]))
-                if cn_from_fwl2_signature(g, (p, q)) != direct:
-                    mismatches += 1
-    assert mismatches == 0
+def test_criterion5_cn_recovery(default_corpus, default_power_report):
+    # After one folklore step, a link colour fixes |N(p) ∩ N(q)|: equal
+    # colours mean equal counts. One plain step does not.
+    def mixed_classes(kind):
+        result = default_power_report.results[kind]
+        counts = {}
+        for i, (g, (p, q)) in enumerate(default_corpus.instances):
+            cn = len(set(g.adj[p]) & set(g.adj[q]))
+            counts.setdefault(result.link_key(i, 1), set()).add(cn)
+        return sum(len(c) > 1 for c in counts.values())
+
+    assert mixed_classes(TestKind.FWL2) == 0
+    assert mixed_classes(TestKind.FWL2_LOCAL) == 0
+    assert mixed_classes(TestKind.WL2) > 0
 
 
 # -- 6. Fixture captions -----------------------------------------------------

@@ -20,7 +20,7 @@ import tempfile
 import pytest
 
 from wl2link.cli import main
-from wl2link.generate import path_graph
+from wl2link.generate import erdos_renyi, path_graph
 from wl2link.graph import Graph, disjoint_union
 from wl2link.refine import ALL_KINDS
 
@@ -31,15 +31,19 @@ def _graphs():
     k2 = path_graph(2)
     k2k2, _ = disjoint_union(k2, k2)
     house = Graph.build(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 4)])
-    return {"k2": k2, "k2k2": k2k2, "house": house}
+    return {"k2": k2, "k2k2": k2k2, "house": house, "er9": erdos_renyi(9, 0.4, seed=5)}
 
 
 # case name -> CLI arguments; "@name" stands for the edge list of graph name
-CASES = {"power-check-fixtures": ("power-check", "--corpus", "fixtures")}
+CASES = {
+    "power-check-fixtures": ("power-check", "--corpus", "fixtures"),
+    "power-check-random6": ("power-check", "--corpus", "random:count=6,seed=3"),
+}
 for _kind in ALL_KINDS:
     _k = _kind.value
     CASES[f"refine-{_k}-k2k2"] = ("refine", "--graph", "@k2k2", "--test", _k, "--mask", "0,2")
     CASES[f"refine-{_k}-house"] = ("refine", "--graph", "@house", "--test", _k, "--mask", "1,4")
+    CASES[f"refine-{_k}-er9"] = ("refine", "--graph", "@er9", "--test", _k, "--mask", "2,4")
     CASES[f"distinguish-{_k}-k2-k2k2"] = (
         "distinguish", "--graph-a", "@k2", "--link-a", "0,1",
         "--graph-b", "@k2k2", "--link-b", "0,1", "--test", _k,

@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from wl2link.generate import cycle_graph, erdos_renyi, rook_graph, shrikhande_graph
+from wl2link.generate import (
+    cycle_graph,
+    erdos_renyi,
+    path_graph,
+    rook_graph,
+    shrikhande_graph,
+)
 from wl2link.graph import Graph, disjoint_union
 from wl2link.harness import (
     Corpus,
@@ -45,6 +51,13 @@ class TestCorpora:
 
 
 class TestBatchRefine:
+    @pytest.mark.parametrize("kind", list(TestKind))
+    @pytest.mark.parametrize("target", [(0, 7), (1, 1)], ids=["out-of-range", "diagonal"])
+    def test_bad_target_rejected(self, kind, target):
+        corpus = Corpus([(path_graph(3), target)], {})
+        with pytest.raises(RefinementError, match="target"):
+            batch_refine(kind, corpus)
+
     @pytest.mark.parametrize("kind", list(TestKind))
     def test_matches_pairwise_lockstep(self, kind):
         # Batch verdicts must agree with the two-instance reference runner.

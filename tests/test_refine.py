@@ -13,7 +13,6 @@ from wl2link.generate import (
     cycle_graph,
     erdos_renyi,
     path_graph,
-    star_graph,
 )
 from wl2link.graph import Graph, disjoint_union, permute
 from wl2link.refine import (
@@ -23,7 +22,6 @@ from wl2link.refine import (
     RefinementError,
     RefinementSession,
     TestKind,
-    cn_from_fwl2_signature,
     indistinguishable,
     refine_to_stable,
 )
@@ -65,6 +63,7 @@ class TestKindBasics:
         assert not TestKind.WL1_LABEL01.pair_indexed
         assert TestKind.WL2.dense and TestKind.FWL2.dense
         assert not TestKind.WL2_LOCAL.dense and not TestKind.FWL2_LOCAL.dense
+        assert [k for k in ALL if k.folklore] == [TestKind.FWL2, TestKind.FWL2_LOCAL]
 
 
 class TestInterner:
@@ -235,37 +234,14 @@ class TestCanonicalIds:
             return moved(unit) if kind.pair_indexed else pi[unit]
 
         mask, cross = (1, 4), (0, 9)  # cross joins the two components
-        extra = [cross] if kind.local else []
-        a = refine_to_stable(kind, g, mask=mask, extra_targets=extra)
-        b = refine_to_stable(
-            kind, h, mask=moved(mask), extra_targets=[moved(e) for e in extra]
-        )
+        a = refine_to_stable(kind, g, mask=mask, extra_targets=[cross])
+        b = refine_to_stable(kind, h, mask=moved(mask), extra_targets=[moved(cross)])
         assert len(a.history) == len(b.history)
         for ma, mb in zip(a.history, b.history):
             assert {image(u): c for u, c in ma.colors.items()} == mb.colors
             assert {image(u): c for u, c in ma.readouts.items()} == mb.readouts
         if kind is TestKind.FWL2_LOCAL:
             assert cross in a.final.readouts
-
-
-class TestCnFromSignature:
-    def test_triangle(self):
-        tri = complete_graph(3)
-        assert cn_from_fwl2_signature(tri, (0, 1)) == 1
-
-    def test_star_leaves(self):
-        assert cn_from_fwl2_signature(star_graph(4), (1, 2)) == 1
-
-    def test_matches_direct_intersection(self):
-        g = erdos_renyi(10, 0.4, seed=3)
-        for p in range(g.n):
-            for q in range(p + 1, g.n):
-                direct = len(set(g.adj[p]) & set(g.adj[q]))
-                assert cn_from_fwl2_signature(g, (p, q)) == direct
-
-    def test_rejects_diagonal(self):
-        with pytest.raises(RefinementError):
-            cn_from_fwl2_signature(path_graph(3), (1, 1))
 
 
 class TestSplitOnlyGuard:
@@ -341,7 +317,3 @@ class TestFwl2LocalReadouts:
         grow.step()
         assert (0, 2) not in read.colors and (0, 2) not in grow.readouts
         assert read.readouts[(0, 2)] == grow.colors[(0, 2)]
-
-    def test_extra_targets_rejected_for_global_kinds(self):
-        with pytest.raises(RefinementError, match="local"):
-            RefinementSession(TestKind.WL2, path_graph(3), extra_targets=[(0, 2)])
