@@ -55,25 +55,19 @@ def _color_ranks(colors):
     return {c: r for r, c in enumerate(ordered)}
 
 
-HEURISTIC_NAMES = ("cn", "pa", "ra", "ee")
-
-
 def featurize(
     kind: TestKind,
     g_train: Graph,
     target,
     width: int = 8,
 ) -> np.ndarray:
-    """Feature vector [cn, pa, ra, ee, hist_0..hist_{width-1}] for a target.
+    """Feature vector [cn, pa, ra, hist_0..hist_{width-1}] for a target.
 
     The target is always masked. Heuristics are populated for pair-indexed
     kinds and zero-filled for node-level kinds (whose point is to measure
-    what refinement alone sees). ``ee`` counts the (edge, edge) entries
-    of the target's first folklore multiset, which are its common
-    neighbours: it equals ``cn`` for folklore kinds and is 0 otherwise.
-    The histogram buckets the final colors of the units incident to the
-    target (pairs touching p or q; nodes adjacent to p or q) by color rank
-    modulo width.
+    what refinement alone sees). The histogram buckets the final colors of
+    the units incident to the target (pairs touching p or q; nodes adjacent
+    to p or q) by color rank modulo width.
 
     The refinement session runs alone, so it numbers its colors canonically
     (sorted signatures per iteration) and the vector is a pure function of
@@ -97,7 +91,6 @@ def featurize(
         ra = heuristic_ra(eff, p, q)
     else:
         cn = pa = ra = 0.0
-    ee = cn if kind.folklore else 0.0
     # a folklore kind holds an untracked target apart as a read-out; it
     # counts as a unit
     colors = {**session.colors, **session.readouts}
@@ -115,7 +108,7 @@ def featurize(
     total = sum(hist)
     if total > 0:
         hist = [h / total for h in hist]
-    return np.array([cn, pa, ra, ee] + hist)
+    return np.array([cn, pa, ra] + hist)
 
 
 # -- linear scorer -----------------------------------------------------------

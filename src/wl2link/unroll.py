@@ -1,15 +1,27 @@
 """Ground-truth machinery: bounded unrolling trees and exhaustive link isomorphism.
 
-The four tree families mirror the neighborhood structure of the four
-pair-refinement flavors: T_A (edge-restricted pair tree), T_B (two node
-trees rooted at the endpoints), T_C (all-pairs plain tree), T_D (folklore
-pair-of-pairs tree). Trees are built on the masked graph (target edge
-removed; root carries no edge indicator) and compared via hash-consed
-canonical forms, so equality is exact, never a lossy hash.
+Three tree builders mirror the three refinement rules:
+
+- node tree (T_B), the 1-WL rule: a node's label and the multiset of its
+  neighbours' trees. A target's tree is the pair of its endpoints' trees.
+  It mirrors WL1, and WL1_Label01 when built over the 0/1 labels of
+  ``label01``.
+- plain-pair tree (T_A, T_C): a pair (r, s)'s label and the multisets of
+  the trees of (r, i) and of (j, s), for i in nbrs[r] and j in nbrs[s].
+  T_A takes the observed neighbours (WL2_Local), T_C every node (WL2).
+- folklore tree (T_D): a pair's label and the multiset of the tree pairs
+  of (r, u) and (u, s) over every node u (FWL2).
+
+There is no FWL2_Local tree yet. In the pair trees a target's tree is the
+target pair's own tree. Trees are built on the masked graph, so the
+target's label carries no edge bit, and are compared via hash-consed
+canonical forms: equality is exact, never a lossy hash. Each builder is
+memoised per unit and depth.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -31,112 +43,50 @@ class UnrollTree:
     interner: Interner
 
 
-def _unroll_b(eff: Graph, p: int, q: int, depth: int, intern, memo):
+def _check_target(g: Graph, e):
+    p, q = e
+    if not (0 <= p < g.n and 0 <= q < g.n):
+        raise UnrollError(f"target ({p}, {q}) out of range")
+    if p == q:
+        raise UnrollError(f"target nodes must be distinct, got ({p}, {q})")
+    return p, q
+
+
+def _pair_label(eff: Graph, r: int, s: int):
+    return (eff.labels[r], eff.labels[s], int(eff.has_edge(r, s)), int(r == s))
+
+
+def _node_tree(eff: Graph, intern):
+    @functools.cache
     def node(k, d):
-        key = (k, d)
-        form = memo.get(key)
-        if form is None:
-            if d == 0:
-                form = intern(("bn", eff.labels[k]))
-            else:
-                form = intern(
-                    ("bn", eff.labels[k], tuple(sorted(node(l, d - 1) for l in eff.adj[k])))
-                )
-            memo[key] = form
-        return form
+        if d == 0:
+            return intern((eff.labels[k],))
+        return intern((eff.labels[k], tuple(sorted(node(l, d - 1) for l in eff.adj[k]))))
 
-    if depth == 0:
-        return intern(("Broot", eff.labels[p], eff.labels[q]))
-    left = tuple(sorted(node(i, depth - 1) for i in eff.adj[p]))
-    right = tuple(sorted(node(j, depth - 1) for j in eff.adj[q]))
-    return intern(("Broot", eff.labels[p], eff.labels[q], left, right))
+    return node
 
 
-def _unroll_a(eff: Graph, p: int, q: int, depth: int, intern, memo):
-    def node(r, s, d):
-        key = (r, s, d)
-        form = memo.get(key)
-        if form is None:
-            lab = (eff.labels[r], eff.labels[s])
-            if d == 0:
-                form = intern(("an", lab))
-            else:
-                left = tuple(sorted(node(r, i, d - 1) for i in eff.adj[r]))
-                right = tuple(sorted(node(j, s, d - 1) for j in eff.adj[s]))
-                form = intern(("an", lab, left, right))
-            memo[key] = form
-        return form
+def _plain_pair_tree(eff: Graph, nbrs, intern):
+    @functools.cache
+    def pair(r, s, d):
+        if d == 0:
+            return intern((_pair_label(eff, r, s),))
+        left = tuple(sorted(pair(r, i, d - 1) for i in nbrs[r]))
+        right = tuple(sorted(pair(j, s, d - 1) for j in nbrs[s]))
+        return intern((_pair_label(eff, r, s), left, right))
 
-    # Root label omits the edge indicator: the target's existence is unknown.
-    if depth == 0:
-        return intern(("Aroot", eff.labels[p], eff.labels[q]))
-    left = tuple(sorted(node(p, i, depth - 1) for i in eff.adj[p]))
-    right = tuple(sorted(node(j, q, depth - 1) for j in eff.adj[q]))
-    return intern(("Aroot", eff.labels[p], eff.labels[q], left, right))
+    return pair
 
 
-def _unroll_c(eff: Graph, p: int, q: int, depth: int, intern, memo):
-    n = eff.n
+def _folklore_tree(eff: Graph, intern):
+    @functools.cache
+    def pair(r, s, d):
+        if d == 0:
+            return intern((_pair_label(eff, r, s),))
+        via = tuple(sorted((pair(r, u, d - 1), pair(u, s, d - 1)) for u in range(eff.n)))
+        return intern((_pair_label(eff, r, s), via))
 
-    def node(r, s, d):
-        key = (r, s, d)
-        form = memo.get(key)
-        if form is None:
-            lab = (
-                eff.labels[r],
-                eff.labels[s],
-                1 if r != s and eff.has_edge(r, s) else 0,
-                1 if r == s else 0,
-            )
-            if d == 0:
-                form = intern(("cn", lab))
-            else:
-                left = tuple(sorted(node(r, i, d - 1) for i in range(n)))
-                right = tuple(sorted(node(j, s, d - 1) for j in range(n)))
-                form = intern(("cn", lab, left, right))
-            memo[key] = form
-        return form
-
-    if depth == 0:
-        return intern(("Croot", eff.labels[p], eff.labels[q]))
-    left = tuple(sorted(node(p, i, depth - 1) for i in range(n)))
-    right = tuple(sorted(node(j, q, depth - 1) for j in range(n)))
-    return intern(("Croot", eff.labels[p], eff.labels[q], left, right))
-
-
-def _unroll_d(eff: Graph, p: int, q: int, depth: int, intern, memo):
-    n = eff.n
-
-    def node(a, r, b, d):
-        # the pair-of-pairs ((a, r), (r, b))
-        key = (a, r, b, d)
-        form = memo.get(key)
-        if form is None:
-            lab = (
-                eff.labels[a],
-                eff.labels[r],
-                eff.labels[b],
-                1 if a != r and eff.has_edge(a, r) else 0,
-                1 if r != b and eff.has_edge(r, b) else 0,
-                1 if a == r else 0,
-                1 if r == b else 0,
-            )
-            if d == 0:
-                form = intern(("dn", lab))
-            else:
-                left = tuple(sorted(node(a, t, r, d - 1) for t in range(n)))
-                right = tuple(sorted(node(r, s, b, d - 1) for s in range(n)))
-                form = intern(("dn", lab, left, right))
-            memo[key] = form
-        return form
-
-    if depth == 0:
-        return intern(("Droot", eff.labels[p], eff.labels[q]))
-    children = tuple(sorted(node(p, i, q, depth - 1) for i in range(n)))
-    return intern(("Droot", eff.labels[p], eff.labels[q], children))
-
-
-_BUILDERS = {"T_A": _unroll_a, "T_B": _unroll_b, "T_C": _unroll_c, "T_D": _unroll_d}
+    return pair
 
 
 def unroll(kind: str, g: Graph, e, depth: int, interner: Interner = None) -> UnrollTree:
@@ -145,16 +95,22 @@ def unroll(kind: str, g: Graph, e, depth: int, interner: Interner = None) -> Unr
     Trees compare only when built with the same ``interner``; without one,
     the tree gets a fresh table of its own.
     """
-    if kind not in _BUILDERS:
+    if kind not in TREE_KINDS:
         raise UnrollError(f"unknown tree kind {kind!r}; valid: {TREE_KINDS}")
     if depth < 0:
         raise UnrollError("depth must be >= 0")
-    p, q = e
-    if not (0 <= p < g.n and 0 <= q < g.n):
-        raise UnrollError(f"target ({p}, {q}) out of range")
+    p, q = _check_target(g, e)
     interner = interner if interner is not None else Interner()
+    intern = interner.intern
     eff = g.without_edge(p, q)
-    cid = _BUILDERS[kind](eff, p, q, depth, interner.intern, {})
+    if kind == "T_B":
+        node = _node_tree(eff, intern)
+        cid = intern((node(p, depth), node(q, depth)))
+    elif kind == "T_D":
+        cid = _folklore_tree(eff, intern)(p, q, depth)
+    else:
+        nbrs = eff.adj if kind == "T_A" else (tuple(range(eff.n)),) * eff.n
+        cid = _plain_pair_tree(eff, nbrs, intern)(p, q, depth)
     return UnrollTree(kind=kind, depth=depth, canonical_id=cid, interner=interner)
 
 
@@ -176,8 +132,8 @@ def link_isomorphic(g1: Graph, e1, g2: Graph, e2, masked: bool = False) -> bool:
     first, matching the engine's masked-target semantics. Graphs above
     ``DEFAULT_ISO_BOUND`` nodes are refused.
     """
-    p1, q1 = e1
-    p2, q2 = e2
+    p1, q1 = _check_target(g1, e1)
+    p2, q2 = _check_target(g2, e2)
     if g1.n != g2.n:
         return False
     if g1.n > DEFAULT_ISO_BOUND:
@@ -227,11 +183,11 @@ def link_certificate(g: Graph, e, masked: bool = True):
     encoding over all placements of the remaining nodes. Exponential: graphs
     above ``DEFAULT_ISO_BOUND`` nodes are refused.
     """
+    p, q = _check_target(g, e)
     if g.n > DEFAULT_ISO_BOUND:
         raise UnrollError(
             f"n={g.n} exceeds the exhaustive-search bound {DEFAULT_ISO_BOUND}"
         )
-    p, q = e
     if masked:
         g = g.without_edge(p, q)
     rest = [v for v in range(g.n) if v not in (p, q)]

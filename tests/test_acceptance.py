@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 
 from wl2link.generate import erdos_renyi, ring_lattice
-from wl2link.graph import Graph, permute
+from wl2link.graph import Graph, label01, permute
 from wl2link.harness import (
     EQUAL_POWER,
     INCOMPARABLE,
     STRICTLY_WEAKER,
+    Corpus,
+    batch_refine,
     builtin_fixtures,
     oracle_soundness,
 )
@@ -85,6 +87,7 @@ def test_criterion3_oracle_soundness(default_corpus, default_power_report):
 
 TREE_TEST_PAIRS = (
     ("T_B", TestKind.WL1),
+    ("T_B", TestKind.WL1_LABEL01),
     ("T_A", TestKind.WL2_LOCAL),
     ("T_C", TestKind.WL2),
     ("T_D", TestKind.FWL2),
@@ -99,19 +102,22 @@ def test_criterion4_tree_correspondence(
         i for i, (g, _) in enumerate(default_corpus.instances) if g.n <= 7
     ]
     assert small
-    result = default_power_report.results[test_kind]
+    instances = [default_corpus.instances[i] for i in small]
+    if test_kind is TestKind.WL1_LABEL01:
+        # the power report leaves this kind out; its tree is T_B over the
+        # 0/1 labels
+        histories = batch_refine(test_kind, Corpus(instances, {})).histories
+        instances = [(label01(g, e), e) for g, e in instances]
+    else:
+        histories = [default_power_report.results[test_kind].histories[i] for i in small]
     interner = Interner()
-    tree_ids = {}
-    for depth in range(4):
-        for i in small:
-            g, e = default_corpus.instances[i]
-            tree_ids[(i, depth)] = unroll(tree_kind, g, e, depth, interner).canonical_id
     for depth in range(4):
         by_tree = {}
         by_color = {}
-        for i in small:
-            by_tree.setdefault(tree_ids[(i, depth)], set()).add(i)
-            hist = result.histories[i]
+        for i, (g, e) in enumerate(instances):
+            tree = unroll(tree_kind, g, e, depth, interner)
+            by_tree.setdefault(tree.canonical_id, set()).add(i)
+            hist = histories[i]
             key = hist[min(depth, len(hist) - 1)]
             by_color.setdefault(key, set()).add(i)
         partition_tree = {frozenset(v) for v in by_tree.values()}

@@ -57,25 +57,20 @@ class TestFeaturize:
         tri = complete_graph(3)
         f = featurize(TestKind.FWL2_LOCAL, tri, (0, 1), width=4)
         assert f[0] == 1.0  # cn
-        assert f[3] == 1.0  # (edge, edge) aggregation count
 
     def test_wl1_c6_single_bucket(self):
         f = featurize(TestKind.WL1, cycle_graph(6), (0, 1), width=4)
-        hist = f[4:]
+        hist = f[3:]
         assert np.count_nonzero(hist) == 1
         assert hist.sum() == pytest.approx(1.0)
 
     def test_node_kind_zero_fills_heuristics(self):
         f = featurize(TestKind.WL1, complete_graph(4), (0, 1), width=4)
-        assert tuple(f[:4]) == (0.0, 0.0, 0.0, 0.0)
-
-    def test_plain_pair_kind_zero_fills_ee(self):
-        f = featurize(TestKind.WL2_LOCAL, complete_graph(4), (0, 1), width=4)
-        assert f[0] > 0 and f[3] == 0.0
+        assert tuple(f[:3]) == (0.0, 0.0, 0.0)
 
     def test_dimension(self):
         f = featurize(TestKind.WL1, cycle_graph(5), (0, 2), width=7)
-        assert f.shape == (4 + 7,)
+        assert f.shape == (3 + 7,)
 
     def test_rejects_bad_width(self):
         with pytest.raises(LinkPredError):

@@ -31,6 +31,21 @@ class TestUnrollBasics:
         with pytest.raises(UnrollError):
             unroll("T_A", path_graph(3), (0, 1), -1)
 
+    @pytest.mark.parametrize(
+        "target,match", [((0, 9), "out of range"), ((1, 1), "distinct")]
+    )
+    def test_every_oracle_rejects_bad_targets(self, target, match):
+        # the same targets every refinement session rejects
+        g = path_graph(4)
+        for check in (
+            lambda: unroll("T_D", g, target, 2),
+            lambda: link_isomorphic(g, target, g, (0, 1)),
+            lambda: link_isomorphic(g, (0, 1), g, target),
+            lambda: link_certificate(g, target),
+        ):
+            with pytest.raises(UnrollError, match=match):
+                check()
+
     def test_rejects_mismatched_comparison(self):
         g = path_graph(3)
         it = Interner()
