@@ -57,6 +57,7 @@ from .linkpred import (
     auc,
     benchmark,
     featurize,
+    featurize_many,
     heuristic_cn,
     heuristic_pa,
     heuristic_ra,

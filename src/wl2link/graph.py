@@ -199,8 +199,12 @@ _NEG_SAMPLE_CAP = 50
 
 
 def sample_non_edges(g: Graph, count: int, rng: random.Random, forbidden=()):
-    """Sample ``count`` distinct non-edges of g uniformly, as (u, v) u < v."""
-    forbidden = set(forbidden)
+    """Sample ``count`` distinct non-edges of g uniformly, as (u, v) u < v.
+
+    ``forbidden`` pairs are never drawn, in either orientation.
+    """
+    # only the forbidden non-edges shrink the pool
+    forbidden = {(min(u, v), max(u, v)) for u, v in forbidden if u != v} - g.edges
     total_non_edges = g.n * (g.n - 1) // 2 - g.m - len(forbidden)
     if total_non_edges < count:
         raise GraphError(

@@ -21,6 +21,7 @@ from .refine import (
     RefinementSession,
     TestKind,
     lockstep,
+    session_groups,
 )
 from .unroll import link_certificate
 
@@ -79,8 +80,8 @@ def all_pairs_corpus(g: Graph) -> Corpus:
 
 # ---------------------------------------------------------------------------
 # Batch lockstep refinement: all instances of one kind refined together with
-# a single interner, so colors are comparable corpus-wide. Every kind except
-# WL1_Label01 runs one session per (graph, masked edge) for all its targets.
+# a single interner, so colors are comparable corpus-wide, one session per
+# group of ``session_groups``.
 # ---------------------------------------------------------------------------
 
 
@@ -105,46 +106,25 @@ class BatchResult:
         return None
 
 
-def _canon_edge(g: Graph, pair):
-    p, q = pair
-    if g.has_edge(p, q):
-        return (p, q) if p < q else (q, p)
-    return None
-
-
 def batch_refine(kind: TestKind, corpus: Corpus, max_iters: int = None) -> BatchResult:
     interner = Interner()
-    groups = {}  # session key -> (graph, mask, targets)
-    assignments = []  # per instance: (session key, target)
-
-    for g, target in corpus.instances:
-        if kind is TestKind.WL1_LABEL01:
-            # the 0/1 labels mark the target itself
-            key, mask = (id(g), frozenset(target)), target
-        else:
-            # the session depends on the masked graph only: no other unit
-            # reads a target, so the targets of one masked graph share it
-            mask = _canon_edge(g, target)
-            key = (id(g), mask)
-        if key not in groups:
-            groups[key] = (g, mask, set())
-        groups[key][2].add(target)
-        assignments.append((key, target))
-
-    built = {
-        key: RefinementSession(
+    sessions = []
+    readers = [None] * len(corpus.instances)  # per instance: (ordered_key, target)
+    for g, mask, targets in session_groups(kind, corpus.instances):
+        session = RefinementSession(
             kind, g, mask=mask, interner=interner, extra_targets=sorted(targets)
         )
-        for key, (g, mask, targets) in groups.items()
-    }
-    readers = [(built[key].ordered_key, target) for key, target in assignments]
+        sessions.append(session)
+        for target, indices in targets.items():
+            for i in indices:
+                readers[i] = (session.ordered_key, target)
     histories = [[] for _ in corpus.instances]
 
     def record(t):
         for history, (ordered_key, target) in zip(histories, readers):
             history.append(ordered_key(target))
 
-    iterations, stable = lockstep(list(built.values()), max_iters, record)
+    iterations, stable = lockstep(sessions, max_iters, record)
     return BatchResult(kind=kind, histories=histories, iterations=iterations, stable=stable)
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Graph, sample_non_edges, split_links
-from .refine import RefinementSession, TestKind, refine_to_stable
+from .refine import RefinementSession, TestKind, refine_to_stable, session_groups
 
 
 class LinkPredError(ValueError):
@@ -55,45 +55,57 @@ def _color_ranks(colors):
     return {c: r for r, c in enumerate(ordered)}
 
 
-def featurize(
-    kind: TestKind,
-    g_train: Graph,
-    target,
-    width: int = 8,
-) -> np.ndarray:
-    """Feature vector [cn, pa, ra, hist_0..hist_{width-1}] for a target.
+def featurize(kind: TestKind, g_train: Graph, target, width: int = 8) -> np.ndarray:
+    """Feature vector of one target: ``featurize_many`` of a single target."""
+    return featurize_many(kind, g_train, [target], width)[0]
 
-    The target is always masked. Heuristics are populated for pair-indexed
-    kinds and zero-filled for node-level kinds (whose point is to measure
-    what refinement alone sees). The histogram buckets the final colors of
-    the units incident to the target (pairs touching p or q; nodes adjacent
-    to p or q) by color rank modulo width.
 
-    The refinement session runs alone, so it numbers its colors canonically
-    (sorted signatures per iteration) and the vector is a pure function of
-    (kind, graph, target, width): isomorphic inputs give equal vectors, and
-    earlier calls do not change it.
+def featurize_many(kind: TestKind, g_train: Graph, targets, width: int = 8) -> np.ndarray:
+    """Feature vectors [cn, pa, ra, hist_0..hist_{width-1}], one row per target.
+
+    Each target is masked. Heuristics are populated for pair-indexed kinds
+    and zero-filled for node-level kinds (whose point is to measure what
+    refinement alone sees). The histogram buckets the final colors of the
+    units incident to the target (pairs touching p or q; nodes adjacent to
+    p or q) by color rank modulo width.
+
+    Targets with the same masked graph share one lone session
+    (``session_groups``), which numbers its colors canonically (sorted
+    signatures per iteration). A row reads the session's tracked colors and
+    only its own target's read-outs, so it is a pure function of (kind,
+    graph, target, width): neither earlier calls nor other targets change it.
     """
     if width < 1:
         raise LinkPredError("width must be >= 1")
+    instances = [(g_train, t) for t in targets]
+    rows = [None] * len(instances)
+    for _, mask, group in session_groups(kind, instances):
+        if kind is TestKind.FWL2_LOCAL:
+            # One sharpening step over the observed pairs; expansion to longer
+            # walks is not needed for target-incident readout.
+            session = RefinementSession(kind, g_train, mask=mask, extra_targets=group)
+            session.step(expand=False)
+        else:
+            session = refine_to_stable(kind, g_train, mask=mask, extra_targets=group).session
+        for target, indices in group.items():
+            row = _target_features(session, target, width)
+            for i in indices:
+                rows[i] = row
+    return np.array(rows)
+
+
+def _target_features(session: RefinementSession, target, width: int) -> np.ndarray:
+    kind, eff = session.kind, session.eff
     p, q = target
-    if kind is TestKind.FWL2_LOCAL:
-        # One sharpening step over the observed pairs; expansion to longer
-        # walks is not needed for target-incident readout.
-        session = RefinementSession(kind, g_train, mask=target)
-        session.step(expand=False)
-    else:
-        session = refine_to_stable(kind, g_train, mask=target).session
-    eff = session.eff
     if kind.pair_indexed:
         cn = float(heuristic_cn(eff, p, q))
         pa = float(heuristic_pa(eff, p, q))
         ra = heuristic_ra(eff, p, q)
     else:
         cn = pa = ra = 0.0
-    # a folklore kind holds an untracked target apart as a read-out; it
-    # counts as a unit
-    colors = {**session.colors, **session.readouts}
+    # the target's own read-outs count as units; the other targets' do not
+    colors = dict(session.colors)
+    colors.update((u, session.readouts[u]) for u in ((p, q), (q, p)) if u in session.readouts)
     if kind.pair_indexed:
         units = [u for u in colors if u[0] in (p, q) or u[1] in (p, q)]
     else:
@@ -246,26 +258,17 @@ def benchmark(
     held_negs = set(split.val_neg) | set(split.test_neg)
     train_neg = sample_non_edges(g, len(train_pos), rng, forbidden=held_negs)
 
-    elapsed = 0.0
-
-    def feats(pairs):
-        nonlocal elapsed
-        t0 = time.perf_counter()
-        rows = [featurize(kind, train, e, width=width) for e in pairs]
-        elapsed += time.perf_counter() - t0
-        return np.array(rows)
-
-    x_train = np.vstack([feats(train_pos), feats(train_neg)])
-    y_train = np.array([1] * len(train_pos) + [0] * len(train_neg))
-    scorer = train_scorer(x_train, y_train)
-
-    def eval_auc(pos, neg):
-        x = np.vstack([feats(pos), feats(neg)])
-        y = np.array([1] * len(pos) + [0] * len(neg))
-        return auc(scorer.score(x), y)
-
-    val_auc = eval_auc(split.val_pos, split.val_neg)
-    test_auc = eval_auc(split.test_pos, split.test_neg)
+    # (positives, negatives) of train, validation and test, featurized in one
+    # call so that every non-edge target of the train graph shares a session
+    splits = [(train_pos, train_neg), (split.val_pos, split.val_neg)]
+    splits.append((split.test_pos, split.test_neg))
+    t0 = time.perf_counter()
+    rows = featurize_many(kind, train, [e for pos, neg in splits for e in (*pos, *neg)], width)
+    elapsed = time.perf_counter() - t0
+    xs = np.split(rows, np.cumsum([len(pos) + len(neg) for pos, neg in splits[:-1]]))
+    ys = [np.array([1] * len(pos) + [0] * len(neg)) for pos, neg in splits]
+    scorer = train_scorer(xs[0], ys[0])
+    val_auc, test_auc = (auc(scorer.score(x), y) for x, y in zip(xs[1:], ys[1:]))
     return BenchmarkReport(
         dataset=dataset,
         kind=kind,

@@ -10,9 +10,10 @@ local one both orientations of every edge.
 Masked-target semantics: when a pair is the prediction target, its edge (if
 present) is removed from the working edge set before refinement, so neither
 the pair's own indicator nor any neighborhood can leak whether the link
-exists. The folklore tests also keep their targets out of the tracked pairs:
-a target that is not tracked already is a read-out, coloured from the
-tracked pairs each step but never fed back into them.
+exists. The pair tests also keep their targets out of the tracked pairs: a
+target that is not tracked already is a read-out, coloured from the tracked
+pairs each step but never fed back into them. So every target of one masked
+graph can share a session (``session_groups``).
 """
 
 from __future__ import annotations
@@ -102,8 +103,8 @@ class Interner:
 class ColorMap:
     """Colors for one iteration; unit keys are node ids or ordered pairs.
 
-    ``readouts`` holds the iteration's read-out colours (folklore targets
-    that are not tracked); they are not units of the partition.
+    ``readouts`` holds the iteration's read-out colours (targets that are
+    not tracked); they are not units of the partition.
     """
 
     colors: dict
@@ -144,9 +145,9 @@ class RefinementSession:
     """One refinement run: a graph, a test kind, an optional masked target.
 
     ``extra_targets`` are further pairs whose link colours the caller reads.
-    A pair kind keeps every target coloured: the dense kinds track all pairs
-    already, WL2_Local tracks its targets and FWL2_Local reads them out.
-    Node kinds only check them.
+    A pair kind keeps every target coloured: a target it does not track
+    already (a dense kind tracks every pair) is read out. Node kinds only
+    check them.
 
     Colour ids are numbered in one of two ways:
 
@@ -157,8 +158,9 @@ class RefinementSession:
     - Without one, the session runs alone and numbers each iteration
       canonically: it sorts that iteration's distinct signatures and
       numbers the colours in that order (Shervashidze et al., JMLR 2011).
-      Ids then depend only on (kind, graph, mask, targets) up to
-      isomorphism, and restart at 0 every iteration.
+      Ids restart at 0 every iteration. Tracked ids depend only on (kind,
+      graph, mask) up to isomorphism; read-out-only ids follow them, in
+      signature order, so the targets never shift a tracked id.
     """
 
     def __init__(
@@ -196,8 +198,8 @@ class RefinementSession:
             self.labels = self.eff.labels
         n = graph.n
         self.nbrs = (tuple(range(n)),) * n if kind.dense else self.eff.adj
-        # folklore targets: readouts maps each pair that is not tracked to
-        # its current read-out colour; _readout_sigs to its init signature.
+        # readouts maps each target pair that is not tracked to its current
+        # read-out colour; _readout_sigs to its init signature.
         palette = self._palette()
         colors, self._readout_sigs = self._init_colors(palette.intern, targets)
         readouts = {pair: palette.intern(sig) for pair, sig in self._readout_sigs.items()}
@@ -217,7 +219,9 @@ class RefinementSession:
     def _init_colors(self, intern, targets):
         """Init colours of the tracked units, and init signatures of read-outs.
 
-        A pair kind tracks (p, u) for every u in nbrs[p].
+        A pair kind tracks (p, u) for every u in nbrs[p] and reads out every
+        other target pair: no tracked signature reads a read-out, so the
+        targets never change the tracked colours.
         """
         eff, labels, nbrs = self.eff, self.labels, self.nbrs
         if not self.kind.pair_indexed:
@@ -233,12 +237,7 @@ class RefinementSession:
             for pair in ((p, q), (q, p))
             if pair not in colors
         }
-        # the plain rule may track targets, since no other pair's signature
-        # reads them; folklore entries would, so the folklore rule reads them out
-        if self.kind.folklore:
-            return colors, untracked
-        colors.update((pair, intern(sig)) for pair, sig in untracked.items())
-        return colors, {}
+        return colors, untracked
 
     # -- stepping ---------------------------------------------------------
 
@@ -253,17 +252,14 @@ class RefinementSession:
         palette = self._palette()
         intern = palette.intern
         if not kind.pair_indexed:
-            new = self._step_wl1(intern)
+            new, read_out = self._step_wl1(intern), None
         elif kind.folklore:
-            new = self._step_folklore(intern, expand and kind.local)
+            new, read_out = self._step_folklore(intern, expand and kind.local)
         else:
-            new = self._step_plain(intern)
+            new, read_out = self._step_plain(intern)
         self._check_split_only(new)
-        # Read-outs follow the expansion rule: in sessions that share an
-        # interner, a read-out that expansion starts tracking carries on with
-        # the same colour.
         readouts = {
-            pair: intern(("v", sig, self._folklore_entries(*pair)))
+            pair: intern(read_out(sig, *pair))
             for pair, sig in self._readout_sigs.items()
             if pair not in new
         }
@@ -278,14 +274,17 @@ class RefinementSession:
         }
 
     def _step_plain(self, intern):
-        # one multiset per node, shared by every pair in its row or column
+        # one multiset per node, shared by every pair in its row or column.
+        # A read-out's init signature stands in for its previous colour, which
+        # loses nothing: each tracked colour refines its own history.
         c, nbrs = self.colors, self.nbrs
         rows = [tuple(sorted(c[(p, v)] for v in nb)) for p, nb in enumerate(nbrs)]
         cols = [tuple(sorted(c[(u, q)] for u in nb)) for q, nb in enumerate(nbrs)]
-        return {
+        new = {
             (p, q): intern(("s", cpq, cols[q], rows[p]))
             for (p, q), cpq in c.items()
         }
+        return new, lambda sig, p, q: ("v", sig, cols[q], rows[p])
 
     def _folklore_entries(self, p, q):
         nbrs, get = self.nbrs, self.colors.get
@@ -298,6 +297,13 @@ class RefinementSession:
         # its init signature under its own tag instead, because a canonical
         # init id may repeat as a tracked id of a later iteration.
         c, entries = self.colors, self._folklore_entries
+
+        # Read-outs follow the expansion rule: in sessions that share an
+        # interner, a read-out that expansion starts tracking carries on with
+        # the same colour.
+        def read_out(sig, p, q):
+            return ("v", sig, entries(p, q))
+
         new = {pair: intern(("s", cpq, entries(*pair))) for pair, cpq in c.items()}
         if expand:
             nbrs, labels, eff = self.nbrs, self.labels, self.eff
@@ -311,8 +317,8 @@ class RefinementSession:
                     if (x, u) not in c:
                         candidates.add((x, u))
             for pair in candidates:
-                new[pair] = intern(("v", _init_pair_sig(labels, eff, *pair), entries(*pair)))
-        return new
+                new[pair] = intern(read_out(_init_pair_sig(labels, eff, *pair), *pair))
+        return new, read_out
 
     def _check_split_only(self, new):
         # Refinement invariant: classes split, never merge. Each new color
@@ -383,6 +389,27 @@ def lockstep(sessions, max_iters: int = None, observe=None):
             return t, True
         prev = cur
     return max_iters, False
+
+
+def session_groups(kind: TestKind, instances):
+    """Group (graph, target) instances by the session that can serve them.
+
+    A session depends only on its masked graph, because no tracked unit
+    reads a target: an edge target masks itself, and every non-edge target of
+    a graph shares the unmasked session. WL1_Label01's labels mark the
+    target, so it runs one session per target. Returns a list, in order of
+    first appearance, of ``(graph, mask, {target: [instance index, ...]})``.
+    """
+    groups = {}
+    for i, (g, (p, q)) in enumerate(instances):
+        if kind is TestKind.WL1_LABEL01:
+            mask, key = (p, q), (id(g), frozenset((p, q)))
+        else:
+            mask = (min(p, q), max(p, q)) if g.has_edge(p, q) else None
+            key = (id(g), mask)
+        targets = groups.setdefault(key, (g, mask, {}))[2]
+        targets.setdefault((p, q), []).append(i)
+    return list(groups.values())
 
 
 @dataclass

@@ -1,10 +1,10 @@
 """Byte-identical CLI output for fixed inputs.
 
-The files under ``tests/golden/`` hold what ``refine``, ``distinguish`` and
-``power-check`` print with ``--output json``, and the manifest that
-``fixtures`` writes, for small fixed graphs. ``predict`` is left out: its
-timings are not byte-stable. After a deliberate output change, regenerate
-the files with
+The files under ``tests/golden/`` hold what ``refine``, ``distinguish``,
+``power-check`` and ``predict`` print with ``--output json``, and the
+manifest that ``fixtures`` writes, for small fixed graphs. ``predict``'s
+``featurize_seconds`` is a timing, so it is dropped before comparing.
+After a deliberate output change, regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -13,6 +13,7 @@ and record the change in CHANGES.md.
 
 import contextlib
 import io
+import json
 import pathlib
 import sys
 import tempfile
@@ -48,6 +49,10 @@ for _kind in ALL_KINDS:
         "distinguish", "--graph-a", "@k2", "--link-a", "0,1",
         "--graph-b", "@k2k2", "--link-b", "0,1", "--test", _k,
     )
+for _k in ("WL1", "WL1_Label01", "WL2_Local", "FWL2_Local"):
+    CASES[f"predict-{_k}-ring60"] = (
+        "predict", "--generate", "ring:n=60,k=4,rewire=0.1,seed=1", "--test", _k, "--seed", "1",
+    )
 MANIFEST = "fixtures-manifest"
 
 
@@ -66,7 +71,11 @@ def _output(name, workdir: pathlib.Path) -> str:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         assert main(argv) == 0
-    return buf.getvalue()
+    if CASES[name][0] != "predict":
+        return buf.getvalue()
+    report = json.loads(buf.getvalue())
+    del report["featurize_seconds"]
+    return json.dumps(report) + "\n"
 
 
 @pytest.mark.parametrize("name", sorted(CASES) + [MANIFEST])

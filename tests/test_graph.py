@@ -167,6 +167,18 @@ class TestSampleNonEdges:
         got = sample_non_edges(g, 2, rng, forbidden=[(0, 2)])
         assert (0, 2) not in got and len(got) == 2
 
+    def test_forbidden_counts_only_non_edges_in_either_orientation(self):
+        g = Graph.build(4, [(0, 1), (1, 2), (2, 3)])  # non-edges 02, 03, 13
+        got = sample_non_edges(g, 3, random.Random(0), forbidden=[(0, 1)])
+        assert got == [(0, 2), (0, 3), (1, 3)]
+        for seed in range(10):
+            got = sample_non_edges(g, 2, random.Random(seed), forbidden=[(2, 0)])
+            assert got == [(0, 3), (1, 3)]
+        got = sample_non_edges(g, 2, random.Random(0), forbidden=[(0, 2), (2, 0)])
+        assert got == [(0, 3), (1, 3)]
+        with pytest.raises(GraphError, match="only 2 available"):
+            sample_non_edges(g, 3, random.Random(0), forbidden=[(2, 0)])
+
     def test_insufficient(self):
         with pytest.raises(GraphError):
             sample_non_edges(complete_graph(4), 1, random.Random(0))

@@ -12,21 +12,24 @@ from wl2link.generate import (
     cycle_graph,
     erdos_renyi,
     ring_lattice,
+    rook_graph,
+    shrikhande_graph,
     star_graph,
 )
-from wl2link.graph import Graph, permute
+from wl2link.graph import Graph, permute, sample_non_edges
 from wl2link.linkpred import (
     LinkPredError,
     TrainConfig,
     auc,
     benchmark,
     featurize,
+    featurize_many,
     heuristic_cn,
     heuristic_pa,
     heuristic_ra,
     train_scorer,
 )
-from wl2link.refine import TestKind
+from wl2link.refine import RefinementSession, TestKind
 
 
 class TestHeuristics:
@@ -128,6 +131,46 @@ class TestFeaturize:
             fa = featurize(kind, with_edge, target, width=6)
             fb = featurize(kind, without, target, width=6)
             assert np.array_equal(fa, fb), kind
+
+
+LINKPRED_KINDS = [TestKind.WL1, TestKind.WL1_LABEL01, TestKind.WL2_LOCAL, TestKind.FWL2_LOCAL]
+GRAPHS = {
+    "ring": lambda: ring_lattice(24, 4, 0.1, seed=2),
+    "er": lambda: erdos_renyi(14, 0.3, seed=4),
+    "rook": lambda: rook_graph(4),
+    "shrikhande": shrikhande_graph,
+}
+
+
+class TestFeaturizeMany:
+    @pytest.mark.parametrize("kind", LINKPRED_KINDS)
+    @pytest.mark.parametrize("graph", sorted(GRAPHS))
+    def test_shared_sessions_match_one_target_each(self, kind, graph):
+        g = GRAPHS[graph]()
+        targets = sample_non_edges(g, 10, random.Random(5))
+        p, q = g.edge_list()[0]
+        # both orientations of a non-edge and of an edge, and a duplicate
+        targets += [targets[0][::-1], targets[1], (p, q), (q, p)]
+        shared = featurize_many(kind, g, targets, width=6)
+        single = np.array([featurize(kind, g, t, width=6) for t in targets])
+        assert shared.shape == (len(targets), 3 + 6)
+        assert shared.tobytes() == single.tobytes()
+
+    def test_one_session_per_masked_graph(self, monkeypatch):
+        masks = []
+        init = RefinementSession.__init__
+
+        def counting_init(self, *args, **kwargs):
+            masks.append(kwargs["mask"])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RefinementSession, "__init__", counting_init)
+        targets = [(0, 2), (2, 0), (0, 4), (0, 1), (1, 0), (4, 3)]
+        featurize_many(TestKind.WL2_LOCAL, cycle_graph(8), targets)
+        assert masks == [None, (0, 1), (3, 4)]
+        masks.clear()
+        featurize_many(TestKind.WL1_LABEL01, cycle_graph(8), targets)
+        assert masks == [(0, 2), (0, 4), (0, 1), (4, 3)]
 
 
 class TestTrainScorer:

@@ -101,12 +101,15 @@ class TestInitColors:
         assert masked[(0, 1)] != unmasked[(0, 1)]
         assert masked[(0, 1)] == unmasked[(0, 2)]  # both non-edges now
 
-    def test_local_tracks_edges_and_target(self):
+    def test_local_reads_out_its_target(self):
         g = path_graph(4)
-        colors = RefinementSession(TestKind.WL2_LOCAL, g, mask=(0, 3)).colors
-        assert (0, 3) in colors and (3, 0) in colors
-        assert (0, 1) in colors and (1, 0) in colors
-        assert (0, 2) not in colors
+        session = RefinementSession(TestKind.WL2_LOCAL, g, mask=(0, 3))
+        assert (0, 1) in session.colors and (1, 0) in session.colors
+        assert not {(0, 3), (3, 0), (0, 2)} & set(session.colors)
+        assert set(session.readouts) == {(0, 3), (3, 0)}
+        session.step()
+        r = session.readouts
+        assert session.link_key((0, 3)) == tuple(sorted((r[(0, 3)], r[(3, 0)])))
 
     def test_label01_requires_mask(self):
         with pytest.raises(RefinementError):
