@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from collections import Counter
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -46,13 +48,9 @@ def heuristic_ra(g: Graph, p: int, q: int) -> float:
 # -- color features ----------------------------------------------------------
 
 
-def _color_ranks(colors):
-    """Rank distinct final colors by class size, then color id."""
-    sizes = {}
-    for c in colors.values():
-        sizes[c] = sizes.get(c, 0) + 1
-    ordered = sorted(sizes, key=lambda c: (sizes[c], c))
-    return {c: r for r, c in enumerate(ordered)}
+def _color_ranks(sizes):
+    """Distinct colors as (class size, color id) keys, in rank order."""
+    return sorted((size, c) for c, size in sizes.items())
 
 
 def featurize(kind: TestKind, g_train: Graph, target, width: int = 8) -> np.ndarray:
@@ -87,33 +85,39 @@ def featurize_many(kind: TestKind, g_train: Graph, targets, width: int = 8) -> n
             session.step(expand=False)
         else:
             session = refine_to_stable(kind, g_train, mask=mask, extra_targets=group).session
+        # class sizes and their rank order, once per session
+        sizes = Counter(session.colors.values())
+        keys = _color_ranks(sizes)
         for target, indices in group.items():
-            row = _target_features(session, target, width)
+            row = _target_features(session, target, width, sizes, keys)
             for i in indices:
                 rows[i] = row
     return np.array(rows)
 
 
-def _target_features(session: RefinementSession, target, width: int) -> np.ndarray:
-    kind, eff = session.kind, session.eff
+def _target_features(session: RefinementSession, target, width: int, sizes, keys) -> np.ndarray:
+    kind, eff, colors, readouts = session.kind, session.eff, session.colors, session.readouts
     p, q = target
     if kind.pair_indexed:
         cn = float(heuristic_cn(eff, p, q))
         pa = float(heuristic_pa(eff, p, q))
         ra = heuristic_ra(eff, p, q)
+        # featurize's sessions track exactly the pairs (a, u), u in nbrs[a]
+        units = {(a, u) for a in target for u in session.nbrs[a]}
+        units.update([(u, a) for a, u in units])
     else:
         cn = pa = ra = 0.0
-    # the target's own read-outs count as units; the other targets' do not
-    colors = dict(session.colors)
-    colors.update((u, session.readouts[u]) for u in ((p, q), (q, p)) if u in session.readouts)
-    if kind.pair_indexed:
-        units = [u for u in colors if u[0] in (p, q) or u[1] in (p, q)]
-    else:
-        units = sorted(set(eff.adj[p]) | set(eff.adj[q]))
+        units = set(eff.adj[p]) | set(eff.adj[q])
+    # The target's own read-outs count as units; the other targets' do not.
+    # Each moves its class's (size, color) key, and other keys past it.
+    extra = Counter(readouts[u] for u in ((p, q), (q, p)) if u in readouts)
+    old = [(sizes[c], c) for c in extra if c in sizes]
+    new = [(sizes[c] + k, c) for c, k in extra.items()]
     hist = [0.0] * width
-    ranks = _color_ranks(colors)
-    for u in units:
-        hist[ranks[colors[u]] % width] += 1.0
+    for c, k in (Counter(colors[u] for u in units) + extra).items():
+        key = (sizes[c] + extra[c], c)
+        rank = bisect_left(keys, key) - sum(o < key for o in old) + sum(m < key for m in new)
+        hist[rank % width] += k
     # Relative frequencies: the histogram encodes color composition only.
     # Raw counts would re-encode |N(p) ∪ N(q)|, i.e. degree information that
     # belongs to the PA heuristic, not to the refinement colors.
@@ -196,15 +200,9 @@ def auc(scores, labels) -> float:
     n_neg = int((y == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise LinkPredError("AUC needs both classes")
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(len(s))
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and s[order[j + 1]] == s[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average 1-based rank
-        i = j + 1
+    # each score's average 1-based rank within its tie group
+    _, tie, counts = np.unique(s, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[tie]
     pos_rank_sum = float(ranks[y == 1].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -222,19 +220,7 @@ class BenchmarkReport:
     isolated_nodes: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "dataset": self.dataset,
-                "kind": self.kind.value,
-                "split_seed": self.split_seed,
-                "val_auc": self.val_auc,
-                "test_auc": self.test_auc,
-                "featurize_seconds": self.featurize_seconds,
-                "n": self.n,
-                "m": self.m,
-                "isolated_nodes": self.isolated_nodes,
-            }
-        )
+        return json.dumps({**asdict(self), "kind": self.kind.value})
 
 
 def benchmark(

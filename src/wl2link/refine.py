@@ -14,13 +14,20 @@ exists. The pair tests also keep their targets out of the tracked pairs: a
 target that is not tracked already is a read-out, coloured from the tracked
 pairs each step but never fed back into them. So every target of one masked
 graph can share a session (``session_groups``).
+
+The folklore step is the tensor form of 2-FWL (Maron et al., NeurIPS 2019):
+numpy sorts every pair's row of order-preserving int64 entries at once, and
+a sorted row enters the signature as a tuple of ints, so it stays exact.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .graph import Graph, label01
 
@@ -30,7 +37,7 @@ class RefinementError(ValueError):
 
 
 class MemoryGateError(RefinementError):
-    """Raised when a dense pair test is requested on a graph above the node cap."""
+    """Raised when a pair test would need more than the dense cap's n^2 state."""
 
 
 class TestKind(enum.Enum):
@@ -68,11 +75,12 @@ class TestKind(enum.Enum):
 
 ALL_KINDS = tuple(TestKind)
 
-# Reserved color for pairs a sparse folklore session does not track yet.
-# Never handed out by an interner.
+# Reserved color for pairs a local folklore session does not track yet.
+# Never handed out by an interner; _encode_entries codes it as 0.
 ABSENT = -1
+_ENTRY_COLOR_BOUND = 2**31 - 1  # every encoded colour id is below it
 
-# Dense pair tests allocate n^2 state; refuse beyond this node count.
+# Dense pair tests refuse more nodes than this; FWL2_Local expansion more pairs than its square.
 DEFAULT_DENSE_NODE_LIMIT = 128
 
 
@@ -141,6 +149,21 @@ def _canonical_ids(signatures, colors, readouts):
     )
 
 
+def _encode_entries(a, b):
+    """Folklore entries (a, b) as int64 ``(a + 1) << 32 | (b + 1)``: for
+    ABSENT <= a, b < _ENTRY_COLOR_BOUND injective and ordered like the pairs,
+    so sorted rows of codes compare like sorted rows of pairs."""
+    if a.size and max(a.max(), b.max()) >= _ENTRY_COLOR_BOUND:
+        raise RefinementError(f"colour id above {_ENTRY_COLOR_BOUND - 1} cannot be encoded")
+    return (a + 1) << 32 | (b + 1)
+
+
+def _find(keys, x):
+    """Positions of ``x`` in the sorted array ``keys``, and whether it is there."""
+    i = np.minimum(np.searchsorted(keys, x), len(keys) - 1)
+    return i, keys[i] == x
+
+
 class RefinementSession:
     """One refinement run: a graph, a test kind, an optional masked target.
 
@@ -198,6 +221,14 @@ class RefinementSession:
             self.labels = self.eff.labels
         n = graph.n
         self.nbrs = (tuple(range(n)),) * n if kind.dense else self.eff.adj
+        if kind.folklore:
+            # nbrs as one flat array, and the sorted codes p * n + u of the
+            # pairs (p, u), u in nbrs[p]
+            self._deg = np.array([len(nb) for nb in self.nbrs], np.int64)
+            self._flat = np.array([u for nb in self.nbrs for u in nb], np.int64)
+            self._start = np.cumsum(self._deg) - self._deg
+            self._nbr_codes = np.repeat(np.arange(n), self._deg) * n + self._flat
+            self._layers, self._plan = None, None
         # readouts maps each target pair that is not tracked to its current
         # read-out colour; _readout_sigs to its init signature.
         palette = self._palette()
@@ -244,9 +275,9 @@ class RefinementSession:
     def step(self, expand: bool = True) -> dict:
         """Advance one iteration; returns the new color map.
 
-        ``expand`` controls sparse-tracking growth for the local folklore
-        test (newly reachable pairs); other kinds ignore it. A dense session
-        already tracks every pair.
+        ``expand`` controls walk expansion of the local folklore test: an
+        expanding step starts tracking the pairs one walk step further away
+        (``_walk_layers``). Other kinds ignore it.
         """
         kind = self.kind
         palette = self._palette()
@@ -286,39 +317,94 @@ class RefinementSession:
         }
         return new, lambda sig, p, q: ("v", sig, cols[q], rows[p])
 
-    def _folklore_entries(self, p, q):
-        nbrs, get = self.nbrs, self.colors.get
-        # the dense kinds share one all-nodes tuple: no union to build
-        via = nbrs[p] if nbrs[p] is nbrs[q] else set(nbrs[p]).union(nbrs[q])
-        return tuple(sorted((get((u, q), ABSENT), get((p, u), ABSENT)) for u in via))
-
     def _step_folklore(self, intern, expand: bool):
         # A pair that is not tracked yet has no previous colour; it carries
         # its init signature under its own tag instead, because a canonical
         # init id may repeat as a tracked id of a later iteration.
-        c, entries = self.colors, self._folklore_entries
+        c, n = self.colors, self.graph.n
+        if expand and self._layers is None:
+            self._layers, self._plan = self._walk_layers(), None
+        if self._plan is None:
+            # Rows: the tracked pairs, the pairs expansion will track in that
+            # order, the other read-outs. Tracked pairs stay a prefix.
+            self._row = {pair: i for i, pair in enumerate(c)}
+            for pair in itertools.chain(*(self._layers or ()), self._readout_sigs):
+                self._row.setdefault(pair, len(self._row))
+            self._plan = self._entry_plan(np.array([p * n + q for p, q in self._row], np.int64))
+        grown = self._layers.pop(0) if expand and self._layers else []
+        rows = self._entry_rows(self._plan)
+        new = {pair: intern(("s", cpq, row)) for (pair, cpq), row in zip(c.items(), rows)}
+        labels, eff, k = self.labels, self.eff, len(c)
+        for pair, row in zip(grown, rows[k:]):
+            new[pair] = intern(("v", _init_pair_sig(labels, eff, *pair), row))
+        # Read-outs follow the expansion rule: in sessions sharing an interner,
+        # a read-out that expansion starts tracking keeps its colour.
+        return new, lambda sig, p, q: ("v", sig, rows[self._row[p, q]])
 
-        # Read-outs follow the expansion rule: in sessions that share an
-        # interner, a read-out that expansion starts tracking carries on with
-        # the same colour.
-        def read_out(sig, p, q):
-            return ("v", sig, entries(p, q))
+    def _entry_plan(self, codes):
+        """Where the entries (C[u, q], C[p, u]), u in nbrs[p] ∪ nbrs[q], of each
+        pair p * n + q in ``codes`` are among them, per width class of rows (to
+        64, then powers of two, so few wide rows never widen the rest): its rows,
+        their positions padded to a matrix (-1: not in ``codes``), their pads."""
+        if not len(codes):
+            return 0, []
+        n, order = self.graph.n, np.argsort(codes)
+        keys = codes[order]
+        (ps, qs), start, flat = np.divmod(codes, n), self._start, self._flat
+        # u runs over nbrs[p], then over nbrs[q] where that is another set
+        lp = self._deg[ps]
+        width = lp + np.where((ps == qs) | self.kind.dense, 0, self._deg[qs])
+        width_class = np.frexp(np.maximum(width, 64))[1]
+        groups = []
+        for k in np.unique(width_class):
+            sel = np.flatnonzero(width_class == k)
+            p, q, a, b = ps[sel], qs[sel], lp[sel, None], width[sel, None]
+            j = np.arange(b.max())
+            live, in_q = j < b, j >= a
+            us = flat[np.where(live, np.where(in_q, start[q, None] - a, start[p, None]) + j, 0)]
+            # a common neighbour of p and q is one entry: drop its copy in nbrs[q]
+            r, col = np.nonzero(in_q & live)
+            live[r, col] = ~_find(self._nbr_codes, p[r] * n + us[r, col])[1]
+            i, hit = _find(keys, np.stack([us * n + q[:, None], p[:, None] * n + us]))
+            pos = np.where(hit & live, order[i], -1)
+            groups.append((sel.tolist(), pos, (len(j) - live.sum(1)).tolist()))
+        return len(codes), groups
 
-        new = {pair: intern(("s", cpq, entries(*pair))) for pair, cpq in c.items()}
-        if expand:
-            nbrs, labels, eff = self.nbrs, self.labels, self.eff
-            candidates = set()
-            for p, u in c:
-                for q in nbrs[u]:
-                    if (p, q) not in c:
-                        candidates.add((p, q))
-                # walk extension on the left: x - p where {x, p} in E
-                for x in nbrs[p]:
-                    if (x, u) not in c:
-                        candidates.add((x, u))
-            for pair in candidates:
-                new[pair] = intern(read_out(_init_pair_sig(labels, eff, *pair), *pair))
-        return new, read_out
+    def _entry_rows(self, plan):
+        """The planned rows' sorted entries; the tracked pairs are the first rows
+        and any other pair reads ABSENT. A pad is 0, below any entry ((p, u) or
+        (u, q) is tracked), so pads sort first."""
+        size, groups = plan
+        vals = np.full(size + 1, ABSENT, np.int64)  # the last for the pads
+        vals[: len(self.colors)] = np.fromiter(self.colors.values(), np.int64, len(self.colors))
+        rows = [None] * size
+        for sel, pos, pads in groups:
+            entries = _encode_entries(vals[pos[0]], vals[pos[1]])
+            entries.sort(axis=1)
+            for i, row, m in zip(sel, entries.tolist(), pads):
+                rows[i] = tuple(row[m:])
+        return rows
+
+    def _walk_layers(self):
+        """Untracked pairs by the expanding step that tracks them. A right or
+        left walk extension adds exactly the pairs one step further away, so
+        (p, q) is tracked from step max(dist(p, q) - 1, 0) on and (p, p) from
+        step 1 if p has a neighbour: every pair of a component with an edge."""
+        nbrs, layers, size = self.nbrs, {}, 0
+        for s in (s for s in range(self.graph.n) if nbrs[s]):
+            dist, queue = {s: 0}, [s]
+            for v in queue:
+                for u in nbrs[v]:
+                    if u not in dist:
+                        dist[u] = dist[v] + 1
+                        queue.append(u)
+            size += len(dist)  # the sum of |component|^2 once every s is done
+            if size > DEFAULT_DENSE_NODE_LIMIT**2:
+                raise MemoryGateError(f"walk expansion needs > {DEFAULT_DENSE_NODE_LIMIT}^2 pairs")
+            for q, d in dist.items():
+                if d != 1:  # edges are tracked from init on
+                    layers.setdefault(max(d - 1, 1), []).append((s, q))
+        return [layers[t] for t in sorted(layers)]  # steps 1, 2, ... have no gap
 
     def _check_split_only(self, new):
         # Refinement invariant: classes split, never merge. Each new color

@@ -21,7 +21,7 @@ import tempfile
 import pytest
 
 from wl2link.cli import main
-from wl2link.generate import erdos_renyi, path_graph
+from wl2link.generate import erdos_renyi, path_graph, rook_graph
 from wl2link.graph import Graph, disjoint_union
 from wl2link.refine import ALL_KINDS
 
@@ -32,7 +32,10 @@ def _graphs():
     k2 = path_graph(2)
     k2k2, _ = disjoint_union(k2, k2)
     house = Graph.build(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 4)])
-    return {"k2": k2, "k2k2": k2k2, "house": house, "er9": erdos_renyi(9, 0.4, seed=5)}
+    return {
+        "k2": k2, "k2k2": k2k2, "house": house, "er9": erdos_renyi(9, 0.4, seed=5),
+        "rook4": rook_graph(4),
+    }
 
 
 # case name -> CLI arguments; "@name" stands for the edge list of graph name
@@ -49,6 +52,8 @@ for _kind in ALL_KINDS:
         "distinguish", "--graph-a", "@k2", "--link-a", "0,1",
         "--graph-b", "@k2k2", "--link-b", "0,1", "--test", _k,
     )
+for _k in ("FWL2", "FWL2_Local"):
+    CASES[f"refine-{_k}-rook4"] = ("refine", "--graph", "@rook4", "--test", _k, "--mask", "0,1")
 for _k in ("WL1", "WL1_Label01", "WL2_Local", "FWL2_Local"):
     CASES[f"predict-{_k}-ring60"] = (
         "predict", "--generate", "ring:n=60,k=4,rewire=0.1,seed=1", "--test", _k, "--seed", "1",

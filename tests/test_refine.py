@@ -4,6 +4,8 @@ import random
 import subprocess
 import sys
 
+import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,15 +15,22 @@ from wl2link.generate import (
     cycle_graph,
     erdos_renyi,
     path_graph,
+    rook_graph,
+    shrikhande_graph,
 )
 from wl2link.graph import Graph, disjoint_union, permute
+from wl2link.linkpred import featurize_many
 from wl2link.refine import (
+    _ENTRY_COLOR_BOUND,
+    ABSENT,
     DEFAULT_DENSE_NODE_LIMIT,
     Interner,
     MemoryGateError,
     RefinementError,
     RefinementSession,
     TestKind,
+    _encode_entries,
+    _init_pair_sig,
     indistinguishable,
     refine_to_stable,
 )
@@ -269,6 +278,12 @@ class TestSplitOnlyGuard:
             "    s._check_split_only({0: 99, 1: 99, 2: 99})\n"
             "except RefinementError as err:\n"
             "    print(err)\n"
+            "import numpy as np\n"
+            "from wl2link.refine import _ENTRY_COLOR_BOUND, _encode_entries\n"
+            "try:\n"
+            "    _encode_entries(np.array([_ENTRY_COLOR_BOUND]), np.array([0]))\n"
+            "except RefinementError as err:\n"
+            "    print(err)\n"
         )
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
@@ -277,6 +292,7 @@ class TestSplitOnlyGuard:
             env=env, capture_output=True, text=True, check=True,
         )
         assert "merged" in out.stdout
+        assert "cannot be encoded" in out.stdout
 
 
 class TestFwl2LocalReadouts:
@@ -320,3 +336,142 @@ class TestFwl2LocalReadouts:
         grow.step()
         assert (0, 2) not in read.colors and (0, 2) not in grow.readouts
         assert read.readouts[(0, 2)] == grow.colors[(0, 2)]
+
+
+class TestEntryEncoding:
+    def test_orders_like_the_pairs(self):
+        top = _ENTRY_COLOR_BOUND - 1
+        values = (ABSENT, 0, 1, 2, 255, 256, 2**31 - 3, top)
+        pairs = [(a, b) for a in values for b in values]
+        codes = _encode_entries(*map(np.array, zip(*pairs))).tolist()
+        assert len(set(codes)) == len(pairs)
+        assert sorted(pairs, key=lambda ab: codes[pairs.index(ab)]) == sorted(pairs)
+        assert min(codes) == 0  # (ABSENT, ABSENT): no wrap-around below it
+
+    def test_colour_bound(self):
+        top = np.array([_ENTRY_COLOR_BOUND - 1])
+        _encode_entries(top, top)
+        over = np.array([_ENTRY_COLOR_BOUND])
+        for a, b in ((over, top), (top, over)):
+            with pytest.raises(RefinementError, match="cannot be encoded"):
+                _encode_entries(a, b)
+
+
+def _reference_folklore(kind, g, mask, targets, iterations):
+    """(colours, read-outs) per iteration of a lone folklore session, by the
+    pure-Python rule: entries as sorted tuples of colour pairs, and walk
+    expansion by a scan of every tracked pair."""
+    session = RefinementSession(kind, g, mask=mask, extra_targets=targets)
+    nbrs, eff, labels = session.nbrs, session.eff, session.labels
+    colors = session.colors
+    history = [(colors, session.readouts)]
+    for _ in range(iterations):
+        get = colors.get
+
+        def entries(p, q):
+            via = set(nbrs[p]) | set(nbrs[q])
+            return tuple(sorted((get((u, q), ABSENT), get((p, u), ABSENT)) for u in via))
+
+        sigs = {pair: ("s", c, entries(*pair)) for pair, c in colors.items()}
+        if kind.local:
+            candidates = set()
+            for p, u in colors:
+                candidates.update((p, q) for q in nbrs[u])
+                candidates.update((x, u) for x in nbrs[p])
+            for pair in candidates - colors.keys():
+                sigs[pair] = ("v", _init_pair_sig(labels, eff, *pair), entries(*pair))
+        read = {
+            pair: ("v", sig, entries(*pair))
+            for pair, sig in session._readout_sigs.items()
+            if pair not in sigs
+        }
+        ids = {}
+        for group in (sigs.values(), read.values()):
+            for sig in sorted(set(group) - ids.keys()):
+                ids[sig] = len(ids)
+        colors = {pair: ids[sig] for pair, sig in sigs.items()}
+        history.append((colors, {pair: ids[sig] for pair, sig in read.items()}))
+    return history
+
+
+def _folklore_cases():
+    rng = random.Random(11)
+    cases = []
+    for seed in range(40):
+        n = rng.randint(2, 14)
+        g = erdos_renyi(n, rng.choice((0.1, 0.25, 0.4, 0.6)), seed=seed)
+        cases.append((g, tuple(rng.sample(range(n), 2)), [tuple(rng.sample(range(n), 2))]))
+    two_parts, _ = disjoint_union(cycle_graph(4), path_graph(3))
+    cases += [
+        (rook_graph(4), (0, 1), [(0, 5)]),
+        (shrikhande_graph(), (0, 1), [(0, 6)]),
+        (Graph.build(5, []), (0, 1), [(2, 4)]),
+        (Graph.build(6, [(0, 1), (1, 2), (2, 0)]), (0, 1), [(3, 4), (0, 5)]),
+        (two_parts, (0, 1), [(0, 5)]),  # (0, 5) joins the two components
+        (Graph.build(0, []), None, []),
+        (Graph.build(1, []), None, []),
+    ]
+    return cases
+
+
+class TestFolkloreReference:
+    @pytest.mark.parametrize("kind", [TestKind.FWL2, TestKind.FWL2_LOCAL])
+    def test_matches_pure_python_rule(self, kind):
+        for g, mask, targets in _folklore_cases():
+            result = refine_to_stable(kind, g, mask=mask, extra_targets=targets)
+            history = [(m.colors, m.readouts) for m in result.history]
+            assert history == _reference_folklore(kind, g, mask, targets, len(history) - 1)
+
+    @pytest.mark.parametrize("kind", [TestKind.FWL2, TestKind.FWL2_LOCAL])
+    def test_entry_rows_decode_to_pairs(self, kind):
+        # every pair's row, tracked or not, is its sorted tuple of colour
+        # pairs (C[u, q], C[p, u]) over u in nbrs[p] ∪ nbrs[q], encoded
+        for g, mask, targets in _folklore_cases():
+            session = RefinementSession(kind, g, mask=mask, extra_targets=targets)
+            for _ in range(3):
+                get, nbrs = session.colors.get, session.nbrs
+                # the tracked pairs come first, in the order of their colours
+                pairs = list(session.colors)
+                pairs += [(p, q) for p in range(g.n) for q in range(g.n)]
+                pairs = list(dict.fromkeys(pairs))
+                codes = np.array([p * g.n + q for p, q in pairs], np.int64)
+                rows = session._entry_rows(session._entry_plan(codes))
+                for (p, q), row in zip(pairs, rows):
+                    via = set(nbrs[p]) | set(nbrs[q])
+                    pairs_row = sorted((get((u, q), ABSENT), get((p, u), ABSENT)) for u in via)
+                    assert [((c >> 32) - 1, (c & 0xFFFFFFFF) - 1) for c in row] == pairs_row
+                session.step()
+
+    def test_tracked_pairs_follow_distance(self):
+        # (p, q) is tracked from step max(dist(p, q) - 1, 0) on, and (p, p)
+        # from step 1 if p has a neighbour
+        for g, mask, targets in _folklore_cases():
+            session = RefinementSession(TestKind.FWL2_LOCAL, g, mask=mask, extra_targets=targets)
+            eff = nx.Graph(list(session.eff.edges))
+            dist = dict(nx.all_pairs_shortest_path_length(eff))
+            for t in range(g.n + 1):
+                expected = {
+                    (p, q)
+                    for p in dist
+                    for q, d in dist[p].items()
+                    if (t >= 1 if p == q else d - 1 <= t)
+                }
+                assert set(session.colors) == expected
+                session.step()
+
+    def test_expansion_memory_gate(self):
+        # expansion ends with every pair of every component that has an edge
+        # tracked; the dense kinds' n^2 cap bounds the sum of their squares
+        limit = DEFAULT_DENSE_NODE_LIMIT
+        at_cap, _ = disjoint_union(cycle_graph(limit), Graph.build(50, []))
+        RefinementSession(TestKind.FWL2_LOCAL, at_cap).step()
+        for g in (cycle_graph(limit + 1), disjoint_union(cycle_graph(100), cycle_graph(90))[0]):
+            with pytest.raises(MemoryGateError, match="walk expansion"):
+                RefinementSession(TestKind.FWL2_LOCAL, g).step()
+
+    def test_gate_spares_featurize(self):
+        g = cycle_graph(200)
+        with pytest.raises(MemoryGateError):
+            refine_to_stable(TestKind.FWL2_LOCAL, g)
+        rows = featurize_many(TestKind.FWL2_LOCAL, g, [(0, 1), (0, 100)])
+        assert rows.shape == (2, 11) and np.isfinite(rows).all()
