@@ -23,7 +23,7 @@ from .refine import (
     lockstep,
     session_groups,
 )
-from .unroll import link_certificate
+from .unroll import DEFAULT_ISO_BOUND, link_certificate
 
 
 @dataclass
@@ -357,19 +357,15 @@ def power_check(corpus: Corpus, kinds=None, max_iters: int = None) -> PowerRepor
     )
 
 
-# Largest graph the soundness check certifies: (n - 2)! placements each.
-SOUNDNESS_MAX_N = 7
-
-
 def oracle_soundness(corpus: Corpus, results: dict) -> dict:
     """No test may distinguish a pair the exhaustive oracle deems isomorphic.
 
-    Groups instances of at most ``SOUNDNESS_MAX_N`` nodes by their
+    Groups instances of at most ``DEFAULT_ISO_BOUND`` nodes by their
     target-fixing canonical certificate (masked, matching engine semantics);
     within a group every kind's final link colors must coincide.
     """
     small = [
-        i for i, (g, _) in enumerate(corpus.instances) if g.n <= SOUNDNESS_MAX_N
+        i for i, (g, _) in enumerate(corpus.instances) if g.n <= DEFAULT_ISO_BOUND
     ]
     groups = {}
     for i in small:

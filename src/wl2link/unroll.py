@@ -1,4 +1,4 @@
-"""Ground-truth machinery: bounded unrolling trees and exhaustive link isomorphism.
+"""Ground truth: bounded unrolling trees, exhaustive link isomorphism, certificates.
 
 Three tree builders mirror the three refinement rules:
 
@@ -17,6 +17,9 @@ target pair's own tree. Trees are built on the masked graph, so the
 target's label carries no edge bit, and are compared via hash-consed
 canonical forms: equality is exact, never a lossy hash. Each builder is
 memoised per unit and depth.
+
+``link_isomorphic`` (a Python search) and ``link_certificate`` (numpy codes over a
+cached table of placements) are independent oracles that tests check against each other.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .graph import Graph
 from .refine import Interner
@@ -176,12 +181,36 @@ def link_isomorphic(g1: Graph, e1, g2: Graph, e2, masked: bool = False) -> bool:
     return False
 
 
+@functools.cache
+def _placements(n: int):
+    """Rows (0, 1, *perm) for every perm of 2..n-1, in permutations order."""
+    table = np.array([(0, 1, *t) for t in itertools.permutations(range(2, n))], np.intp)
+    table.flags.writeable = False
+    return table
+
+
+@functools.cache
+def _pair_weights(n: int):
+    """Symmetric n x n weights: pair (i, j), i < j, at row-major index k weighs
+    2**(T - 1 - k), T = n(n - 1)/2 <= 36, so one int64 sum codes an edge set."""
+    iu, ju = np.triu_indices(n, 1)
+    weights = np.zeros((n, n), dtype=np.int64)
+    weights[iu, ju] = 1 << np.arange(len(iu) - 1, -1, -1, dtype=np.int64)
+    weights += weights.T
+    weights.flags.writeable = False
+    return weights
+
+
 def link_certificate(g: Graph, e, masked: bool = True):
     """Canonical form of (graph, target): equal iff target-fixing isomorphic.
 
-    Pins the target to positions (0, 1) and minimizes the (labels, edges)
-    encoding over all placements of the remaining nodes. Exponential: graphs
-    above ``DEFAULT_ISO_BOUND`` nodes are refused.
+    Pins the target to positions (0, 1) and takes the smallest (labels, edges)
+    encoding over the (n - 2)! placements of the other nodes, coded at once
+    with the tables above (cached per n). All placements have m edges, so
+    where two edge sets first differ in row-major order, the one holding that
+    pair has the smaller sorted edge tuple: the smallest tuple has the largest
+    weight sum. Labels code as base-b digits of their ranks among b values.
+    Exponential: graphs above ``DEFAULT_ISO_BOUND`` nodes are refused.
     """
     p, q = _check_target(g, e)
     if g.n > DEFAULT_ISO_BOUND:
@@ -190,19 +219,14 @@ def link_certificate(g: Graph, e, masked: bool = True):
         )
     if masked:
         g = g.without_edge(p, q)
-    rest = [v for v in range(g.n) if v not in (p, q)]
-    best = None
-    for perm in itertools.permutations(range(2, g.n)):
-        pi = {p: 0, q: 1}
-        pi.update(zip(rest, perm))
-        labels = tuple(g.labels[v] for v in sorted(pi, key=pi.get))
-        edges = tuple(
-            sorted(
-                (pi[u], pi[v]) if pi[u] < pi[v] else (pi[v], pi[u])
-                for u, v in g.edges
-            )
-        )
-        cand = (labels, edges)
-        if best is None or cand < best:
-            best = cand
-    return (g.n, best)
+    order = [p, q] + [v for v in range(g.n) if v not in (p, q)]
+    pos = _placements(g.n)[:, np.argsort(order)]  # node v sits at pos[r, v]
+    eu, ev = np.array(list(g.edges), dtype=np.intp).reshape(-1, 2).T
+    ecode = _pair_weights(g.n)[pos[:, eu], pos[:, ev]].sum(axis=1)
+    values, ranks = np.unique(g.labels, return_inverse=True)
+    digits = len(values) ** np.arange(g.n - 1, -1, -1, dtype=np.int64)
+    lcode = (digits[pos] * ranks).sum(axis=1)
+    at = pos[np.lexsort((-ecode, lcode))[0]].tolist()
+    labels = tuple(g.labels[v] for v in sorted(range(g.n), key=at.__getitem__))
+    edges = [(at[u], at[v]) if at[u] < at[v] else (at[v], at[u]) for u, v in g.edges]
+    return (g.n, (labels, tuple(sorted(edges))))

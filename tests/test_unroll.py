@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from wl2link.generate import cycle_graph, erdos_renyi, path_graph
-from wl2link.graph import disjoint_union, permute
+from wl2link.graph import Graph, disjoint_union, permute
 from wl2link.refine import Interner
 from wl2link.unroll import (
     TREE_KINDS,
@@ -129,19 +130,94 @@ class TestLinkIsomorphic:
         assert not link_isomorphic(c3c3, (0, 1), c3c3, (0, 3))
 
 
+def reference_certificate(g, e, masked=True):
+    """The pure-Python certificate: builds and compares every placement's
+    (labels, sorted edge tuple) in ``itertools.permutations`` order."""
+    p, q = e
+    if masked:
+        g = g.without_edge(p, q)
+    rest = [v for v in range(g.n) if v not in (p, q)]
+    best = None
+    for perm in itertools.permutations(range(2, g.n)):
+        pi = {p: 0, q: 1}
+        pi.update(zip(rest, perm))
+        labels = tuple(g.labels[v] for v in sorted(pi, key=pi.get))
+        edges = tuple(
+            sorted(
+                (pi[u], pi[v]) if pi[u] < pi[v] else (pi[v], pi[u])
+                for u, v in g.edges
+            )
+        )
+        cand = (labels, edges)
+        if best is None or cand < best:
+            best = cand
+    return (g.n, best)
+
+
+def random_graph(rng, n, p, labels):
+    """G(n, p) from ``rng``, with node labels drawn from ``labels`` if given."""
+    edges = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p]
+    if labels is not None:
+        labels = [rng.choice(labels) for _ in range(n)]
+    return Graph.build(n, edges, labels)
+
+
+def labelled_instances():
+    """Labelled targets on n = 6..9, each with a relabelled copy, plus a
+    second target on the same graph and a copy with one label changed."""
+    rng = random.Random(11)
+    instances = []
+    for n in range(6, 10):
+        for p in (0.3, 0.5):
+            g = random_graph(rng, n, p, (-3, 0, 2, 7))
+            e = tuple(rng.sample(range(n), 2))
+            pi = list(range(n))
+            rng.shuffle(pi)
+            v = rng.randrange(n)
+            changed = list(g.labels)
+            changed[v] = 2 if changed[v] != 2 else -3
+            instances += [
+                (g, e),
+                (permute(g, pi), (pi[e[0]], pi[e[1]])),
+                (g, tuple(rng.sample(range(n), 2))),
+                (Graph.build(n, g.edges, changed), e),
+            ]
+    return instances
+
+
 class TestCertificate:
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_matches_reference(self, n):
+        # byte-equal, so a numpy integer leaking into the tuple would fail
+        rng = random.Random(n)
+        for p in (0, 0.2, 0.5, 0.8, 1):
+            for labels in (None, (-3, 0, 2, 7), (5, -1)):
+                for _ in range(1 if n == 9 else 3):
+                    g = random_graph(rng, n, p, labels)
+                    a, b = rng.sample(range(n), 2)
+                    for e in ((a, b), (b, a)):
+                        for masked in (True, False):
+                            want = reference_certificate(g, e, masked)
+                            got = link_certificate(g, e, masked)
+                            assert repr(got) == repr(want), (g, e, masked)
+
     def test_agrees_with_exhaustive_search(self):
         rng = random.Random(7)
-        instances = []
+        unlabelled = []
         for i in range(12):
             g = erdos_renyi(5, 0.45, seed=100 + i)
             p, q = rng.sample(range(5), 2)
-            instances.append((g, (p, q)))
-        for g1, e1 in instances:
-            for g2, e2 in instances:
-                want = link_isomorphic(g1, e1, g2, e2, masked=True)
-                got = link_certificate(g1, e1) == link_certificate(g2, e2)
-                assert want == got
+            unlabelled.append((g, (p, q)))
+        verdicts = set()
+        for instances in (unlabelled, labelled_instances()):
+            for g1, e1 in instances:
+                for g2, e2 in instances:
+                    want = link_isomorphic(g1, e1, g2, e2, masked=True)
+                    got = link_certificate(g1, e1) == link_certificate(g2, e2)
+                    assert want == got
+                    verdicts.add((want, g1 is g2 and e1 == e2))
+        # isomorphic copies and non-isomorphic pairs both occur
+        assert verdicts == {(True, True), (True, False), (False, False)}
 
     def test_size_bound(self):
         # 8! placements at n = 10: refused before any is tried
