@@ -34,7 +34,6 @@ from .unroll import (
     link_certificate,
     link_isomorphic,
     tree_equal,
-    unroll,
 )
 from .harness import (
     BatchResult,

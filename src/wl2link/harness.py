@@ -17,7 +17,6 @@ from .generate import (
 from .graph import Graph, disjoint_union
 from .refine import (
     ALL_KINDS,
-    Interner,
     RefinementSession,
     TestKind,
     lockstep,
@@ -79,9 +78,9 @@ def all_pairs_corpus(g: Graph) -> Corpus:
 
 
 # ---------------------------------------------------------------------------
-# Batch lockstep refinement: all instances of one kind refined together with
-# a single interner, so colors are comparable corpus-wide, one session per
-# group of ``session_groups``.
+# Batch lockstep refinement: all instances of one kind refined together, one
+# session per group of ``session_groups``. Each iteration has one colour table
+# for all sessions, so colours compare corpus-wide within an iteration.
 # ---------------------------------------------------------------------------
 
 
@@ -107,13 +106,10 @@ class BatchResult:
 
 
 def batch_refine(kind: TestKind, corpus: Corpus, max_iters: int = None) -> BatchResult:
-    interner = Interner()
     sessions = []
     readers = [None] * len(corpus.instances)  # per instance: (ordered_key, target)
     for g, mask, targets in session_groups(kind, corpus.instances):
-        session = RefinementSession(
-            kind, g, mask=mask, interner=interner, extra_targets=sorted(targets)
-        )
+        session = RefinementSession(kind, g, mask=mask, extra_targets=sorted(targets))
         sessions.append(session)
         for target, indices in targets.items():
             for i in indices:

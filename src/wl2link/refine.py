@@ -85,26 +85,24 @@ DEFAULT_DENSE_NODE_LIMIT = 128
 
 
 class Interner:
-    """Injective signature -> dense color id table (exact, no lossy hashing).
+    """Injective signature -> dense id table (exact, no lossy hashing), with
+    ids in first-appearance order: ``unroll``'s hash-consing table.
 
-    Ids are handed out in first-appearance order. Sessions that run in
-    lockstep share one, so their ids compare across sessions and iterations.
+    Colour ids follow the same rule in a plain dict that lives for one
+    iteration (``table.setdefault(sig, len(table))``, inlined for speed):
+    ``lockstep`` hands one to all the sessions it steps together, and a lone
+    session makes its own. So colour ids compare across the sessions of one
+    iteration, never across iterations.
     """
 
     def __init__(self):
         self.table = {}
-        self.signatures = []
 
     def intern(self, sig) -> int:
-        cid = self.table.get(sig)
-        if cid is None:
-            cid = len(self.signatures)
-            self.table[sig] = cid
-            self.signatures.append(sig)
-        return cid
+        return self.table.setdefault(sig, len(self.table))
 
     def __len__(self) -> int:
-        return len(self.signatures)
+        return len(self.table)
 
 
 @dataclass
@@ -133,20 +131,22 @@ def _init_pair_sig(labels, eff: Graph, r: int, s: int):
     return ("i", labels[r], labels[s], e_ind, 1 if r == s else 0)
 
 
-def _canonical_ids(signatures, colors, readouts):
+def _canonical_ids(colors, readouts, table, tracked: int):
     """Renumber one iteration's colours in the sorted order of their signatures.
 
-    Tracked colours come first and read-out-only colours after, so read-outs
-    never shift a tracked id.
+    ``table`` maps signature -> colour, the first ``tracked`` colours the
+    tracked ones and the rest read-out-only. Tracked colours keep coming
+    first, so read-outs never shift a tracked id. Returns the new dicts (the
+    old ones if no id moves) and the signatures by new id.
     """
-    ids = {}
-    for group in (colors.values(), readouts.values()):
-        for c in sorted(set(group) - ids.keys(), key=signatures.__getitem__):
-            ids[c] = len(ids)
-    return (
-        {u: ids[c] for u, c in colors.items()},
-        {u: ids[c] for u, c in readouts.items()},
-    )
+    sigs = list(table)
+    canon = sorted(sigs[:tracked]) + sorted(sigs[tracked:])
+    if canon != sigs:
+        ids = {sig: i for i, sig in enumerate(canon)}
+        new = [ids[sig] for sig in sigs]
+        colors = {u: new[c] for u, c in colors.items()}
+        readouts = {u: new[c] for u, c in readouts.items()}
+    return colors, readouts, canon
 
 
 def _encode_entries(a, b):
@@ -172,28 +172,18 @@ class RefinementSession:
     already (a dense kind tracks every pair) is read out. Node kinds only
     check them.
 
-    Colour ids are numbered in one of two ways:
-
-    - With a shared ``interner`` (lockstep runs such as ``indistinguishable``
-      and ``batch_refine``), ids are the table's first-appearance ids. Every
-      signature is purely structural, so ids compare across the sessions
-      that share the table, at every iteration.
-    - Without one, the session runs alone and numbers each iteration
-      canonically: it sorts that iteration's distinct signatures and
-      numbers the colours in that order (Shervashidze et al., JMLR 2011).
-      Ids restart at 0 every iteration. Tracked ids depend only on (kind,
-      graph, mask) up to isomorphism; read-out-only ids follow them, in
-      signature order, so the targets never shift a tracked id.
+    Every iteration has its own colour table, and ids restart at 0. Init
+    and a lone step number the colours canonically: the iteration's distinct
+    signatures are sorted and numbered in that order (Shervashidze et al.,
+    JMLR 2011). Tracked ids depend only on (kind, graph, mask) up to
+    isomorphism; read-out-only ids follow them, in signature order, so the
+    targets never shift a tracked id. A step in a ``lockstep`` run of several
+    sessions interns into the one table it shares with them instead, in
+    first-appearance order. Every signature is purely structural, so ids
+    compare across the sessions of one iteration.
     """
 
-    def __init__(
-        self,
-        kind: TestKind,
-        graph: Graph,
-        mask=None,
-        interner: Interner = None,
-        extra_targets=(),
-    ):
+    def __init__(self, kind: TestKind, graph: Graph, mask=None, extra_targets=()):
         targets = [tuple(t) for t in extra_targets]
         if mask is not None:
             targets.insert(0, tuple(mask))
@@ -213,7 +203,6 @@ class RefinementSession:
         self.kind = kind
         self.graph = graph
         self.mask = tuple(mask) if mask is not None else None
-        self.interner = interner
         self.eff = graph.without_edge(*mask) if mask is not None else graph
         if kind is TestKind.WL1_LABEL01:
             self.labels = label01(self.eff, mask).labels
@@ -230,35 +219,32 @@ class RefinementSession:
             self._nbr_codes = np.repeat(np.arange(n), self._deg) * n + self._flat
             self._layers, self._plan = None, None
         # readouts maps each target pair that is not tracked to its current
-        # read-out colour; _readout_sigs to its init signature.
-        palette = self._palette()
-        colors, self._readout_sigs = self._init_colors(palette.intern, targets)
-        readouts = {pair: palette.intern(sig) for pair, sig in self._readout_sigs.items()}
-        self._settle(palette, colors, readouts)
-
-    def _palette(self) -> Interner:
-        # the shared table in lockstep runs, else a fresh one per iteration
-        return self.interner if self.interner is not None else Interner()
-
-    def _settle(self, palette, colors, readouts):
-        if self.interner is None:
-            colors, readouts = _canonical_ids(palette.signatures, colors, readouts)
+        # read-out colour; _readout_sigs to its init signature. _init_sigs
+        # lists the init signatures by id until the first step.
+        table = {}
+        colors, self._readout_sigs = self._init_colors(table, targets)
+        tracked, sd = len(table), table.setdefault
+        readouts = {pair: sd(sig, len(table)) for pair, sig in self._readout_sigs.items()}
+        colors, readouts, self._init_sigs = _canonical_ids(colors, readouts, table, tracked)
         self.colors, self.readouts = colors, readouts
 
     # -- initialization ---------------------------------------------------
 
-    def _init_colors(self, intern, targets):
+    def _init_colors(self, table, targets):
         """Init colours of the tracked units, and init signatures of read-outs.
 
         A pair kind tracks (p, u) for every u in nbrs[p] and reads out every
         other target pair: no tracked signature reads a read-out, so the
         targets never change the tracked colours.
         """
-        eff, labels, nbrs = self.eff, self.labels, self.nbrs
+        eff, labels, nbrs, sd = self.eff, self.labels, self.nbrs, table.setdefault
         if not self.kind.pair_indexed:
-            return {v: intern(("i", labels[v])) for v in range(eff.n)}, {}
-        colors = {
-            (p, u): intern(_init_pair_sig(labels, eff, p, u))
+            return {v: sd(("i", labels[v]), len(table)) for v in range(eff.n)}, {}
+        adj = [set(nb) for nb in eff.adj]
+        colors = {  # _init_pair_sig, inlined
+            (p, u): sd(
+                ("i", labels[p], labels[u], 1 if u in adj[p] else 0, 1 if p == u else 0), len(table)
+            )
             for p, nb in enumerate(nbrs)
             for u in nb
         }
@@ -272,55 +258,56 @@ class RefinementSession:
 
     # -- stepping ---------------------------------------------------------
 
-    def step(self, expand: bool = True) -> dict:
+    def step(self, expand: bool = True, table: dict = None) -> dict:
         """Advance one iteration; returns the new color map.
 
         ``expand`` controls walk expansion of the local folklore test: an
         expanding step starts tracking the pairs one walk step further away
-        (``_walk_layers``). Other kinds ignore it.
+        (``_walk_layers``). Other kinds ignore it. ``table`` is the
+        iteration's table shared with the other sessions of a lockstep run;
+        without one the step numbers its colours canonically.
         """
-        kind = self.kind
-        palette = self._palette()
-        intern = palette.intern
+        kind, lone = self.kind, table is None
+        self._init_sigs = None  # t = 0 is over
+        if lone:
+            table = {}
         if not kind.pair_indexed:
-            new, read_out = self._step_wl1(intern), None
+            new, read_out = self._step_wl1(table), None
         elif kind.folklore:
-            new, read_out = self._step_folklore(intern, expand and kind.local)
+            new, read_out = self._step_folklore(table, expand and kind.local)
         else:
-            new, read_out = self._step_plain(intern)
+            new, read_out = self._step_plain(table)
         self._check_split_only(new)
+        tracked, sd = len(table), table.setdefault
         readouts = {
-            pair: intern(read_out(sig, *pair))
+            pair: sd(read_out(sig, *pair), len(table))
             for pair, sig in self._readout_sigs.items()
             if pair not in new
         }
-        self._settle(palette, new, readouts)
-        return self.colors
+        if lone:
+            new, readouts, _ = _canonical_ids(new, readouts, table, tracked)
+        self.colors, self.readouts = new, readouts
+        return new
 
-    def _step_wl1(self, intern):
-        c, nbrs = self.colors, self.nbrs
-        return {
-            v: intern(("s", c[v], tuple(sorted(c[u] for u in nbrs[v]))))
-            for v in c
-        }
+    def _step_wl1(self, table):
+        c, nbrs, sd = self.colors, self.nbrs, table.setdefault
+        return {v: sd(("s", c[v], tuple(sorted(c[u] for u in nbrs[v]))), len(table)) for v in c}
 
-    def _step_plain(self, intern):
+    def _step_plain(self, table):
         # one multiset per node, shared by every pair in its row or column.
         # A read-out's init signature stands in for its previous colour, which
         # loses nothing: each tracked colour refines its own history.
-        c, nbrs = self.colors, self.nbrs
+        c, nbrs, sd = self.colors, self.nbrs, table.setdefault
         rows = [tuple(sorted(c[(p, v)] for v in nb)) for p, nb in enumerate(nbrs)]
         cols = [tuple(sorted(c[(u, q)] for u in nb)) for q, nb in enumerate(nbrs)]
-        new = {
-            (p, q): intern(("s", cpq, cols[q], rows[p]))
-            for (p, q), cpq in c.items()
-        }
+        new = {(p, q): sd(("s", cpq, cols[q], rows[p]), len(table)) for (p, q), cpq in c.items()}
         return new, lambda sig, p, q: ("v", sig, cols[q], rows[p])
 
-    def _step_folklore(self, intern, expand: bool):
+    def _step_folklore(self, table, expand: bool):
         # A pair that is not tracked yet has no previous colour; it carries
-        # its init signature under its own tag instead, because a canonical
-        # init id may repeat as a tracked id of a later iteration.
+        # its init signature under its own tag instead, because ids restart
+        # at 0 in every iteration's table, so an init id may repeat as a
+        # tracked id of a later iteration.
         c, n = self.colors, self.graph.n
         if expand and self._layers is None:
             self._layers, self._plan = self._walk_layers(), None
@@ -333,12 +320,14 @@ class RefinementSession:
             self._plan = self._entry_plan(np.array([p * n + q for p, q in self._row], np.int64))
         grown = self._layers.pop(0) if expand and self._layers else []
         rows = self._entry_rows(self._plan)
-        new = {pair: intern(("s", cpq, row)) for (pair, cpq), row in zip(c.items(), rows)}
+        sd = table.setdefault
+        new = {pair: sd(("s", cpq, row), len(table)) for (pair, cpq), row in zip(c.items(), rows)}
         labels, eff, k = self.labels, self.eff, len(c)
         for pair, row in zip(grown, rows[k:]):
-            new[pair] = intern(("v", _init_pair_sig(labels, eff, *pair), row))
-        # Read-outs follow the expansion rule: in sessions sharing an interner,
-        # a read-out that expansion starts tracking keeps its colour.
+            new[pair] = sd(("v", _init_pair_sig(labels, eff, *pair), row), len(table))
+        # Read-outs follow the expansion rule: in an iteration's shared table, a
+        # read-out of one session gets the colour that expansion gives the
+        # same pair in another.
         return new, lambda sig, p, q: ("v", sig, rows[self._row[p, q]])
 
     def _entry_plan(self, codes):
@@ -452,11 +441,27 @@ def lockstep(sessions, max_iters: int = None, observe=None):
     changes neither the number of distinct colours across all sessions nor
     their total number of units. ``max_iters`` must be >= 1 and defaults to
     the largest session default. Returns ``(iterations, stable)``.
+
+    A lone session numbers every iteration canonically. Several sessions,
+    which must not have stepped yet, share one table per iteration: t = 0
+    joins their canonical init ids, which sessions with the same init
+    signatures keep, and every step gets a fresh table.
     """
     if max_iters is None:
         max_iters = max(s.default_max_iters for s in sessions)
     elif max_iters < 1:
         raise RefinementError("max_iters must be >= 1")
+    shared = len(sessions) > 1
+    if shared:
+        table = {}
+        for s in sessions:
+            if s._init_sigs is None:
+                raise RefinementError("sessions in lockstep must start at t = 0")
+            ids = [table.setdefault(sig, len(table)) for sig in s._init_sigs]
+            if ids != list(range(len(ids))):
+                s.colors = {u: ids[c] for u, c in s.colors.items()}
+                s.readouts = {u: ids[c] for u, c in s.readouts.items()}
+                s._init_sigs = list(table)  # its ids index the table now
 
     def state():
         colors = [s.colors for s in sessions]
@@ -466,8 +471,9 @@ def lockstep(sessions, max_iters: int = None, observe=None):
         return 0, False
     prev = state()
     for t in range(1, max_iters + 1):
+        table = {} if shared else None
         for s in sessions:
-            s.step()
+            s.step(table=table)
         if observe is not None and observe(t):
             return t, False
         cur = state()
@@ -573,15 +579,14 @@ def indistinguishable(
     g2: Graph,
     max_iters: int = None,
 ) -> DistinguishResult:
-    """Run both instances in lockstep with one shared interner.
+    """Run both instances in lockstep, one shared colour table per iteration.
 
     Compares the undirected link color (multiset over both orientations of
     the target; pair of node colors for node-level tests) at every
     iteration. Masking applies to e1 in g1 and e2 in g2.
     """
-    interner = Interner()
-    s1 = RefinementSession(kind, g1, mask=e1, interner=interner)
-    s2 = RefinementSession(kind, g2, mask=e2, interner=interner)
+    s1 = RefinementSession(kind, g1, mask=e1)
+    s2 = RefinementSession(kind, g2, mask=e2)
 
     def split(t):
         return s1.link_key(e1) != s2.link_key(e2)

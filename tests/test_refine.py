@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wl2link import harness, refine
 from wl2link.generate import (
     complete_graph,
     cycle_graph,
@@ -19,6 +20,7 @@ from wl2link.generate import (
     shrikhande_graph,
 )
 from wl2link.graph import Graph, disjoint_union, permute
+from wl2link.harness import Corpus, batch_refine
 from wl2link.linkpred import featurize_many
 from wl2link.refine import (
     _ENTRY_COLOR_BOUND,
@@ -32,6 +34,7 @@ from wl2link.refine import (
     _encode_entries,
     _init_pair_sig,
     indistinguishable,
+    lockstep,
     refine_to_stable,
 )
 
@@ -103,12 +106,17 @@ class TestInitColors:
         assert frozenset({(0, 2), (2, 0)}) in by_kind
 
     def test_mask_zeroes_indicator(self):
+        # t = 0 of a lockstep run: both sessions' init colours in one table
         g = path_graph(3)
-        it = Interner()
-        masked = RefinementSession(TestKind.WL2, g, mask=(0, 1), interner=it).colors
-        unmasked = RefinementSession(TestKind.WL2, g, interner=it).colors
-        assert masked[(0, 1)] != unmasked[(0, 1)]
-        assert masked[(0, 1)] == unmasked[(0, 2)]  # both non-edges now
+        masked = RefinementSession(TestKind.WL2, g, mask=(0, 1))
+        unmasked = RefinementSession(TestKind.WL2, g)
+
+        def check(t):
+            assert masked.colors[(0, 1)] != unmasked.colors[(0, 1)]
+            assert masked.colors[(0, 1)] == unmasked.colors[(0, 2)]  # both non-edges now
+            return True
+
+        assert lockstep([masked, unmasked], observe=check) == (0, False)
 
     def test_local_reads_out_its_target(self):
         g = path_graph(4)
@@ -297,28 +305,28 @@ class TestSplitOnlyGuard:
 
 class TestFwl2LocalReadouts:
     def test_targets_are_not_tracked(self):
-        # both sessions intern into one table
-        self._check_targets_not_tracked(Interner())
+        # both sessions intern into one table per iteration
+        self._check_targets_not_tracked(dict)
 
     def test_targets_are_not_tracked_canonical(self):
         # each session runs alone and numbers its own colours, read-outs
         # after tracked ones
-        self._check_targets_not_tracked(None)
+        self._check_targets_not_tracked(lambda: None)
 
     @staticmethod
-    def _check_targets_not_tracked(it):
+    def _check_targets_not_tracked(new_table):
         g = path_graph(4)
-        session = RefinementSession(
-            TestKind.FWL2_LOCAL, g, mask=(0, 3), extra_targets=[(0, 2)], interner=it
-        )
+        session = RefinementSession(TestKind.FWL2_LOCAL, g, mask=(0, 3), extra_targets=[(0, 2)])
         assert not {(0, 3), (3, 0), (0, 2), (2, 0)} & set(session.colors)
         assert set(session.readouts) == {(0, 3), (3, 0), (0, 2), (2, 0)}
         assert session.num_units() == 2 * g.m
         # targets change neither the tracked colours nor their growth
-        plain = RefinementSession(TestKind.FWL2_LOCAL, g, interner=it)
+        plain = RefinementSession(TestKind.FWL2_LOCAL, g)
+        assert session.colors == plain.colors
         for _ in range(3):
-            session.step()
-            plain.step()
+            table = new_table()
+            session.step(table=table)
+            plain.step(table=table)
             assert session.colors == plain.colors
             # (0, 2) is walk-reachable and now tracked: the key reads it there
             assert session.ordered_key((0, 2)) == (
@@ -326,16 +334,71 @@ class TestFwl2LocalReadouts:
             )
 
     def test_readout_carries_on_when_tracked(self):
-        # sessions sharing a table: a read-out's signature is the one
-        # expansion gives the pair, so it keeps its colour once tracked
+        # sessions sharing an iteration's table: a read-out's signature is
+        # the one expansion gives the pair, so it keeps its colour once tracked
         g = path_graph(5)
-        it = Interner()
-        read = RefinementSession(TestKind.FWL2_LOCAL, g, extra_targets=[(0, 2)], interner=it)
-        grow = RefinementSession(TestKind.FWL2_LOCAL, g, extra_targets=[(0, 2)], interner=it)
-        read.step(expand=False)
-        grow.step()
+        read = RefinementSession(TestKind.FWL2_LOCAL, g, extra_targets=[(0, 2)])
+        grow = RefinementSession(TestKind.FWL2_LOCAL, g, extra_targets=[(0, 2)])
+        table = {}
+        read.step(expand=False, table=table)
+        grow.step(table=table)
         assert (0, 2) not in read.colors and (0, 2) not in grow.readouts
         assert read.readouts[(0, 2)] == grow.colors[(0, 2)]
+
+
+class TestOneTablePerIteration:
+    """Several sessions in lockstep share one fresh table per iteration."""
+
+    @pytest.mark.parametrize("kind", ALL)
+    def test_ids_in_use_are_dense_at_every_t(self, kind, monkeypatch):
+        # at every t, the ids in use across all sessions, read-outs
+        # included, are exactly range(k): no table outlives its iteration
+        labelled = Graph.build(5, [(0, 1), (1, 2), (2, 3), (3, 4)], labels=[0, 1, 0, 2, 0])
+        instances = [
+            (cycle_graph(6), (0, 2)),
+            (cycle_graph(6), (0, 1)),
+            (labelled, (1, 3)),
+            (labelled, (0, 1)),
+            (complete_graph(4), (0, 1)),
+            (Graph.build(3, []), (0, 2)),
+        ]
+        sizes = []
+
+        def spy(sessions, max_iters=None, observe=None):
+            def check(t):
+                ids = set()
+                for s in sessions:
+                    ids.update(s.colors.values(), s.readouts.values())
+                assert ids == set(range(len(ids))), f"t = {t}"
+                sizes.append(len(sessions))
+                return observe(t)
+
+            return lockstep(sessions, max_iters, check)
+
+        monkeypatch.setattr(harness, "lockstep", spy)
+        monkeypatch.setattr(refine, "lockstep", spy)
+        batch = batch_refine(kind, Corpus(instances, {}))
+        assert batch.iterations >= 1 and min(sizes) > 1
+        c3c3, _ = disjoint_union(cycle_graph(3), cycle_graph(3))
+        indistinguishable(kind, (0, 2), cycle_graph(6), (0, 3), c3c3)
+        assert len(sizes) >= batch.iterations + 3  # and a step of the pair run
+
+    def test_init_joins_different_signatures(self):
+        # each session numbers its init canonically; lockstep gives
+        # different init signatures of different sessions different ids
+        g, ones = path_graph(3), Graph.build(3, [(0, 1), (1, 2)], labels=[1, 1, 1])
+        a, b = (RefinementSession(TestKind.WL1, h) for h in (g, ones))
+        assert a.colors == b.colors
+        for _ in range(2):  # a second join keeps the joint ids
+            assert lockstep([a, b], observe=lambda t: True) == (0, False)
+            assert a.colors[0] != b.colors[0]
+        assert indistinguishable(TestKind.WL1, (0, 2), g, (0, 2), ones).distinguished_at == 0
+
+    def test_sessions_start_at_init(self):
+        a, b = (RefinementSession(TestKind.WL2, path_graph(3)) for _ in range(2))
+        a.step()
+        with pytest.raises(RefinementError, match="t = 0"):
+            lockstep([a, b])
 
 
 class TestEntryEncoding:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -14,6 +15,15 @@ from wl2link.unroll import (
     tree_equal,
     unroll,
 )
+
+
+def test_package_attribute_is_the_module():
+    # the package does not re-export the function under its module's name
+    import wl2link
+    import wl2link.unroll as module
+
+    assert module is sys.modules["wl2link.unroll"] is wl2link.unroll
+    assert module.unroll is unroll and callable(unroll)
 
 
 class TestUnrollBasics:
