@@ -8,8 +8,9 @@ Two measurements, each run on both checkouts:
   workload and seed; the two sides alternate, base first on odd seeds. The
   file keeps every end-to-end sample and the per-workload medians.
 - ``batch_refine`` per kind on the default corpus (the built-in fixtures
-  plus ``random_corpus()``), one fresh process per kind: seconds,
-  iterations, and the process's peak RSS.
+  plus ``random_corpus()``), one fresh process per kind, one round per seed
+  with the sides alternating the same way: seconds, iterations, and the
+  process's peak RSS, every sample and the medians.
 
 Run it from the root of the checkout to measure; the base is any other
 checkout of the repository.
@@ -50,9 +51,9 @@ def last_json_line(cmd, cwd, env=None):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def perfbench(root, workload, seed, seconds):
+def perfbench(root, workload, seed):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", "30", "--trace", "0"]
     result = last_json_line(cmd, root)
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
     return {"metrics": metrics, "attempted": result["attempted"], "failed": result["failed"]}
@@ -80,37 +81,45 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="root of the checkout to compare against")
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
-    ap.add_argument("--seconds", type=float, default=30.0)
-    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     ap.add_argument("--tag", default="local", help="the output is BENCH_<tag>.json")
     args = ap.parse_args()
     sides = {"base": Path(args.base).resolve(), "head": HEAD}
 
-    runs = {w: {side: [] for side in sides} for w in args.workloads}
-    for w in args.workloads:
+    runs = {w: {side: [] for side in sides} for w in WORKLOADS}
+    for w in WORKLOADS:
         for seed in args.seeds:
             order = ("base", "head") if seed % 2 else ("head", "base")
             for side in order:
-                runs[w][side].append(perfbench(sides[side], w, seed, args.seconds))
+                runs[w][side].append(perfbench(sides[side], w, seed))
                 print(f"{w} seed {seed} {side}: {runs[w][side][-1]['metrics']}", file=sys.stderr)
 
-    corpus = {side: {} for side in sides}
-    for kind in POWER_KINDS:
-        for side, root in sides.items():
-            corpus[side][kind] = corpus_probe(root, kind)
-            print(f"default corpus {kind} {side}: {corpus[side][kind]}", file=sys.stderr)
+    corpus = {side: {kind: [] for kind in POWER_KINDS} for side in sides}
+    for seed in args.seeds:
+        order = ("base", "head") if seed % 2 else ("head", "base")
+        for kind in POWER_KINDS:
+            for side in order:
+                corpus[side][kind].append(corpus_probe(sides[side], kind))
+                print(f"default corpus {kind} {side}: {corpus[side][kind][-1]}", file=sys.stderr)
 
     report = {
         "machine": {"python": platform.python_version(), "cpus": len(os.sched_getaffinity(0))},
         "perfbench": {
-            "command": "python3 perfbench/run.py --workload W --seed S --seconds "
-                       f"{args.seconds:g} --trace 0",
+            "command": "python3 perfbench/run.py --workload W --seed S --seconds 30 --trace 0",
             "seeds": args.seeds,
             "workloads": {
                 w: {side: summarize(r) for side, r in per.items()} for w, per in runs.items()
             },
         },
-        "default_corpus_batch_refine": corpus,
+        "default_corpus_batch_refine": {
+            side: {
+                kind: {
+                    "samples": samples,
+                    "median": {k: statistics.median(r[k] for r in samples) for k in samples[0]},
+                }
+                for kind, samples in per.items()
+            }
+            for side, per in corpus.items()
+        },
     }
     out = HEAD / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")

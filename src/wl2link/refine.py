@@ -183,7 +183,13 @@ class RefinementSession:
     compare across the sessions of one iteration.
     """
 
-    def __init__(self, kind: TestKind, graph: Graph, mask=None, extra_targets=()):
+    def __init__(
+        self,
+        kind: TestKind,
+        graph: Graph,
+        mask=None,
+        extra_targets=(),
+    ):
         targets = [tuple(t) for t in extra_targets]
         if mask is not None:
             targets.insert(0, tuple(mask))
@@ -240,11 +246,8 @@ class RefinementSession:
         eff, labels, nbrs, sd = self.eff, self.labels, self.nbrs, table.setdefault
         if not self.kind.pair_indexed:
             return {v: sd(("i", labels[v]), len(table)) for v in range(eff.n)}, {}
-        adj = [set(nb) for nb in eff.adj]
-        colors = {  # _init_pair_sig, inlined
-            (p, u): sd(
-                ("i", labels[p], labels[u], 1 if u in adj[p] else 0, 1 if p == u else 0), len(table)
-            )
+        colors = {
+            (p, u): sd(_init_pair_sig(labels, eff, p, u), len(table))
             for p, nb in enumerate(nbrs)
             for u in nb
         }
@@ -291,7 +294,10 @@ class RefinementSession:
 
     def _step_wl1(self, table):
         c, nbrs, sd = self.colors, self.nbrs, table.setdefault
-        return {v: sd(("s", c[v], tuple(sorted(c[u] for u in nbrs[v]))), len(table)) for v in c}
+        return {
+            v: sd(("s", c[v], tuple(sorted(c[u] for u in nbrs[v]))), len(table))
+            for v in c
+        }
 
     def _step_plain(self, table):
         # one multiset per node, shared by every pair in its row or column.
@@ -300,7 +306,10 @@ class RefinementSession:
         c, nbrs, sd = self.colors, self.nbrs, table.setdefault
         rows = [tuple(sorted(c[(p, v)] for v in nb)) for p, nb in enumerate(nbrs)]
         cols = [tuple(sorted(c[(u, q)] for u in nb)) for q, nb in enumerate(nbrs)]
-        new = {(p, q): sd(("s", cpq, cols[q], rows[p]), len(table)) for (p, q), cpq in c.items()}
+        new = {
+            (p, q): sd(("s", cpq, cols[q], rows[p]), len(table))
+            for (p, q), cpq in c.items()
+        }
         return new, lambda sig, p, q: ("v", sig, cols[q], rows[p])
 
     def _step_folklore(self, table, expand: bool):
