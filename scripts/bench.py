@@ -2,7 +2,7 @@
 
     python3 scripts/bench.py --base ../base-checkout --seeds 1 2 3 4 5 --tag 11
 
-Two measurements, each run on both checkouts:
+Four measurements, each run on both checkouts:
 
 - ``perfbench/run.py --workload W --seed S --seconds 30 --trace 0`` for every
   workload and seed; the two sides alternate, base first on odd seeds. The
@@ -11,6 +11,11 @@ Two measurements, each run on both checkouts:
   plus ``random_corpus()``), one fresh process per kind, one round per seed
   with the sides alternating the same way: seconds, iterations, and the
   process's peak RSS, every sample and the medians.
+- ``benchmark()`` per kind on ring200 (``ring:n=200,k=4,rewire=0.1,seed=0``,
+  split seed 0), likewise one fresh process per kind and one round per
+  seed: wall seconds and test AUC.
+- The tier-1 suite (``python -m pytest -q --continue-on-collection-errors``),
+  once per side: wall seconds and pytest's summary line.
 
 Run it from the root of the checkout to measure; the base is any other
 checkout of the repository.
@@ -23,11 +28,13 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 HEAD = Path(__file__).resolve().parent.parent
 WORKLOADS = ("power-er", "linkpred-ring", "oracle-small")
 POWER_KINDS = ("WL1", "WL2", "FWL2", "WL2_Local", "FWL2_Local")
+RING_KINDS = ("WL1", "WL1_Label01", "WL2_Local", "FWL2_Local")
 
 # Runs in the checkout under test: one kind of batch_refine on the default corpus.
 CORPUS_PROBE = """
@@ -45,6 +52,18 @@ print(json.dumps({
 }))
 """
 
+# Runs in the checkout under test: one kind of benchmark() on ring200.
+RING_PROBE = """
+import json, sys, time
+from wl2link.generate import ring_lattice
+from wl2link.linkpred import benchmark
+from wl2link.refine import TestKind
+g = ring_lattice(200, 4, 0.1, seed=0)
+start = time.perf_counter()
+report = benchmark(g, TestKind.parse(sys.argv[1]), split_seed=0)
+print(json.dumps({"seconds": time.perf_counter() - start, "test_auc": report.test_auc}))
+"""
+
 
 def last_json_line(cmd, cwd, env=None):
     proc = subprocess.run(cmd, cwd=cwd, env=env, stdout=subprocess.PIPE, text=True, check=True)
@@ -59,9 +78,43 @@ def perfbench(root, workload, seed):
     return {"metrics": metrics, "attempted": result["attempted"], "failed": result["failed"]}
 
 
-def corpus_probe(root, kind):
-    env = dict(os.environ, PYTHONPATH=str(Path(root) / "src"))
-    return last_json_line([sys.executable, "-c", CORPUS_PROBE, kind], root, env)
+def src_env(root):
+    return dict(os.environ, PYTHONPATH=str(Path(root) / "src"))
+
+
+def probe(root, source, kind):
+    return last_json_line([sys.executable, "-c", source, kind], root, src_env(root))
+
+
+def tier1(root):
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+           "-p", "no:cacheprovider"]
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=root, env=src_env(root), stdout=subprocess.PIPE, text=True)
+    lines = proc.stdout.strip().splitlines()
+    return {"seconds": time.perf_counter() - start, "returncode": proc.returncode,
+            "summary": lines[-1] if lines else ""}
+
+
+def probe_rounds(sides, seeds, kinds, source, label):
+    """One fresh process per side, kind and seed; the sides alternate as above."""
+    out = {side: {kind: [] for kind in kinds} for side in sides}
+    for seed in seeds:
+        order = ("base", "head") if seed % 2 else ("head", "base")
+        for kind in kinds:
+            for side in order:
+                out[side][kind].append(probe(sides[side], source, kind))
+                print(f"{label} {kind} {side}: {out[side][kind][-1]}", file=sys.stderr)
+    return {
+        side: {
+            kind: {
+                "samples": samples,
+                "median": {k: statistics.median(r[k] for r in samples) for k in samples[0]},
+            }
+            for kind, samples in per.items()
+        }
+        for side, per in out.items()
+    }
 
 
 def summarize(runs):
@@ -93,13 +146,12 @@ def main():
                 runs[w][side].append(perfbench(sides[side], w, seed))
                 print(f"{w} seed {seed} {side}: {runs[w][side][-1]['metrics']}", file=sys.stderr)
 
-    corpus = {side: {kind: [] for kind in POWER_KINDS} for side in sides}
-    for seed in args.seeds:
-        order = ("base", "head") if seed % 2 else ("head", "base")
-        for kind in POWER_KINDS:
-            for side in order:
-                corpus[side][kind].append(corpus_probe(sides[side], kind))
-                print(f"default corpus {kind} {side}: {corpus[side][kind][-1]}", file=sys.stderr)
+    corpus = probe_rounds(sides, args.seeds, POWER_KINDS, CORPUS_PROBE, "default corpus")
+    ring = probe_rounds(sides, args.seeds, RING_KINDS, RING_PROBE, "ring200")
+    suite = {}
+    for side in ("base", "head"):
+        suite[side] = tier1(sides[side])
+        print(f"tier-1 {side}: {suite[side]}", file=sys.stderr)
 
     report = {
         "machine": {"python": platform.python_version(), "cpus": len(os.sched_getaffinity(0))},
@@ -110,16 +162,9 @@ def main():
                 w: {side: summarize(r) for side, r in per.items()} for w, per in runs.items()
             },
         },
-        "default_corpus_batch_refine": {
-            side: {
-                kind: {
-                    "samples": samples,
-                    "median": {k: statistics.median(r[k] for r in samples) for k in samples[0]},
-                }
-                for kind, samples in per.items()
-            }
-            for side, per in corpus.items()
-        },
+        "default_corpus_batch_refine": corpus,
+        "ring200_benchmark": ring,
+        "tier1": suite,
     }
     out = HEAD / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")

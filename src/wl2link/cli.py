@@ -53,6 +53,24 @@ def _parse_pair(text: str):
     return (p, q)
 
 
+def _parse_options(spec: str, types: dict) -> dict:
+    """The 'k=v,...' options after the ':' of ``spec``, each value read by
+    ``types[k]``. An unknown key, a missing '=' or a bad value is a usage error."""
+    options = {}
+    rest = spec.partition(":")[2]
+    for item in rest.split(",") if rest else ():
+        k, eq, v = item.partition("=")
+        if k not in types:
+            raise UsageError(f"unknown option {k!r} in {spec!r}; valid: {', '.join(types)}")
+        if not eq:
+            raise UsageError(f"option {k!r} in {spec!r} needs a value")
+        try:
+            options[k] = types[k](v)
+        except ValueError:
+            raise UsageError(f"bad {types[k].__name__} {v!r} for {k!r} in {spec!r}") from None
+    return options
+
+
 def _parse_kind(name: str) -> TestKind:
     try:
         return TestKind.parse(name)
@@ -131,15 +149,8 @@ def _build_corpus(spec: str) -> Corpus:
         piece = piece.strip()
         if piece == "fixtures":
             parts.append(fixtures_corpus())
-        elif piece.startswith("random"):
-            kw = {}
-            if ":" in piece:
-                for item in piece.split(":", 1)[1].split(","):
-                    k, _, v = item.partition("=")
-                    if k not in ("count", "seed"):
-                        raise UsageError(f"unknown corpus option {k!r}")
-                    kw[k] = int(v)
-            parts.append(random_corpus(**kw))
+        elif piece.partition(":")[0] == "random":
+            parts.append(random_corpus(**_parse_options(piece, {"count": int, "seed": int})))
         elif piece == "default":
             parts.append(fixtures_corpus())
             parts.append(random_corpus())
@@ -212,24 +223,17 @@ def cmd_fixtures(args) -> int:
 
 
 def _generate_graph(spec: str):
-    name, _, rest = spec.partition(":")
-    kw = {}
-    if rest:
-        for item in rest.split(","):
-            k, _, v = item.partition("=")
-            kw[k] = float(v) if "." in v else int(v)
+    name = spec.partition(":")[0]
     try:
         if name == "ring":
+            kw = _parse_options(spec, {"n": int, "k": int, "rewire": float, "seed": int})
             return ring_lattice(
-                int(kw.get("n", 200)), int(kw.get("k", 4)),
-                float(kw.get("rewire", 0.1)), seed=int(kw.get("seed", 0)),
+                kw.get("n", 200), kw.get("k", 4), kw.get("rewire", 0.1), seed=kw.get("seed", 0)
             )
         if name == "er":
-            return erdos_renyi(
-                int(kw.get("n", 200)), float(kw.get("p", 0.03)),
-                seed=int(kw.get("seed", 0)),
-            )
-    except (KeyError, TypeError, ValueError) as exc:
+            kw = _parse_options(spec, {"n": int, "p": float, "seed": int})
+            return erdos_renyi(kw.get("n", 200), kw.get("p", 0.03), seed=kw.get("seed", 0))
+    except ValueError as exc:
         raise UsageError(f"bad generator spec {spec!r}: {exc}")
     raise UsageError(f"unknown generator {name!r}; use ring:... or er:...")
 

@@ -1,4 +1,4 @@
-"""Ground truth: bounded unrolling trees, exhaustive link isomorphism, certificates.
+"""Ground truth: bounded unrolling trees, link isomorphism, certificates.
 
 Three tree builders mirror the three refinement rules:
 
@@ -18,8 +18,10 @@ target's label carries no edge bit, and are compared via hash-consed
 canonical forms: equality is exact, never a lossy hash. Each builder is
 memoised per unit and depth.
 
-``link_isomorphic`` (a Python search) and ``link_certificate`` (numpy codes over a
-cached table of placements) are independent oracles that tests check against each other.
+``link_isomorphic`` (networkx's VF2++, up to ``DEFAULT_DENSE_NODE_LIMIT`` =
+128 nodes) and ``link_certificate`` (an exhaustive search, numpy codes over a
+cached table of placements, up to ``DEFAULT_ISO_BOUND`` = 9 nodes) are
+independent oracles that tests check against each other.
 """
 
 from __future__ import annotations
@@ -28,10 +30,11 @@ import functools
 import itertools
 from dataclasses import dataclass
 
+import networkx as nx
 import numpy as np
 
 from .graph import Graph
-from .refine import Interner
+from .refine import DEFAULT_DENSE_NODE_LIMIT, Interner
 
 TREE_KINDS = ("T_A", "T_B", "T_C", "T_D")
 
@@ -127,58 +130,45 @@ def tree_equal(t1: UnrollTree, t2: UnrollTree) -> bool:
     return t1.canonical_id == t2.canonical_id
 
 
-DEFAULT_ISO_BOUND = 9
+def _link_invariant(g: Graph, p: int, q: int):
+    return (g.n, g.m, sorted(zip(map(len, g.adj), g.labels)),
+            g.labels[p], g.labels[q], g.degree(p), g.degree(q))
+
+
+def _role_graph(g: Graph, p: int, q: int) -> nx.Graph:
+    """g as an ``nx.Graph`` whose node v carries (label, role): role 1 for p,
+    2 for q, 0 otherwise."""
+    h = nx.Graph()
+    roles = {p: 1, q: 2}
+    h.add_nodes_from((v, {"key": (lab, roles.get(v, 0))}) for v, lab in enumerate(g.labels))
+    h.add_edges_from(g.edges)
+    return h
 
 
 def link_isomorphic(g1: Graph, e1, g2: Graph, e2, masked: bool = False) -> bool:
-    """Exhaustively search for a target-fixing edge/label-preserving bijection.
+    """Is there a label-preserving isomorphism g1 -> g2 mapping p1 to p2 and
+    q1 to q2? Decided by networkx's VF2++ (Jüttner & Madarasi, 2018) on
+    nodes labelled (label, role), after a cheap invariant compare.
 
     With ``masked`` the target edge (if any) is removed from both graphs
-    first, matching the engine's masked-target semantics. Graphs above
-    ``DEFAULT_ISO_BOUND`` nodes are refused.
+    first, matching the engine's masked-target semantics. Pairs that pass
+    the compare and have more nodes than the engine's dense cap,
+    ``DEFAULT_DENSE_NODE_LIMIT``, are refused.
     """
-    p1, q1 = _check_target(g1, e1)
-    p2, q2 = _check_target(g2, e2)
-    if g1.n != g2.n:
-        return False
-    if g1.n > DEFAULT_ISO_BOUND:
-        raise UnrollError(
-            f"n={g1.n} exceeds the exhaustive-search bound {DEFAULT_ISO_BOUND}"
-        )
+    ends1 = _check_target(g1, e1)
+    ends2 = _check_target(g2, e2)
     if masked:
-        g1 = g1.without_edge(p1, q1)
-        g2 = g2.without_edge(p2, q2)
-    if g1.m != g2.m:
+        g1 = g1.without_edge(*ends1)
+        g2 = g2.without_edge(*ends2)
+    if _link_invariant(g1, *ends1) != _link_invariant(g2, *ends2):
         return False
-    if sorted(g1.labels) != sorted(g2.labels):
-        return False
-    if sorted(map(len, g1.adj)) != sorted(map(len, g2.adj)):
-        return False
-    if (g1.labels[p1], g1.labels[q1]) != (g2.labels[p2], g2.labels[q2]):
-        return False
-    if (g1.degree(p1), g1.degree(q1)) != (g2.degree(p2), g2.degree(q2)):
-        return False
-    rest1 = [v for v in range(g1.n) if v not in (p1, q1)]
-    rest2 = [v for v in range(g2.n) if v not in (p2, q2)]
-    edges2 = g2.edges
-    for perm in itertools.permutations(rest2):
-        pi = {p1: p2, q1: q2}
-        pi.update(zip(rest1, perm))
-        ok = True
-        for v in rest1:
-            if g1.labels[v] != g2.labels[pi[v]]:
-                ok = False
-                break
-        if not ok:
-            continue
-        for u, v in g1.edges:
-            a, b = pi[u], pi[v]
-            if ((a, b) if a < b else (b, a)) not in edges2:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    if g1.n > DEFAULT_DENSE_NODE_LIMIT:
+        raise UnrollError(f"n={g1.n} exceeds the VF2++ bound {DEFAULT_DENSE_NODE_LIMIT}")
+    h1, h2 = _role_graph(g1, *ends1), _role_graph(g2, *ends2)
+    return nx.vf2pp_is_isomorphic(h1, h2, node_label="key")
+
+
+DEFAULT_ISO_BOUND = 9
 
 
 @functools.cache

@@ -6,13 +6,15 @@ agreement, tree-unrolling correspondence, heuristic recovery, benchmark
 signal, and complexity guards.
 """
 
+import itertools
 import random
 import time
 
+import networkx as nx
 import numpy as np
 import pytest
 
-from wl2link.generate import erdos_renyi, ring_lattice
+from wl2link.generate import erdos_renyi, from_networkx, ring_lattice
 from wl2link.graph import Graph, label01, permute
 from wl2link.harness import (
     EQUAL_POWER,
@@ -32,7 +34,7 @@ from wl2link.refine import (
     indistinguishable,
     refine_to_stable,
 )
-from wl2link.unroll import unroll
+from wl2link.unroll import link_isomorphic, unroll
 
 
 # -- 1. Power partial order --------------------------------------------------
@@ -81,6 +83,25 @@ def test_criterion3_oracle_soundness(default_corpus, default_power_report):
     result = oracle_soundness(default_corpus, default_power_report.results)
     assert result["checked"] > 0
     assert result["violations"] == 0, result["details"]
+
+
+@pytest.mark.parametrize("d,n", [(3, 10), (3, 24), (3, 40), (4, 11), (4, 25), (4, 40)])
+def test_criterion3_soundness_on_regular_graphs(d, n):
+    # Regular graphs above the certificate's 9-node bound, where 1-WL colours
+    # are uninformative: a relabelled copy of a link is isomorphic, and no
+    # kind may tell the two apart.
+    rng = random.Random(1000 * d + n)
+    g = from_networkx(nx.random_regular_graph(d, n, seed=rng.randrange(2**31)))
+    pi = list(range(n))
+    rng.shuffle(pi)
+    h = permute(g, pi)
+    edge = rng.choice(sorted(g.edges))
+    non_edge = rng.choice([e for e in itertools.combinations(range(n), 2) if not g.has_edge(*e)])
+    for p, q in (edge, non_edge):
+        e2 = (pi[p], pi[q])
+        assert link_isomorphic(g, (p, q), h, e2, masked=True)
+        for kind in TestKind:
+            assert not indistinguishable(kind, (p, q), g, e2, h).distinguished, kind
 
 
 # -- 4. Tree correspondence --------------------------------------------------

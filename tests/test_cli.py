@@ -142,6 +142,15 @@ class TestPowerCheckCommand:
     def test_unknown_corpus(self, capsys):
         assert main(["power-check", "--corpus", "bogus"]) == 1
 
+    @pytest.mark.parametrize("spec,message", [
+        ("random:count=x", "bad int 'x' for 'count'"),
+        ("random:count", "option 'count' in 'random:count' needs a value"),
+        ("random:size=3", "unknown option 'size'"),
+    ])
+    def test_bad_corpus_option_usage_error(self, capsys, spec, message):
+        assert main(["power-check", "--corpus", spec]) == 1
+        assert message in capsys.readouterr().err
+
     def test_max_iters_below_one_runtime_error(self, capsys):
         assert main(["power-check", "--corpus", "fixtures", "--max-iters", "0"]) == 2
         assert "max_iters must be >= 1" in capsys.readouterr().err
@@ -160,6 +169,18 @@ class TestPredictCommand:
 
     def test_requires_one_source(self, capsys):
         assert main(["predict", "--test", "WL1"]) == 1
+
+    @pytest.mark.parametrize("spec,message", [
+        ("ring:nodes=50", "unknown option 'nodes'"),
+        ("er:prob=0.9", "unknown option 'prob'"),
+        ("ring:n", "option 'n' in 'ring:n' needs a value"),
+        ("ring:n=50.5", "bad int '50.5' for 'n'"),
+        ("er:p=x", "bad float 'x' for 'p'"),
+    ])
+    def test_bad_generator_option_usage_error(self, capsys, spec, message):
+        # refused before any graph is built, so a typo cannot fall back to a default
+        assert main(["predict", "--generate", spec, "--test", "WL1"]) == 1
+        assert message in capsys.readouterr().err
 
     def test_seed_flag_after_subcommand(self, capsys):
         assert main(

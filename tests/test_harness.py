@@ -23,6 +23,7 @@ from wl2link.harness import (
     random_corpus,
 )
 from wl2link.refine import RefinementError, TestKind, indistinguishable, refine_to_stable
+from wl2link.unroll import link_isomorphic
 
 
 class TestCorpora:
@@ -134,6 +135,30 @@ class TestFixtures:
         # not isomorphic: a rook's-graph row is a 4-clique, Shrikhande has none
         assert _has_four_clique(rook_graph(4))
         assert not _has_four_clique(shrikhande_graph())
+
+    def test_distinguished_pairs_are_not_isomorphic(self):
+        # a test that tells a pair apart is sound only on non-isomorphic links
+        checked = []
+        for fixture in builtin_fixtures():
+            if any(fixture.expected.values()):
+                assert not link_isomorphic(
+                    fixture.graph_a, fixture.target_a,
+                    fixture.graph_b, fixture.target_b, masked=True,
+                ), fixture.name
+                checked.append(fixture.name)
+        assert "F5b-srg-edge" in checked and len(checked) >= 4
+
+    def test_srg_links_are_not_isomorphic(self):
+        # F5a's pair fools every kind, yet the links differ: no 4-clique maps
+        # into Shrikhande. F5b's pair is the edge-target version.
+        by_name = {f.name: f for f in builtin_fixtures()}
+        for name in ("F5a-srg-non-edge", "F5b-srg-edge"):
+            f = by_name[name]
+            assert f.graph_a.n == 16
+            for masked in (True, False):
+                assert not link_isomorphic(
+                    f.graph_a, f.target_a, f.graph_b, f.target_b, masked=masked
+                ), (name, masked)
 
 
 def _has_four_clique(g):

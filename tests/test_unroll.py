@@ -129,10 +129,22 @@ class TestLinkIsomorphic:
         assert not link_isomorphic(with_chord, (0, 2), c6, (0, 2))
         assert link_isomorphic(with_chord, (0, 2), c6, (0, 2), masked=True)
 
-    def test_size_bound(self):
-        g = erdos_renyi(10, 0.3, seed=0)
-        with pytest.raises(UnrollError, match="bound"):
-            link_isomorphic(g, (0, 1), g, (0, 1))
+    def test_size_bound(self, monkeypatch):
+        # n = 16 is decided; n = 129 is refused before networkx sees a graph
+        g = erdos_renyi(16, 0.3, seed=0)
+        pi = list(range(16))
+        random.Random(2).shuffle(pi)
+        assert link_isomorphic(g, (0, 1), permute(g, pi), (pi[0], pi[1]))
+        big = erdos_renyi(129, 0.05, seed=0)
+        module = sys.modules["wl2link.unroll"]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("networkx called above the bound")
+
+        monkeypatch.setattr(module.nx, "Graph", refuse)
+        monkeypatch.setattr(module.nx, "vf2pp_is_isomorphic", refuse)
+        with pytest.raises(UnrollError, match="bound 128"):
+            link_isomorphic(big, (0, 1), big, (0, 1))
 
     def test_cross_component_targets(self):
         c3c3, _ = disjoint_union(cycle_graph(3), cycle_graph(3))
@@ -211,7 +223,7 @@ class TestCertificate:
                             got = link_certificate(g, e, masked)
                             assert repr(got) == repr(want), (g, e, masked)
 
-    def test_agrees_with_exhaustive_search(self):
+    def test_agrees_with_vf2pp_oracle(self):
         rng = random.Random(7)
         unlabelled = []
         for i in range(12):
