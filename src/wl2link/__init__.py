@@ -52,7 +52,6 @@ from .linkpred import (
     BenchmarkReport,
     LinearScorer,
     LinkPredError,
-    TrainConfig,
     auc,
     benchmark,
     featurize,

@@ -1,7 +1,8 @@
 """Command-line front end: refine, distinguish, power-check, fixtures, predict.
 
 Exit codes: 0 success, 1 usage error, 2 runtime error. Identical
-invocations produce byte-identical JSON.
+invocations produce byte-identical JSON, except for ``predict``'s
+``featurize_seconds``, which is a wall-clock timing.
 """
 
 from __future__ import annotations
@@ -217,8 +218,12 @@ def cmd_fixtures(args) -> int:
             }
         manifest.append(entry)
     manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
-    _emit(args, f"wrote {len(manifest)} fixtures and {manifest_path}")
+    text = json.dumps(manifest, indent=2) + "\n"
+    manifest_path.write_text(text)
+    if args.output == "json":
+        sys.stdout.write(text)
+    else:
+        _emit(args, f"wrote {len(manifest)} fixtures and {manifest_path}")
     return 0
 
 
@@ -264,30 +269,19 @@ def cmd_predict(args) -> int:
 # -- entry point -------------------------------------------------------------
 
 
-GLOBAL_DEFAULTS = {
-    "seed": 0,
-    "max_iters": None,
-    "output": "table",
-    "quiet": False,
-}
-
-
-def _global_flags() -> argparse.ArgumentParser:
-    # Attached to the main parser and every subparser so the flags may
-    # appear on either side of the command; SUPPRESS keeps the subparser
-    # from clobbering values parsed before the command name.
-    common = argparse.ArgumentParser(add_help=False)
-    d = argparse.SUPPRESS
-    common.add_argument("--seed", type=int, default=d)
-    common.add_argument("--max-iters", type=int, default=d)
-    common.add_argument("--output", choices=("json", "table"), default=d)
-    common.add_argument("--quiet", action="store_true", default=d)
-    return common
+def _add_output_flags(parser, output, quiet):
+    parser.add_argument("--output", choices=("json", "table"), default=output)
+    parser.add_argument("--quiet", action="store_true", default=quiet)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _global_flags()
-    parser = _Parser(prog="wl2link", description=__doc__, parents=[common])
+    parser = _Parser(prog="wl2link", description=__doc__)
+    _add_output_flags(parser, "table", False)
+    # Every subparser takes the same two flags, so they may appear on either
+    # side of the command; SUPPRESS keeps a subparser from clobbering values
+    # parsed before the command name.
+    common = argparse.ArgumentParser(add_help=False)
+    _add_output_flags(common, argparse.SUPPRESS, argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kw):
@@ -298,6 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True)
     p.add_argument("--mask", default=None, help="target pair 'p,q'")
     p.add_argument("--labels", default=None)
+    p.add_argument("--max-iters", type=int, default=None)
     p.set_defaults(func=cmd_refine)
 
     p = add_parser("distinguish", help="compare two (graph, link) instances")
@@ -306,12 +301,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph-b", required=True)
     p.add_argument("--link-b", required=True)
     p.add_argument("--test", required=True)
+    p.add_argument("--max-iters", type=int, default=None)
     p.set_defaults(func=cmd_distinguish)
 
     p = add_parser("power-check", help="verify the power partial order")
     p.add_argument("--corpus", default="default")
     p.add_argument("--tests", default=None, help="comma-separated test kinds")
     p.add_argument("--out", default=None)
+    p.add_argument("--max-iters", type=int, default=None)
     p.set_defaults(func=cmd_power_check)
 
     p = add_parser("fixtures", help="write fixture edge lists + manifest")
@@ -323,6 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generate", default=None, help="ring:n=..,k=..,rewire=.. or er:n=..,p=..")
     p.add_argument("--test", required=True)
     p.add_argument("--width", type=int, default=8)
+    p.add_argument("--seed", type=int, default=0, help="split seed")
     p.set_defaults(func=cmd_predict)
     return parser
 
@@ -331,9 +329,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        for name, value in GLOBAL_DEFAULTS.items():
-            if not hasattr(args, name):
-                setattr(args, name, value)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

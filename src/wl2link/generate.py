@@ -62,11 +62,24 @@ def from_networkx(nxg) -> Graph:
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
+    """G(n, p); ValueError unless n >= 2 and 0 <= p <= 1."""
+    if n < 2:
+        raise ValueError(f"Erdos-Renyi graph needs n >= 2, got n={n}")
+    if not 0 <= p <= 1:
+        raise ValueError(f"edge probability p must lie in [0, 1], got p={p}")
     return from_networkx(nx.gnp_random_graph(n, p, seed=seed))
 
 
 def ring_lattice(n: int, k: int, rewire: float, seed: int) -> Graph:
-    """Watts-Strogatz ring lattice: n nodes, k nearest neighbors, rewired edges."""
+    """Watts-Strogatz ring lattice: n nodes, k nearest neighbors, rewired edges.
+
+    ValueError unless k is even with 2 <= k < n and 0 <= rewire <= 1; networkx
+    would round an odd k down to k - 1.
+    """
+    if k % 2 or not 2 <= k < n:
+        raise ValueError(f"ring lattice needs an even k with 2 <= k < n, got k={k}, n={n}")
+    if not 0 <= rewire <= 1:
+        raise ValueError(f"rewire probability must lie in [0, 1], got rewire={rewire}")
     return from_networkx(nx.watts_strogatz_graph(n, k, rewire, seed=seed))
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 
@@ -164,33 +163,6 @@ class LinkSplit:
     val_neg: tuple
     test_pos: tuple
     test_neg: tuple
-    seed: int
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "seed": self.seed,
-                "train_edges": [list(e) for e in self.train_graph.edge_list()],
-                "val_pos": [list(e) for e in self.val_pos],
-                "val_neg": [list(e) for e in self.val_neg],
-                "test_pos": [list(e) for e in self.test_pos],
-                "test_neg": [list(e) for e in self.test_neg],
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str, n: int, labels=None) -> "LinkSplit":
-        d = json.loads(text)
-        train = Graph.build(n, [tuple(e) for e in d["train_edges"]], labels)
-        tup = lambda key: tuple(tuple(e) for e in d[key])
-        return LinkSplit(
-            train_graph=train,
-            val_pos=tup("val_pos"),
-            val_neg=tup("val_neg"),
-            test_pos=tup("test_pos"),
-            test_neg=tup("test_neg"),
-            seed=d["seed"],
-        )
 
 
 # Rejection sampling gives up after this many multiples of the request size
@@ -266,5 +238,4 @@ def split_links(g: Graph, test_frac: float, val_frac: float, seed: int) -> LinkS
         val_neg=val_neg,
         test_pos=test_pos,
         test_neg=test_neg,
-        seed=seed,
     )

@@ -43,18 +43,18 @@ class Corpus:
         return Corpus(instances, {"merged": [p.spec for p in parts]})
 
 
-def random_corpus(
-    count: int = 200,
-    seed: int = 7,
-    n_range=(4, 12),
-    edge_probs=(0.2, 0.35, 0.5),
-) -> Corpus:
+# Node counts (inclusive) and edge probabilities of random_corpus's graphs.
+RANDOM_N_RANGE = (4, 12)
+RANDOM_EDGE_PROBS = (0.2, 0.35, 0.5)
+
+
+def random_corpus(count: int = 200, seed: int = 7) -> Corpus:
     """Erdos-Renyi corpus with every ordered non-diagonal pair as a target."""
     rng = random.Random(seed)
     instances = []
     for _ in range(count):
-        n = rng.randint(*n_range)
-        p = rng.choice(edge_probs)
+        n = rng.randint(*RANDOM_N_RANGE)
+        p = rng.choice(RANDOM_EDGE_PROBS)
         g = erdos_renyi(n, p, seed=rng.randrange(2**31))
         for u in range(n):
             for v in range(n):
@@ -64,8 +64,8 @@ def random_corpus(
         "generator": "erdos_renyi",
         "count": count,
         "seed": seed,
-        "n_range": list(n_range),
-        "edge_probs": list(edge_probs),
+        "n_range": list(RANDOM_N_RANGE),
+        "edge_probs": list(RANDOM_EDGE_PROBS),
     }
     return Corpus(instances, spec)
 
@@ -225,9 +225,8 @@ def builtin_fixtures():
     return fixtures
 
 
-def fixtures_corpus(fixtures=None) -> Corpus:
-    if fixtures is None:
-        fixtures = builtin_fixtures()
+def fixtures_corpus() -> Corpus:
+    fixtures = builtin_fixtures()
     instances = []
     for f in fixtures:
         instances.append((f.graph_a, f.target_a))

@@ -130,10 +130,9 @@ def _target_features(session: RefinementSession, target, width: int, sizes, keys
 # -- linear scorer -----------------------------------------------------------
 
 
-@dataclass
-class TrainConfig:
-    learning_rate: float = 0.1
-    epochs: int = 500
+# Full-batch gradient descent: step size and number of steps.
+LEARNING_RATE = 0.1
+EPOCHS = 500
 
 
 @dataclass
@@ -142,7 +141,6 @@ class LinearScorer:
     bias: float
     mean: np.ndarray
     std: np.ndarray
-    config: TrainConfig
     loss_history: list = field(repr=False, default_factory=list)
 
     def score(self, features: np.ndarray) -> np.ndarray:
@@ -154,10 +152,8 @@ def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def train_scorer(features, labels, config: TrainConfig = None) -> LinearScorer:
+def train_scorer(features, labels) -> LinearScorer:
     """Logistic regression by full-batch gradient descent from zero init."""
-    if config is None:
-        config = TrainConfig()
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
     if x.ndim != 2 or len(x) != len(y) or len(y) < 2:
@@ -174,7 +170,7 @@ def train_scorer(features, labels, config: TrainConfig = None) -> LinearScorer:
     b = 0.0
     n = len(y)
     losses = []
-    for _ in range(config.epochs):
+    for _ in range(EPOCHS):
         z = xs @ w + b
         pred = _sigmoid(z)
         eps = 1e-12
@@ -182,11 +178,9 @@ def train_scorer(features, labels, config: TrainConfig = None) -> LinearScorer:
             float(-np.mean(y * np.log(pred + eps) + (1 - y) * np.log(1 - pred + eps)))
         )
         grad = pred - y
-        w -= config.learning_rate * (xs.T @ grad) / n
-        b -= config.learning_rate * float(grad.mean())
-    return LinearScorer(
-        weights=w, bias=b, mean=mean, std=std, config=config, loss_history=losses
-    )
+        w -= LEARNING_RATE * (xs.T @ grad) / n
+        b -= LEARNING_RATE * float(grad.mean())
+    return LinearScorer(weights=w, bias=b, mean=mean, std=std, loss_history=losses)
 
 
 # -- evaluation --------------------------------------------------------------

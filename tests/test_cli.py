@@ -127,6 +127,11 @@ class TestFixturesCommand:
         assert f3["expected"]["WL2"] == {"distinguished": True, "iteration": 1}
         assert f3["expected"]["WL1"]["distinguished"] is False
 
+    def test_json_output_is_the_manifest(self, tmp_path, capsysbinary):
+        out = tmp_path / "fx"
+        assert main(["--output", "json", "fixtures", "--out", str(out)]) == 0
+        assert capsysbinary.readouterr().out == (out / "manifest.json").read_bytes()
+
 
 class TestPowerCheckCommand:
     def test_fixtures_corpus_json(self, capsys):
@@ -176,6 +181,12 @@ class TestPredictCommand:
         ("ring:n", "option 'n' in 'ring:n' needs a value"),
         ("ring:n=50.5", "bad int '50.5' for 'n'"),
         ("er:p=x", "bad float 'x' for 'p'"),
+        ("ring:n=5,k=8", "even k with 2 <= k < n, got k=8, n=5"),
+        ("ring:n=-3", "even k with 2 <= k < n, got k=4, n=-3"),
+        ("ring:n=20,k=5", "even k with 2 <= k < n, got k=5, n=20"),
+        ("ring:rewire=1.5", "rewire probability must lie in [0, 1]"),
+        ("er:p=2", "edge probability p must lie in [0, 1]"),
+        ("er:n=1", "needs n >= 2"),
     ])
     def test_bad_generator_option_usage_error(self, capsys, spec, message):
         # refused before any graph is built, so a typo cannot fall back to a default
@@ -195,3 +206,51 @@ class TestPredictCommand:
              "--test", "WL1"]
         ) == 0
         assert capsys.readouterr().out == ""
+
+
+# Every command with the arguments it requires; "@" stands for an edge list.
+COMMAND_ARGS = {
+    "refine": ["--graph", "@", "--test", "WL1"],
+    "distinguish": ["--graph-a", "@", "--link-a", "0,1", "--graph-b", "@", "--link-b", "0,1",
+                    "--test", "WL1"],
+    "power-check": ["--corpus", "fixtures"],
+    "fixtures": ["--out", "@dir"],
+    "predict": ["--generate", "er:n=50,p=0.15,seed=4", "--test", "WL1"],
+}
+# (flag, value, the commands that read it)
+SCOPED_FLAGS = [
+    ("--seed", "3", {"predict"}),
+    ("--max-iters", "2", {"refine", "distinguish", "power-check"}),
+]
+
+
+def _argv(command, c6_file, tmp_path):
+    args = [{"@": c6_file, "@dir": str(tmp_path / "fx")}.get(a, a) for a in COMMAND_ARGS[command]]
+    return [command] + args
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    (command, flag, value)
+    for flag, value, readers in SCOPED_FLAGS
+    for command in COMMAND_ARGS
+    if command not in readers
+])
+def test_flag_the_command_does_not_read_is_refused(command, flag, value, c6_file, tmp_path,
+                                                   capsys):
+    assert main(_argv(command, c6_file, tmp_path) + [flag, value]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [(flag, value) for flag, value, _ in SCOPED_FLAGS])
+def test_command_flag_before_the_command_is_refused(flag, value, c6_file, tmp_path, capsys):
+    assert main([flag, value] + _argv("predict", c6_file, tmp_path)) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+@pytest.mark.parametrize("before", [True, False])
+def test_output_and_quiet_on_either_side(command, before, c6_file, tmp_path, capsys):
+    flags = ["--output", "table", "--quiet"]
+    argv = _argv(command, c6_file, tmp_path)
+    assert main(flags + argv if before else argv + flags) == 0
+    assert capsys.readouterr().out == ""

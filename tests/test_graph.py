@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -10,7 +9,6 @@ from wl2link.graph import (
     EdgeListParseError,
     Graph,
     GraphError,
-    LinkSplit,
     disjoint_union,
     label01,
     load_edgelist,
@@ -136,13 +134,6 @@ class TestSplit:
         a = split_links(g, 0.10, 0.05, seed=9)
         b = split_links(g, 0.10, 0.05, seed=9)
         assert a == b
-
-    def test_json_roundtrip(self):
-        g = erdos_renyi(30, 0.3, seed=2)
-        split = split_links(g, 0.10, 0.05, seed=9)
-        back = LinkSplit.from_json(split.to_json(), g.n)
-        assert back == split
-        assert json.loads(split.to_json())["seed"] == 9
 
     def test_too_small(self):
         with pytest.raises(GraphError):

@@ -19,7 +19,6 @@ from wl2link.generate import (
 from wl2link.graph import Graph, permute, sample_non_edges
 from wl2link.linkpred import (
     LinkPredError,
-    TrainConfig,
     auc,
     benchmark,
     featurize,
@@ -177,7 +176,7 @@ class TestTrainScorer:
     def test_separable_loss_decreases(self):
         x = [[0.0], [1.0], [2.0], [3.0]]
         y = [0, 0, 1, 1]
-        scorer = train_scorer(x, y, TrainConfig(epochs=200))
+        scorer = train_scorer(x, y)
         losses = scorer.loss_history
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
         assert losses[-1] < losses[0]
