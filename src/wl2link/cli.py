@@ -14,8 +14,8 @@ import sys
 from pathlib import Path
 
 from .generate import erdos_renyi, ring_lattice
-from .graph import GraphError, load_edgelist, load_labels
-from .linkpred import LinkPredError, benchmark
+from .graph import load_edgelist, load_labels
+from .linkpred import benchmark
 from .harness import (
     Corpus,
     builtin_fixtures,
@@ -269,6 +269,20 @@ def cmd_predict(args) -> int:
 # -- entry point -------------------------------------------------------------
 
 
+class _CommandFlag(argparse.Action):
+    """A command's flag given before the command: a usage error naming it."""
+
+    def __init__(self, option_strings, dest, commands):
+        super().__init__(
+            option_strings, dest, nargs="?", default=argparse.SUPPRESS, help=argparse.SUPPRESS
+        )
+        names = ", ".join(commands)
+        self.message = f"{option_strings[0]} is an option of {names}; put it after the command"
+
+    def __call__(self, *args):
+        raise UsageError(self.message)
+
+
 def _add_output_flags(parser, output, quiet):
     parser.add_argument("--output", choices=("json", "table"), default=output)
     parser.add_argument("--quiet", action="store_true", default=quiet)
@@ -317,11 +331,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("predict", help="link-prediction AUC benchmark")
     p.add_argument("--graph", default=None)
-    p.add_argument("--generate", default=None, help="ring:n=..,k=..,rewire=.. or er:n=..,p=..")
+    p.add_argument("--generate", help="ring:n=..,k=..,rewire=..,seed=.. or er:n=..,p=..,seed=..")
     p.add_argument("--test", required=True)
     p.add_argument("--width", type=int, default=8)
     p.add_argument("--seed", type=int, default=0, help="split seed")
     p.set_defaults(func=cmd_predict)
+
+    # Before the command, a command's flag would be an unknown extra and its
+    # value would read as the command name ("invalid choice: '3'").
+    commands_of = {}
+    for name, command in sub.choices.items():
+        for flag in command._option_string_actions:
+            commands_of.setdefault(flag, []).append(name)
+    for flag, names in commands_of.items():
+        # a prefix of a main flag (--out of --output) keeps abbreviating it
+        if not any(known.startswith(flag) for known in parser._option_string_actions):
+            parser.add_argument(flag, action=_CommandFlag, commands=names)
     return parser
 
 
@@ -333,7 +358,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (GraphError, RefinementError, LinkPredError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RUNTIME_ERROR
 

@@ -74,6 +74,14 @@ class Graph:
         return sorted(self.edges)
 
 
+def _data_lines(text: str):
+    """(line number, raw line, content) of each line not blank without its '#' comment."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield line_no, raw, line
+
+
 def load_edgelist(text: str, labels=None) -> Graph:
     """Parse "u v" lines (0-based ids, '#' comments) into a Graph.
 
@@ -81,10 +89,7 @@ def load_edgelist(text: str, labels=None) -> Graph:
     """
     edges = []
     max_id = -1
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, raw, line in _data_lines(text):
         parts = line.split()
         if len(parts) != 2:
             raise EdgeListParseError(f"expected 'u v', got {raw!r}", line_no)
@@ -110,10 +115,7 @@ def load_edgelist(text: str, labels=None) -> Graph:
 def load_labels(text: str):
     """Parse one integer label per line ('#' comments allowed)."""
     labels = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for line_no, raw, line in _data_lines(text):
         try:
             labels.append(int(line))
         except ValueError:
@@ -133,6 +135,16 @@ def permute(g: Graph, pi) -> Graph:
     return Graph.build(g.n, edges, labels)
 
 
+def check_target(g: Graph, target):
+    """(p, q) if they are distinct nodes of g, else GraphError: every layer's target check."""
+    p, q = target
+    if not (0 <= p < g.n and 0 <= q < g.n):
+        raise GraphError(f"target ({p}, {q}) out of range")
+    if p == q:
+        raise GraphError(f"target nodes must be distinct, got ({p}, {q})")
+    return p, q
+
+
 def disjoint_union(g1: Graph, g2: Graph):
     """Concatenate two graphs; returns (graph, offset) with g2 shifted by g1.n."""
     off = g1.n
@@ -147,11 +159,7 @@ def label01(g: Graph, target) -> Graph:
     The doubling keeps (original label, is_target) injective. Symmetric in the
     target's orientation.
     """
-    p, q = target
-    if p == q:
-        raise GraphError("target nodes must be distinct")
-    if not (0 <= p < g.n and 0 <= q < g.n):
-        raise GraphError(f"target ({p}, {q}) out of range")
+    p, q = check_target(g, target)
     labels = [2 * lab + (1 if v in (p, q) else 0) for v, lab in enumerate(g.labels)]
     return Graph.build(g.n, g.edges, labels)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .generate import (
@@ -15,13 +16,7 @@ from .generate import (
     shrikhande_graph,
 )
 from .graph import Graph, disjoint_union
-from .refine import (
-    ALL_KINDS,
-    RefinementSession,
-    TestKind,
-    lockstep,
-    session_groups,
-)
+from .refine import ALL_KINDS, TestKind, lockstep, open_sessions
 from .unroll import DEFAULT_ISO_BOUND, link_certificate
 
 
@@ -56,10 +51,7 @@ def random_corpus(count: int = 200, seed: int = 7) -> Corpus:
         n = rng.randint(*RANDOM_N_RANGE)
         p = rng.choice(RANDOM_EDGE_PROBS)
         g = erdos_renyi(n, p, seed=rng.randrange(2**31))
-        for u in range(n):
-            for v in range(n):
-                if u != v:
-                    instances.append((g, (u, v)))
+        instances += all_pairs_corpus(g).instances
     spec = {
         "generator": "erdos_renyi",
         "count": count,
@@ -95,30 +87,20 @@ class BatchResult:
         return tuple(sorted(self.histories[i][t]))
 
     def final_keys(self):
-        return [tuple(sorted(h[-1])) for h in self.histories]
+        return [self.link_key(i) for i in range(len(self.histories))]
 
     def first_difference(self, i: int, j: int):
-        hi, hj = self.histories[i], self.histories[j]
-        for t in range(len(hi)):
-            if tuple(sorted(hi[t])) != tuple(sorted(hj[t])):
-                return t
-        return None
+        steps = range(len(self.histories[i]))
+        return next((t for t in steps if self.link_key(i, t) != self.link_key(j, t)), None)
 
 
 def batch_refine(kind: TestKind, corpus: Corpus, max_iters: int = None) -> BatchResult:
-    sessions = []
-    readers = [None] * len(corpus.instances)  # per instance: (ordered_key, target)
-    for g, mask, targets in session_groups(kind, corpus.instances):
-        session = RefinementSession(kind, g, mask=mask, extra_targets=sorted(targets))
-        sessions.append(session)
-        for target, indices in targets.items():
-            for i in indices:
-                readers[i] = (session.ordered_key, target)
-    histories = [[] for _ in corpus.instances]
+    sessions, readers = open_sessions(kind, corpus.instances)
+    histories = [[] for _ in readers]
 
     def record(t):
-        for history, (ordered_key, target) in zip(histories, readers):
-            history.append(ordered_key(target))
+        for history, (session, target) in zip(histories, readers):
+            history.append(session.ordered_key(target))
 
     iterations, stable = lockstep(sessions, max_iters, record)
     return BatchResult(kind=kind, histories=histories, iterations=iterations, stable=stable)
@@ -295,10 +277,7 @@ def _implication_violations(keys_a, keys_b):
         groups.setdefault(kb, []).append(i)
     violations = 0
     example = None
-    for kb in sorted(groups, key=lambda k: groups[k][0]):
-        members = groups[kb]
-        if len(members) < 2:
-            continue
+    for members in groups.values():  # in order of first member
         sub = {}
         for i in members:
             sub.setdefault(keys_a[i], []).append(i)
@@ -355,35 +334,26 @@ def power_check(corpus: Corpus, kinds=None, max_iters: int = None) -> PowerRepor
 def oracle_soundness(corpus: Corpus, results: dict) -> dict:
     """No test may distinguish a pair the exhaustive oracle deems isomorphic.
 
-    Groups instances of at most ``DEFAULT_ISO_BOUND`` nodes by their
-    target-fixing canonical certificate (masked, matching engine semantics);
-    within a group every kind's final link colors must coincide.
+    Over instances of at most ``DEFAULT_ISO_BOUND`` nodes, a violation is a
+    pair with equal target-fixing certificates (masked, matching engine
+    semantics) that a kind tells apart; ``details`` has one per such kind.
     """
     small = [
         i for i, (g, _) in enumerate(corpus.instances) if g.n <= DEFAULT_ISO_BOUND
     ]
-    groups = {}
-    for i in small:
-        g, e = corpus.instances[i]
-        cert = link_certificate(g, e, masked=True)
-        groups.setdefault(cert, []).append(i)
-    checked = 0
-    violations = []
-    final = {k: r.final_keys() for k, r in results.items()}
-    for members in groups.values():
-        checked += len(members) * (len(members) - 1) // 2
-        if len(members) < 2:
-            continue
-        for kind, keys in final.items():
-            ref = keys[members[0]]
-            for i in members[1:]:
-                if keys[i] != ref:
-                    violations.append(
-                        {"kind": kind.value, "instances": [members[0], i]}
-                    )
+    certs = [link_certificate(*corpus.instances[i], masked=True) for i in small]
+    checked = sum(k * (k - 1) // 2 for k in Counter(certs).values())
+    violations = 0
+    details = []
+    for kind, result in results.items():
+        keys = result.final_keys()
+        count, example = _implication_violations([keys[i] for i in small], certs)
+        violations += count
+        if example is not None:
+            details.append({"kind": kind.value, "instances": [small[i] for i in example]})
     return {
         "instances": len(small),
         "checked": checked,
-        "violations": len(violations),
-        "details": violations[:10],
+        "violations": violations,
+        "details": details,
     }

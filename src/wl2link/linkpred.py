@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .graph import Graph, sample_non_edges, split_links
+from .graph import Graph, check_target, sample_non_edges, split_links
 from .refine import RefinementSession, TestKind, refine_to_stable, session_groups
 
 
@@ -23,8 +23,7 @@ class LinkPredError(ValueError):
 
 
 def _common_neighbors(g: Graph, p: int, q: int):
-    if p == q:
-        raise LinkPredError("heuristics require two distinct nodes")
+    check_target(g, (p, q))
     return set(g.adj[p]) & set(g.adj[q])
 
 
@@ -35,8 +34,7 @@ def heuristic_cn(g: Graph, p: int, q: int) -> int:
 
 def heuristic_pa(g: Graph, p: int, q: int) -> int:
     """deg(p) * deg(q)."""
-    if p == q:
-        raise LinkPredError("heuristics require two distinct nodes")
+    check_target(g, (p, q))
     return g.degree(p) * g.degree(q)
 
 

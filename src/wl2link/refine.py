@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, label01
+from .graph import Graph, check_target, label01
 
 
 class RefinementError(ValueError):
@@ -190,14 +190,8 @@ class RefinementSession:
         mask=None,
         extra_targets=(),
     ):
-        targets = [tuple(t) for t in extra_targets]
-        if mask is not None:
-            targets.insert(0, tuple(mask))
-        for p, q in targets:
-            if not (0 <= p < graph.n and 0 <= q < graph.n):
-                raise RefinementError(f"target ({p}, {q}) out of range")
-            if p == q:
-                raise RefinementError(f"target nodes must be distinct, got ({p}, {q})")
+        mask = None if mask is None else check_target(graph, mask)
+        targets = ([] if mask is None else [mask]) + [check_target(graph, t) for t in extra_targets]
         if kind.dense and graph.n > DEFAULT_DENSE_NODE_LIMIT:
             raise MemoryGateError(
                 f"{kind.value} needs n^2 state; n={graph.n} exceeds the "
@@ -208,7 +202,7 @@ class RefinementSession:
 
         self.kind = kind
         self.graph = graph
-        self.mask = tuple(mask) if mask is not None else None
+        self.mask = mask
         self.eff = graph.without_edge(*mask) if mask is not None else graph
         if kind is TestKind.WL1_LABEL01:
             self.labels = label01(self.eff, mask).labels
@@ -513,6 +507,19 @@ def session_groups(kind: TestKind, instances):
     return list(groups.values())
 
 
+def open_sessions(kind: TestKind, instances):
+    """One session per ``session_groups`` group, tracking all its targets: the
+    sessions, and per instance the ``(session, target)`` that reads it."""
+    sessions, readers = [], [None] * len(instances)
+    for g, mask, targets in session_groups(kind, instances):
+        session = RefinementSession(kind, g, mask=mask, extra_targets=sorted(targets))
+        sessions.append(session)
+        for target, indices in targets.items():
+            for i in indices:
+                readers[i] = (session, target)
+    return sessions, readers
+
+
 @dataclass
 class RefinementResult:
     kind: TestKind
@@ -591,14 +598,13 @@ def indistinguishable(
     """Run both instances in lockstep, one shared colour table per iteration.
 
     Compares the undirected link color (multiset over both orientations of
-    the target; pair of node colors for node-level tests) at every
-    iteration. Masking applies to e1 in g1 and e2 in g2.
+    the target; pair of node colors for node-level tests) at every iteration.
+    e1 is masked in g1, e2 in g2; one session serves both where it can.
     """
-    s1 = RefinementSession(kind, g1, mask=e1)
-    s2 = RefinementSession(kind, g2, mask=e2)
+    sessions, ((s1, t1), (s2, t2)) = open_sessions(kind, [(g1, e1), (g2, e2)])
 
     def split(t):
-        return s1.link_key(e1) != s2.link_key(e2)
+        return s1.link_key(t1) != s2.link_key(t2)
 
-    iterations, stable = lockstep([s1, s2], max_iters, split)
+    iterations, stable = lockstep(sessions, max_iters, split)
     return DistinguishResult(iterations if split(iterations) else None, iterations, stable)

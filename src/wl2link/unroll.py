@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, check_target
 from .refine import DEFAULT_DENSE_NODE_LIMIT, Interner
 
 TREE_KINDS = ("T_A", "T_B", "T_C", "T_D")
@@ -49,15 +49,6 @@ class UnrollTree:
     depth: int
     canonical_id: int
     interner: Interner
-
-
-def _check_target(g: Graph, e):
-    p, q = e
-    if not (0 <= p < g.n and 0 <= q < g.n):
-        raise UnrollError(f"target ({p}, {q}) out of range")
-    if p == q:
-        raise UnrollError(f"target nodes must be distinct, got ({p}, {q})")
-    return p, q
 
 
 def _pair_label(eff: Graph, r: int, s: int):
@@ -107,7 +98,7 @@ def unroll(kind: str, g: Graph, e, depth: int, interner: Interner = None) -> Unr
         raise UnrollError(f"unknown tree kind {kind!r}; valid: {TREE_KINDS}")
     if depth < 0:
         raise UnrollError("depth must be >= 0")
-    p, q = _check_target(g, e)
+    p, q = check_target(g, e)
     interner = interner if interner is not None else Interner()
     intern = interner.intern
     eff = g.without_edge(p, q)
@@ -155,8 +146,8 @@ def link_isomorphic(g1: Graph, e1, g2: Graph, e2, masked: bool = False) -> bool:
     the compare and have more nodes than the engine's dense cap,
     ``DEFAULT_DENSE_NODE_LIMIT``, are refused.
     """
-    ends1 = _check_target(g1, e1)
-    ends2 = _check_target(g2, e2)
+    ends1 = check_target(g1, e1)
+    ends2 = check_target(g2, e2)
     if masked:
         g1 = g1.without_edge(*ends1)
         g2 = g2.without_edge(*ends2)
@@ -202,7 +193,7 @@ def link_certificate(g: Graph, e, masked: bool = True):
     weight sum. Labels code as base-b digits of their ranks among b values.
     Exponential: graphs above ``DEFAULT_ISO_BOUND`` nodes are refused.
     """
-    p, q = _check_target(g, e)
+    p, q = check_target(g, e)
     if g.n > DEFAULT_ISO_BOUND:
         raise UnrollError(
             f"n={g.n} exceeds the exhaustive-search bound {DEFAULT_ISO_BOUND}"

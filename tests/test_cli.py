@@ -247,6 +247,21 @@ def test_command_flag_before_the_command_is_refused(flag, value, c6_file, tmp_pa
     assert capsys.readouterr().err.startswith("usage error:")
 
 
+@pytest.mark.parametrize("flag,value", [(flag, value) for flag, value, _ in SCOPED_FLAGS])
+def test_command_flag_before_the_command_is_named(flag, value, c6_file, tmp_path, capsys):
+    # the message names the flag, not its value read as a command name
+    assert main([flag, value] + _argv("predict", c6_file, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert f"usage error: {flag} is an option of " in err
+    assert "put it after the command" in err
+
+
+def test_generate_help_names_the_seed_option(capsys):
+    with pytest.raises(SystemExit):
+        main(["predict", "--help"])
+    assert "rewire=..,seed=.." in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
 @pytest.mark.parametrize("before", [True, False])
 def test_output_and_quiet_on_either_side(command, before, c6_file, tmp_path, capsys):

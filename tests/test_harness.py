@@ -11,8 +11,9 @@ from wl2link.generate import (
     rook_graph,
     shrikhande_graph,
 )
-from wl2link.graph import Graph, disjoint_union
+from wl2link.graph import Graph, GraphError, disjoint_union, permute
 from wl2link.harness import (
+    BatchResult,
     Corpus,
     all_pairs_corpus,
     batch_refine,
@@ -56,7 +57,7 @@ class TestBatchRefine:
     @pytest.mark.parametrize("target", [(0, 7), (1, 1)], ids=["out-of-range", "diagonal"])
     def test_bad_target_rejected(self, kind, target):
         corpus = Corpus([(path_graph(3), target)], {})
-        with pytest.raises(RefinementError, match="target"):
+        with pytest.raises(GraphError, match="target"):
             batch_refine(kind, corpus)
 
     @pytest.mark.parametrize("kind", list(TestKind))
@@ -241,3 +242,20 @@ class TestPowerCheck:
         result = oracle_soundness(corpus, small_report.results)
         assert result["violations"] == 0
         assert result["checked"] > 0
+
+    def test_oracle_soundness_reports_a_violation(self):
+        # two relabelled copies of one graph, and a kind whose final keys tell
+        # them apart; the 10-node instance is above the certificate's bound
+        g = erdos_renyi(7, 0.4, seed=1)
+        pi = [3, 0, 6, 1, 5, 2, 4]
+        corpus = Corpus([(cycle_graph(10), (0, 1)), (g, (0, 1)), (permute(g, pi), (3, 0))], {})
+        results = {
+            TestKind.WL1: BatchResult(TestKind.WL1, [[(0, 0)]] * 3, 0, True),
+            TestKind.WL2: BatchResult(TestKind.WL2, [[(0, 0)], [(0, 0)], [(0, 1)]], 0, True),
+        }
+        assert oracle_soundness(corpus, results) == {
+            "instances": 2,
+            "checked": 1,
+            "violations": 1,
+            "details": [{"kind": "WL2", "instances": [1, 2]}],
+        }

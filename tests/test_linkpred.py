@@ -16,7 +16,7 @@ from wl2link.generate import (
     shrikhande_graph,
     star_graph,
 )
-from wl2link.graph import Graph, permute, sample_non_edges
+from wl2link.graph import Graph, GraphError, permute, sample_non_edges
 from wl2link.linkpred import (
     LinkPredError,
     auc,
@@ -50,7 +50,7 @@ class TestHeuristics:
         assert heuristic_ra(st, 1, 2) == 0.25
 
     def test_rejects_diagonal(self):
-        with pytest.raises(LinkPredError):
+        with pytest.raises(GraphError):
             heuristic_cn(star_graph(3), 1, 1)
 
 

@@ -19,7 +19,7 @@ from wl2link.generate import (
     rook_graph,
     shrikhande_graph,
 )
-from wl2link.graph import Graph, disjoint_union, permute
+from wl2link.graph import Graph, GraphError, disjoint_union, permute
 from wl2link.harness import Corpus, batch_refine
 from wl2link.linkpred import featurize_many
 from wl2link.refine import (
@@ -204,8 +204,35 @@ class TestDistinguish:
             assert not res.distinguished, kind
 
     def test_out_of_range(self):
-        with pytest.raises(RefinementError):
+        with pytest.raises(GraphError):
             indistinguishable(TestKind.WL1, (0, 9), path_graph(3), (0, 1), path_graph(3))
+
+    @pytest.mark.parametrize("kind", ALL)
+    def test_non_edge_targets_of_one_graph_share_a_session(self, kind, monkeypatch):
+        # one session serves both targets (WL1_Label01 marks each target in
+        # its labels, so it keeps one per target), and sharing it changes no
+        # verdict, iteration count or stability
+        g = Graph.build(8, set(cycle_graph(8).edges) | {(0, 4)})  # C8 and a long chord
+        twin = Graph.build(g.n, g.edges, g.labels)
+        non_edges = [(u, v) for u, v in itertools.combinations(range(g.n), 2)
+                     if not g.has_edge(u, v)]
+        pairs = list(zip(non_edges, non_edges[1:] + non_edges[:1]))
+        separate = [indistinguishable(kind, e1, g, e2, twin) for e1, e2 in pairs]
+        opened = []
+        init = RefinementSession.__init__
+
+        def counting_init(self, *args, **kwargs):
+            opened.append(kwargs["mask"])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RefinementSession, "__init__", counting_init)
+        for (e1, e2), expected in zip(pairs, separate):
+            opened.clear()
+            shared = indistinguishable(kind, e1, g, e2, g)
+            assert len(opened) == (2 if kind is TestKind.WL1_LABEL01 else 1)
+            assert (shared.distinguished_at, shared.iterations, shared.stable) == (
+                expected.distinguished_at, expected.iterations, expected.stable)
+        assert {r.distinguished for r in separate} == {True, False}
 
 
 class TestMaskingNoLeak:

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from wl2link.generate import cycle_graph, erdos_renyi, path_graph
-from wl2link.graph import Graph, disjoint_union, permute
+from wl2link.graph import Graph, GraphError, disjoint_union, permute
 from wl2link.refine import Interner
 from wl2link.unroll import (
     TREE_KINDS,
@@ -54,7 +54,7 @@ class TestUnrollBasics:
             lambda: link_isomorphic(g, (0, 1), g, target),
             lambda: link_certificate(g, target),
         ):
-            with pytest.raises(UnrollError, match=match):
+            with pytest.raises(GraphError, match=match):
                 check()
 
     def test_rejects_mismatched_comparison(self):
