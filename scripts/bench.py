@@ -1,12 +1,16 @@
 """Compare this checkout with a base checkout and write BENCH_<tag>.json.
 
-    python3 scripts/bench.py --base ../base-checkout --seeds 1 2 3 4 5 --tag 11
+    python3 scripts/bench.py --base ../base-checkout --tag 11
 
 Four measurements, each run on both checkouts:
 
 - ``perfbench/run.py --workload W --seed S --seconds 30 --trace 0`` for every
-  workload and seed; the two sides alternate, base first on odd seeds. The
-  file keeps every end-to-end sample and the per-workload medians.
+  workload and seed (1 to 10 by default, ten pairs); the two sides
+  alternate, base first on odd seeds. The file keeps every end-to-end
+  sample and the per-workload medians, and per metric the base's quartiles
+  and the number of seeds whose head sample beat the base sample, in the
+  direction that ``BENCHMARK.json`` gives the metric (ties count for
+  neither side).
 - ``batch_refine`` per kind on the default corpus (the built-in fixtures
   plus ``random_corpus()``), one fresh process per kind, one round per seed
   with the sides alternating the same way: seconds, iterations, and the
@@ -130,10 +134,32 @@ def summarize(runs):
     }
 
 
+def compare(base, head, better):
+    """Per metric: the base's quartiles and interquartile range, both medians,
+    and how many seed pairs the head won in the metric's direction."""
+    out = {}
+    for name, direction in better.items():
+        if name not in base["samples"] or name not in head["samples"]:
+            continue
+        b, h = base["samples"][name], head["samples"][name]
+        sign = 1 if direction == "higher" else -1
+        quartiles = statistics.quantiles(b, n=4, method="inclusive") if len(b) > 1 else [b[0]] * 3
+        out[name] = {
+            "better": direction,
+            "base_quartiles": quartiles,
+            "base_iqr": quartiles[2] - quartiles[0],
+            "base_median": statistics.median(b),
+            "head_median": statistics.median(h),
+            "head_won": sum(sign * (y - x) > 0 for x, y in zip(b, h)),
+            "pairs": min(len(b), len(h)),
+        }
+    return out
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="root of the checkout to compare against")
-    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
+    ap.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)))
     ap.add_argument("--tag", default="local", help="the output is BENCH_<tag>.json")
     args = ap.parse_args()
     sides = {"base": Path(args.base).resolve(), "head": HEAD}
@@ -153,14 +179,18 @@ def main():
         suite[side] = tier1(sides[side])
         print(f"tier-1 {side}: {suite[side]}", file=sys.stderr)
 
+    declared = json.loads((HEAD / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
+    workloads = {}
+    for w, per in runs.items():
+        workloads[w] = {side: summarize(r) for side, r in per.items()}
+        workloads[w]["comparison"] = compare(workloads[w]["base"], workloads[w]["head"], better)
     report = {
         "machine": {"python": platform.python_version(), "cpus": len(os.sched_getaffinity(0))},
         "perfbench": {
             "command": "python3 perfbench/run.py --workload W --seed S --seconds 30 --trace 0",
             "seeds": args.seeds,
-            "workloads": {
-                w: {side: summarize(r) for side, r in per.items()} for w, per in runs.items()
-            },
+            "workloads": workloads,
         },
         "default_corpus_batch_refine": corpus,
         "ring200_benchmark": ring,

@@ -289,7 +289,9 @@ def _add_output_flags(parser, output, quiet):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="wl2link", description=__doc__)
+    # no abbreviations: before the command, --out is the misplaced flag of
+    # power-check and fixtures, not short for --output
+    parser = _Parser(prog="wl2link", description=__doc__, allow_abbrev=False)
     _add_output_flags(parser, "table", False)
     # Every subparser takes the same two flags, so they may appear on either
     # side of the command; SUPPRESS keeps a subparser from clobbering values
@@ -344,8 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in command._option_string_actions:
             commands_of.setdefault(flag, []).append(name)
     for flag, names in commands_of.items():
-        # a prefix of a main flag (--out of --output) keeps abbreviating it
-        if not any(known.startswith(flag) for known in parser._option_string_actions):
+        if flag not in parser._option_string_actions:  # not --output, --quiet, --help
             parser.add_argument(flag, action=_CommandFlag, commands=names)
     return parser
 

@@ -71,8 +71,8 @@ def all_pairs_corpus(g: Graph) -> Corpus:
 
 # ---------------------------------------------------------------------------
 # Batch lockstep refinement: all instances of one kind refined together, one
-# session per group of ``session_groups``. Each iteration has one colour table
-# for all sessions, so colours compare corpus-wide within an iteration.
+# session per group of ``session_groups``. Each iteration numbers the colours of
+# all sessions together, so colours compare corpus-wide within an iteration.
 # ---------------------------------------------------------------------------
 
 

@@ -18,6 +18,13 @@ graph can share a session (``session_groups``).
 The folklore step is the tensor form of 2-FWL (Maron et al., NeurIPS 2019):
 numpy sorts every pair's row of order-preserving int64 entries at once, and
 a sorted row enters the signature as a tuple of ints, so it stays exact.
+
+The plain step is an array step over the disjoint union of all sessions of
+a lockstep run (``_PlainUnion``; a lone session is a union of one): numpy
+ranks every node's sorted row and column of colours at once, and a pair's
+new colour is the dense rank of (colour, column rank, row rank). Each rank
+keeps the order of the tuple it stands for, so the ids are those of the
+sorted signatures, exactly.
 """
 
 from __future__ import annotations
@@ -88,11 +95,12 @@ class Interner:
     """Injective signature -> dense id table (exact, no lossy hashing), with
     ids in first-appearance order: ``unroll``'s hash-consing table.
 
-    Colour ids follow the same rule in a plain dict that lives for one
-    iteration (``table.setdefault(sig, len(table))``, inlined for speed):
-    ``lockstep`` hands one to all the sessions it steps together, and a lone
-    session makes its own. So colour ids compare across the sessions of one
-    iteration, never across iterations.
+    The node and folklore steps number colours by the same rule in a plain
+    dict that lives for one iteration (``table.setdefault(sig, len(table))``,
+    inlined for speed): ``lockstep`` hands one to all the sessions it steps
+    together, and a lone session makes its own. The plain pair step ranks
+    its signatures in arrays instead (``_PlainUnion``). Either way colour ids
+    compare across the sessions of one iteration, never across iterations.
     """
 
     def __init__(self):
@@ -164,6 +172,36 @@ def _find(keys, x):
     return i, keys[i] == x
 
 
+def _check_splits(old, new):
+    """``_check_split_only`` for arrays: ``old[i]`` and ``new[i]`` are one
+    unit's colours before and after a step."""
+    origin = np.empty(int(new.max()) + 1 if new.size else 0, np.int64)
+    origin[new] = old
+    if (origin[new] != old).any():
+        raise RefinementError("refinement merged two color classes")
+
+
+def _dense_ranks(keys):
+    """Dense ranks of ``keys`` (a 1-d array or the rows of a 2-d one) in
+    sorted order, and the number of distinct keys."""
+    order = np.lexsort(keys.T[::-1]) if keys.ndim > 1 else np.argsort(keys)
+    keys = keys[order]
+    new = keys[1:] != keys[:-1]
+    step = np.zeros(len(keys), np.int64)
+    step[1:] = new.any(1) if keys.ndim > 1 else new
+    ranks = np.empty(len(keys), np.int64)
+    ranks[order] = np.cumsum(step)
+    return ranks, int(step.sum()) + 1 if len(keys) else 0
+
+
+def _pack(major, major_bound, mid, minor, bound):
+    """The keys (major, mid, minor) as int64 in the same order, for 0 <= major
+    < major_bound and 0 <= mid, minor < bound; the range must fit."""
+    if major_bound * bound * bound > 2**63:
+        raise RefinementError("plain step signatures do not fit in int64 keys")
+    return (major * bound + mid) * bound + minor
+
+
 class RefinementSession:
     """One refinement run: a graph, a test kind, an optional masked target.
 
@@ -172,15 +210,16 @@ class RefinementSession:
     already (a dense kind tracks every pair) is read out. Node kinds only
     check them.
 
-    Every iteration has its own colour table, and ids restart at 0. Init
-    and a lone step number the colours canonically: the iteration's distinct
+    Every iteration has its own colour ids, which restart at 0. Init and a
+    lone step number the colours canonically: the iteration's distinct
     signatures are sorted and numbered in that order (Shervashidze et al.,
     JMLR 2011). Tracked ids depend only on (kind, graph, mask) up to
     isomorphism; read-out-only ids follow them, in signature order, so the
-    targets never shift a tracked id. A step in a ``lockstep`` run of several
-    sessions interns into the one table it shares with them instead, in
-    first-appearance order. Every signature is purely structural, so ids
-    compare across the sessions of one iteration.
+    targets never shift a tracked id. In a ``lockstep`` run of several
+    sessions, a node or folklore step interns into the one table it shares
+    with them instead, in first-appearance order, and the plain step numbers
+    the union of all sessions canonically. Every signature is purely
+    structural, so ids compare across the sessions of one iteration.
     """
 
     def __init__(
@@ -262,18 +301,23 @@ class RefinementSession:
         expanding step starts tracking the pairs one walk step further away
         (``_walk_layers``). Other kinds ignore it. ``table`` is the
         iteration's table shared with the other sessions of a lockstep run;
-        without one the step numbers its colours canonically.
+        without one the step numbers its colours canonically. The plain
+        kinds take no table: they share ids only through ``lockstep``, which
+        steps all of a run's sessions as one ``_PlainUnion``.
         """
         kind, lone = self.kind, table is None
+        if kind.pair_indexed and not kind.folklore:
+            if not lone:
+                raise RefinementError("a plain pair session shares colour ids only in lockstep")
+            _PlainUnion([self]).step()
+            return self.colors
         self._init_sigs = None  # t = 0 is over
         if lone:
             table = {}
-        if not kind.pair_indexed:
-            new, read_out = self._step_wl1(table), None
-        elif kind.folklore:
+        if kind.folklore:
             new, read_out = self._step_folklore(table, expand and kind.local)
         else:
-            new, read_out = self._step_plain(table)
+            new, read_out = self._step_wl1(table), None
         self._check_split_only(new)
         tracked, sd = len(table), table.setdefault
         readouts = {
@@ -292,19 +336,6 @@ class RefinementSession:
             v: sd(("s", c[v], tuple(sorted(c[u] for u in nbrs[v]))), len(table))
             for v in c
         }
-
-    def _step_plain(self, table):
-        # one multiset per node, shared by every pair in its row or column.
-        # A read-out's init signature stands in for its previous colour, which
-        # loses nothing: each tracked colour refines its own history.
-        c, nbrs, sd = self.colors, self.nbrs, table.setdefault
-        rows = [tuple(sorted(c[(p, v)] for v in nb)) for p, nb in enumerate(nbrs)]
-        cols = [tuple(sorted(c[(u, q)] for u in nb)) for q, nb in enumerate(nbrs)]
-        new = {
-            (p, q): sd(("s", cpq, cols[q], rows[p]), len(table))
-            for (p, q), cpq in c.items()
-        }
-        return new, lambda sig, p, q: ("v", sig, cols[q], rows[p])
 
     def _step_folklore(self, table, expand: bool):
         # A pair that is not tracked yet has no previous colour; it carries
@@ -436,6 +467,109 @@ class RefinementSession:
         return ColorMap(self.colors, self.readouts)
 
 
+# The plain step ranks its lines (rows and columns) in blocks of entry
+# positions: every line in the first block of this many, then only the lines
+# that reach further in blocks of doubling width, so that one long line never
+# pads the others to its length.
+_LINE_BLOCK = 16
+
+
+class _PlainUnion:
+    """The plain pair rule (WL2, WL2_Local) over the disjoint union of the
+    sessions of one lockstep run, one array step per iteration.
+
+    Node v of the i-th session is node offset_i + v of the union, so each
+    session keeps its own ``nbrs``. A tracked pair (p, u) has u in nbrs[p],
+    and nbrs is symmetric, so row p of the rule (the colours of (p, v), v in
+    nbrs[p]) holds the tracked pairs starting at p, and column q those ending
+    at q. Rows and columns are lines: sorted colour tuples, ranked together
+    in tuple order. A tracked pair's new colour is the dense rank of
+    (colour, rank of column q, rank of row p), a read-out's that of (rank of
+    its init signature, column q, row p), offset after the tracked ones.
+    Every rank keeps the order of the signature it stands for, so a lone
+    session gets the canonical ids of sorted signatures, as the other kinds
+    do, and a run of several sessions ids that compare across them.
+    """
+
+    def __init__(self, sessions):
+        self.sessions = sessions
+        sizes = [s.graph.n for s in sessions]
+        offset = np.cumsum([0] + sizes[:-1])
+        self.pairs = [list(s.colors) for s in sessions]
+        self.reads = [list(s.readouts) for s in sessions]
+
+        def nodes(per_session):
+            # (p, q) of every pair as nodes of the union
+            counts = [2 * len(pairs) for pairs in per_session]
+            flat = itertools.chain.from_iterable(itertools.chain.from_iterable(per_session))
+            flat = np.fromiter(flat, np.int64, sum(counts)) + np.repeat(offset, counts)
+            return flat[0::2], flat[1::2]
+
+        # lines 0..n-1 are the rows, n..2n-1 the columns
+        n = sum(sizes)
+        self.row, col = nodes(self.pairs)
+        self.read_row, read_col = nodes(self.reads)
+        self.col, self.read_col = col + n, read_col + n
+        colors = itertools.chain.from_iterable(s.colors.values() for s in sessions)
+        self.c = np.fromiter(colors, np.int64, len(self.row))
+        sigs = [s._readout_sigs[pair] for s, pairs in zip(sessions, self.reads) for pair in pairs]
+        ranks = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        self.sig_rank = np.array([ranks[sig] for sig in sigs], np.int64)
+        # every unit is an entry of its row and of its column; sorted by
+        # line, the entries of each line are a run at a fixed place
+        self.entry_line = np.concatenate((self.row, self.col))
+        self.line = np.sort(self.entry_line)
+        self.lines = 2 * n
+        width = np.bincount(self.line, minlength=self.lines)
+        pos = np.arange(len(self.line)) - (np.cumsum(width) - width)[self.line]
+        self.blocks, live, lo, hi = [], np.arange(self.lines), 0, _LINE_BLOCK
+        while True:
+            slot = np.zeros(self.lines, np.int64)
+            slot[live] = np.arange(len(live))
+            sel = np.flatnonzero((pos >= lo) & (pos < hi))
+            shape = (len(live), max(min(hi, width.max(initial=0)) - lo, 1))
+            self.blocks.append((live, sel, slot[self.line[sel]], pos[sel] - lo, shape))
+            live = np.flatnonzero(width > hi)
+            if not live.size:
+                break
+            lo, hi = hi, 2 * hi
+
+    def step(self) -> int:
+        """Step every session once; returns the number of tracked colours."""
+        c = self.c
+        bound = int(c.max()) + 1 if c.size else 1
+        if self.lines * bound > 2**63:
+            raise RefinementError("plain step signatures do not fit in int64 keys")
+        entries = np.sort(self.entry_line * bound + np.concatenate((c, c))) - self.line * bound
+        rank = None
+        for live, sel, row, col, shape in self.blocks:
+            # a line reads -1 past its end, which sorts it before its extensions
+            block = np.full(shape, -1, np.int64)
+            block[row, col] = entries[sel]
+            sub, count = _dense_ranks(block)
+            if rank is None:
+                rank = sub
+            else:
+                # (rank so far, rank in this block); a line that ended before
+                # the block ranks first among the lines that tie with it so far
+                merged = rank * (count + 1)
+                merged[live] += sub + 1
+                rank = _dense_ranks(merged)[0]
+        k = int(rank.max()) + 1 if rank.size else 1
+        new, tracked = _dense_ranks(_pack(c, bound, rank[self.col], rank[self.row], k))
+        _check_splits(c, new)
+        read = _pack(self.sig_rank, len(self.sig_rank), rank[self.read_col], rank[self.read_row], k)
+        self.c = new
+        new, read = new.tolist(), (_dense_ranks(read)[0] + tracked).tolist()
+        at = read_at = 0
+        for s, pairs, reads in zip(self.sessions, self.pairs, self.reads):
+            s.colors = dict(zip(pairs, new[at: at + len(pairs)]))
+            s.readouts = dict(zip(reads, read[read_at: read_at + len(reads)]))
+            s._init_sigs = None  # t = 0 is over
+            at, read_at = at + len(pairs), read_at + len(reads)
+        return tracked
+
+
 def lockstep(sessions, max_iters: int = None, observe=None):
     """Step ``sessions`` together until their joint partition stops splitting.
 
@@ -445,15 +579,21 @@ def lockstep(sessions, max_iters: int = None, observe=None):
     their total number of units. ``max_iters`` must be >= 1 and defaults to
     the largest session default. Returns ``(iterations, stable)``.
 
-    A lone session numbers every iteration canonically. Several sessions,
-    which must not have stepped yet, share one table per iteration: t = 0
-    joins their canonical init ids, which sessions with the same init
-    signatures keep, and every step gets a fresh table.
+    The sessions must share one kind. A lone session numbers every
+    iteration canonically. Several sessions, which must not have stepped
+    yet, share their colour ids in every iteration: t = 0 joins their
+    canonical init ids, which sessions with the same init signatures keep.
+    The plain kinds then step all sessions as one ``_PlainUnion``, which
+    numbers the union canonically; the other kinds give every step a fresh
+    table that all sessions intern into, in first-appearance order.
     """
     if max_iters is None:
         max_iters = max(s.default_max_iters for s in sessions)
     elif max_iters < 1:
         raise RefinementError("max_iters must be >= 1")
+    kind = sessions[0].kind
+    if any(s.kind is not kind for s in sessions):
+        raise RefinementError("sessions in lockstep must share one kind")
     shared = len(sessions) > 1
     if shared:
         table = {}
@@ -473,13 +613,18 @@ def lockstep(sessions, max_iters: int = None, observe=None):
     if observe is not None and observe(0):
         return 0, False
     prev = state()
+    union = _PlainUnion(sessions) if kind.pair_indexed and not kind.folklore else None
     for t in range(1, max_iters + 1):
-        table = {} if shared else None
-        for s in sessions:
-            s.step(table=table)
+        if union is None:
+            table = {} if shared else None
+            for s in sessions:
+                s.step(table=table)
+        else:
+            classes = union.step()
         if observe is not None and observe(t):
             return t, False
-        cur = state()
+        # a plain step tracks no new units
+        cur = state() if union is None else (classes, prev[1])
         if cur == prev:
             return t, True
         prev = cur
@@ -595,7 +740,7 @@ def indistinguishable(
     g2: Graph,
     max_iters: int = None,
 ) -> DistinguishResult:
-    """Run both instances in lockstep, one shared colour table per iteration.
+    """Run both instances in lockstep, with colour ids shared per iteration.
 
     Compares the undirected link color (multiset over both orientations of
     the target; pair of node colors for node-level tests) at every iteration.

@@ -247,7 +247,9 @@ def test_command_flag_before_the_command_is_refused(flag, value, c6_file, tmp_pa
     assert capsys.readouterr().err.startswith("usage error:")
 
 
-@pytest.mark.parametrize("flag,value", [(flag, value) for flag, value, _ in SCOPED_FLAGS])
+@pytest.mark.parametrize("flag,value", [(flag, value) for flag, value, _ in SCOPED_FLAGS] + [
+    ("--out", "report.json"),  # not an abbreviation of --output before the command
+])
 def test_command_flag_before_the_command_is_named(flag, value, c6_file, tmp_path, capsys):
     # the message names the flag, not its value read as a command name
     assert main([flag, value] + _argv("predict", c6_file, tmp_path)) == 1

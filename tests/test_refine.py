@@ -301,6 +301,13 @@ class TestSplitOnlyGuard:
         with pytest.raises(RefinementError, match="merged"):
             session._check_split_only({0: 99, 1: 99, 2: 99})
 
+    def test_plain_step_checks_its_ranks(self, monkeypatch):
+        # the array step checks its own ids: keys that lose the old colour merge
+        session = RefinementSession(TestKind.WL2, path_graph(3))
+        monkeypatch.setattr(refine, "_pack", lambda major, *rest: 0 * major)
+        with pytest.raises(RefinementError, match="merged"):
+            session.step()
+
     def test_merge_detected_under_optimize(self):
         # the invariant is a raised error, not an assert, so -O keeps it
         code = (
@@ -314,6 +321,11 @@ class TestSplitOnlyGuard:
             "except RefinementError as err:\n"
             "    print(err)\n"
             "import numpy as np\n"
+            "from wl2link.refine import _check_splits\n"
+            "try:\n"
+            "    _check_splits(np.array([0, 1, 0]), np.array([0, 0, 0]))\n"
+            "except RefinementError as err:\n"
+            "    print('array', err)\n"
             "from wl2link.refine import _ENTRY_COLOR_BOUND, _encode_entries\n"
             "try:\n"
             "    _encode_entries(np.array([_ENTRY_COLOR_BOUND]), np.array([0]))\n"
@@ -327,6 +339,7 @@ class TestSplitOnlyGuard:
             env=env, capture_output=True, text=True, check=True,
         )
         assert "merged" in out.stdout
+        assert "array refinement merged" in out.stdout
         assert "cannot be encoded" in out.stdout
 
 
@@ -426,6 +439,15 @@ class TestOneTablePerIteration:
         a.step()
         with pytest.raises(RefinementError, match="t = 0"):
             lockstep([a, b])
+
+    def test_one_kind_per_run(self):
+        # the plain kinds number a run's union in arrays, the others intern
+        # into a table, so the two never share ids
+        wl1, wl2 = (RefinementSession(kind, path_graph(3)) for kind in (TestKind.WL1, TestKind.WL2))
+        with pytest.raises(RefinementError, match="one kind"):
+            lockstep([wl1, wl2])
+        with pytest.raises(RefinementError, match="only in lockstep"):
+            wl2.step(table={})
 
 
 class TestEntryEncoding:
@@ -565,3 +587,92 @@ class TestFolkloreReference:
             refine_to_stable(TestKind.FWL2_LOCAL, g)
         rows = featurize_many(TestKind.FWL2_LOCAL, g, [(0, 1), (0, 100)])
         assert rows.shape == (2, 11) and np.isfinite(rows).all()
+
+
+def _plain_signatures(session, colors):
+    """The dict rule's signatures of the tracked pairs and the read-outs:
+    one sorted row and column of colours per node."""
+    nbrs = session.nbrs
+    rows = [tuple(sorted(colors[(p, v)] for v in nb)) for p, nb in enumerate(nbrs)]
+    cols = [tuple(sorted(colors[(u, q)] for u in nb)) for q, nb in enumerate(nbrs)]
+    sigs = {(p, q): ("s", c, cols[q], rows[p]) for (p, q), c in colors.items()}
+    read = {(p, q): ("v", sig, cols[q], rows[p]) for (p, q), sig in session._readout_sigs.items()}
+    return sigs, read
+
+
+def _reference_plain(kind, g, mask, targets, iterations):
+    """(colours, read-outs) per iteration of a lone plain session, by the
+    dict rule with canonical ids: sorted signatures, tracked ones first."""
+    session = RefinementSession(kind, g, mask=mask, extra_targets=targets)
+    colors = session.colors
+    history = [(colors, session.readouts)]
+    for _ in range(iterations):
+        sigs, read = _plain_signatures(session, colors)
+        ids = {}
+        for group in (sigs.values(), read.values()):
+            for sig in sorted(set(group)):
+                ids[sig] = len(ids)
+        colors = {pair: ids[sig] for pair, sig in sigs.items()}
+        history.append((colors, {pair: ids[sig] for pair, sig in read.items()}))
+    return history
+
+
+def _plain_cases():
+    # _folklore_cases, plus lines wider than one block of the array step
+    star, _ = disjoint_union(Graph.build(21, [(0, v) for v in range(1, 21)]), cycle_graph(5))
+    g = erdos_renyi(9, 0.3, seed=1)
+    labelled = Graph.build(g.n, g.edges, labels=[v % 4 for v in range(g.n)])
+    return _folklore_cases() + [
+        # read-outs with different init signatures
+        (labelled, (0, 1), [(u, v) for u in range(9) for v in range(u + 1, 9)]),
+        (star, (1, 2), [(0, 21), (3, 24)]),  # the hub has 20 neighbours
+        (erdos_renyi(70, 0.5, seed=3), (0, 1), [(2, 3)]),  # degrees about 35
+    ]
+
+
+def _partitions(sessions):
+    """The partition of all sessions' tracked and read-out units by colour."""
+    classes = {}
+    for i, s in enumerate(sessions):
+        for side, colors in (("c", s.colors), ("r", s.readouts)):
+            for unit, c in colors.items():
+                classes.setdefault(c, set()).add((i, side, unit))
+    return {frozenset(units) for units in classes.values()}
+
+
+PLAIN = [TestKind.WL2, TestKind.WL2_LOCAL]
+
+
+class TestPlainReference:
+    @pytest.mark.parametrize("kind", PLAIN)
+    def test_lone_session_matches_dict_rule(self, kind):
+        for g, mask, targets in _plain_cases():
+            result = refine_to_stable(kind, g, mask=mask, extra_targets=targets)
+            history = [(m.colors, m.readouts) for m in result.history]
+            assert history == _reference_plain(kind, g, mask, targets, len(history) - 1)
+
+    @pytest.mark.parametrize("kind", PLAIN)
+    def test_lockstep_partitions_match_one_shared_dict(self, kind):
+        # every case of one kind in one run, against the dict rule with one
+        # table per iteration shared by all sessions in first-appearance order
+        cases = _plain_cases()
+
+        def open_all():
+            return [RefinementSession(kind, g, mask=m, extra_targets=ts) for g, m, ts in cases]
+
+        sessions, seen = open_all(), []
+        iterations, _ = lockstep(sessions, observe=lambda t: seen.append(_partitions(sessions)))
+        reference = open_all()
+        assert lockstep(reference, observe=lambda t: True) == (0, False)  # the t = 0 join
+        expected = [_partitions(reference)]
+        for _ in range(iterations):
+            table, steps = {}, []
+            for s in reference:
+                sigs, read = _plain_signatures(s, s.colors)
+                ids = [table.setdefault(sig, len(table)) for sig in sigs.values()]
+                steps.append((dict(zip(sigs, ids)), read))
+            for s, (colors, read) in zip(reference, steps):
+                s.colors = colors
+                s.readouts = {pair: table.setdefault(sig, len(table)) for pair, sig in read.items()}
+            expected.append(_partitions(reference))
+        assert seen == expected
