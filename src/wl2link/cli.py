@@ -8,6 +8,7 @@ invocations produce byte-identical JSON, except for ``predict``'s
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -39,8 +40,18 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    commands = ()  # the top-level parser's command names
+
     def error(self, message):
         raise UsageError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        for arg in itertools.takewhile(lambda arg: arg not in self.commands, args):
+            flag = arg.partition("=")[0]
+            if self.commands and flag.startswith("--") and flag not in self._option_string_actions:
+                raise UsageError(f"{flag} is not an option of wl2link or of any command")
+        return super().parse_known_args(args, namespace)
 
 
 def _parse_pair(text: str):
@@ -299,6 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     _add_output_flags(common, argparse.SUPPRESS, argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def add_parser(name, **kw):
         return sub.add_parser(name, parents=[common], **kw)
@@ -340,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     # Before the command, a command's flag would be an unknown extra and its
-    # value would read as the command name ("invalid choice: '3'").
+    # value would read as the command name ("invalid choice: '3'"); so would
+    # a flag of no command, which _Parser.parse_known_args refuses.
     commands_of = {}
     for name, command in sub.choices.items():
         for flag in command._option_string_actions:

@@ -15,16 +15,13 @@ target that is not tracked already is a read-out, coloured from the tracked
 pairs each step but never fed back into them. So every target of one masked
 graph can share a session (``session_groups``).
 
-The folklore step is the tensor form of 2-FWL (Maron et al., NeurIPS 2019):
-numpy sorts every pair's row of order-preserving int64 entries at once, and
-a sorted row enters the signature as a tuple of ints, so it stays exact.
-
-The plain step is an array step over the disjoint union of all sessions of
-a lockstep run (``_PlainUnion``; a lone session is a union of one): numpy
-ranks every node's sorted row and column of colours at once, and a pair's
-new colour is the dense rank of (colour, column rank, row rank). Each rank
-keeps the order of the tuple it stands for, so the ids are those of the
-sorted signatures, exactly.
+Every rule gives a unit the rank of (old colour, sorted lines of colours):
+1-WL reads a node's neighbour colours, plain 2-WL a pair's row and column,
+2-FWL a pair's entries (the tensor form of Maron et al., NeurIPS 2019). One
+exact ranker (``_Lines``) ranks all lines of a step at once in numpy, in
+tuple order, so every new colour is the id of its sorted signature
+(Shervashidze et al., JMLR 2011). A step runs over the disjoint union of all
+sessions of a lockstep run (``_Union``); a lone session is a union of one.
 """
 
 from __future__ import annotations
@@ -32,6 +29,7 @@ from __future__ import annotations
 import enum
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,7 +81,7 @@ class TestKind(enum.Enum):
 ALL_KINDS = tuple(TestKind)
 
 # Reserved color for pairs a local folklore session does not track yet.
-# Never handed out by an interner; _encode_entries codes it as 0.
+# Never a colour id; _encode_entries codes it as 0.
 ABSENT = -1
 _ENTRY_COLOR_BOUND = 2**31 - 1  # every encoded colour id is below it
 
@@ -93,14 +91,8 @@ DEFAULT_DENSE_NODE_LIMIT = 128
 
 class Interner:
     """Injective signature -> dense id table (exact, no lossy hashing), with
-    ids in first-appearance order: ``unroll``'s hash-consing table.
-
-    The node and folklore steps number colours by the same rule in a plain
-    dict that lives for one iteration (``table.setdefault(sig, len(table))``,
-    inlined for speed): ``lockstep`` hands one to all the sessions it steps
-    together, and a lone session makes its own. The plain pair step ranks
-    its signatures in arrays instead (``_PlainUnion``). Either way colour ids
-    compare across the sessions of one iteration, never across iterations.
+    ids in first-appearance order: ``unroll``'s hash-consing table. The
+    refinement steps rank their signatures in arrays instead (``_Lines``).
     """
 
     def __init__(self):
@@ -140,13 +132,10 @@ def _init_pair_sig(labels, eff: Graph, r: int, s: int):
 
 
 def _canonical_ids(colors, readouts, table, tracked: int):
-    """Renumber one iteration's colours in the sorted order of their signatures.
-
-    ``table`` maps signature -> colour, the first ``tracked`` colours the
-    tracked ones and the rest read-out-only. Tracked colours keep coming
-    first, so read-outs never shift a tracked id. Returns the new dicts (the
-    old ones if no id moves) and the signatures by new id.
-    """
+    """Renumber the init colours in the sorted order of their signatures.
+    ``table`` maps signature -> colour, the first ``tracked`` colours tracked
+    and the rest read-out-only, which stay last. Returns the new dicts (the
+    old ones if no id moves) and the signatures by new id."""
     sigs = list(table)
     canon = sorted(sigs[:tracked]) + sorted(sigs[tracked:])
     if canon != sigs:
@@ -163,18 +152,16 @@ def _encode_entries(a, b):
     so sorted rows of codes compare like sorted rows of pairs."""
     if a.size and max(a.max(), b.max()) >= _ENTRY_COLOR_BOUND:
         raise RefinementError(f"colour id above {_ENTRY_COLOR_BOUND - 1} cannot be encoded")
-    return (a + 1) << 32 | (b + 1)
-
-
-def _find(keys, x):
-    """Positions of ``x`` in the sorted array ``keys``, and whether it is there."""
-    i = np.minimum(np.searchsorted(keys, x), len(keys) - 1)
-    return i, keys[i] == x
+    codes = a + 1
+    codes <<= 32
+    codes |= b + 1
+    return codes
 
 
 def _check_splits(old, new):
-    """``_check_split_only`` for arrays: ``old[i]`` and ``new[i]`` are one
-    unit's colours before and after a step."""
+    """Refinement invariant: classes split, never merge. ``old[i]`` and
+    ``new[i]`` are one unit's colours before and after a step, and each new
+    colour must come from exactly one old colour."""
     origin = np.empty(int(new.max()) + 1 if new.size else 0, np.int64)
     origin[new] = old
     if (origin[new] != old).any():
@@ -182,24 +169,24 @@ def _check_splits(old, new):
 
 
 def _dense_ranks(keys):
-    """Dense ranks of ``keys`` (a 1-d array or the rows of a 2-d one) in
-    sorted order, and the number of distinct keys."""
-    order = np.lexsort(keys.T[::-1]) if keys.ndim > 1 else np.argsort(keys)
+    """Dense ranks of the 1-d ``keys`` in sorted order, and their number."""
+    order = np.argsort(keys)
     keys = keys[order]
-    new = keys[1:] != keys[:-1]
     step = np.zeros(len(keys), np.int64)
-    step[1:] = new.any(1) if keys.ndim > 1 else new
-    ranks = np.empty(len(keys), np.int64)
-    ranks[order] = np.cumsum(step)
-    return ranks, int(step.sum()) + 1 if len(keys) else 0
+    np.not_equal(keys[1:], keys[:-1], out=step[1:])
+    keys[order] = np.cumsum(step, out=step)  # the ranks, in the sorted copy's place
+    return keys, int(step[-1]) + 1 if len(keys) else 0
 
 
-def _pack(major, major_bound, mid, minor, bound):
-    """The keys (major, mid, minor) as int64 in the same order, for 0 <= major
-    < major_bound and 0 <= mid, minor < bound; the range must fit."""
-    if major_bound * bound * bound > 2**63:
-        raise RefinementError("plain step signatures do not fit in int64 keys")
-    return (major * bound + mid) * bound + minor
+def _pack(fields):
+    """Keys of ``(values, bound)`` fields, major first, as int64 in the same
+    order, for 0 <= values < bound; the product of the bounds must fit."""
+    if math.prod(bound for _, bound in fields) > 2**63:
+        raise RefinementError("signatures do not fit in int64 keys")
+    key = 0
+    for values, bound in fields:
+        key = key * bound + values
+    return key
 
 
 class RefinementSession:
@@ -210,16 +197,14 @@ class RefinementSession:
     already (a dense kind tracks every pair) is read out. Node kinds only
     check them.
 
-    Every iteration has its own colour ids, which restart at 0. Init and a
-    lone step number the colours canonically: the iteration's distinct
-    signatures are sorted and numbered in that order (Shervashidze et al.,
+    Every iteration has its own colour ids, which restart at 0 and number
+    the iteration's distinct signatures in sorted order (Shervashidze et al.,
     JMLR 2011). Tracked ids depend only on (kind, graph, mask) up to
     isomorphism; read-out-only ids follow them, in signature order, so the
     targets never shift a tracked id. In a ``lockstep`` run of several
-    sessions, a node or folklore step interns into the one table it shares
-    with them instead, in first-appearance order, and the plain step numbers
-    the union of all sessions canonically. Every signature is purely
-    structural, so ids compare across the sessions of one iteration.
+    sessions, t = 0 joins the sessions' init ids, and every step numbers the
+    signatures of all of them together (``_Union``). Every signature is
+    purely structural, so ids compare across the sessions of one iteration.
     """
 
     def __init__(
@@ -249,14 +234,7 @@ class RefinementSession:
             self.labels = self.eff.labels
         n = graph.n
         self.nbrs = (tuple(range(n)),) * n if kind.dense else self.eff.adj
-        if kind.folklore:
-            # nbrs as one flat array, and the sorted codes p * n + u of the
-            # pairs (p, u), u in nbrs[p]
-            self._deg = np.array([len(nb) for nb in self.nbrs], np.int64)
-            self._flat = np.array([u for nb in self.nbrs for u in nb], np.int64)
-            self._start = np.cumsum(self._deg) - self._deg
-            self._nbr_codes = np.repeat(np.arange(n), self._deg) * n + self._flat
-            self._layers, self._plan = None, None
+        self._layers = None  # local folklore: ``_walk_layers`` not yet tracked
         # readouts maps each target pair that is not tracked to its current
         # read-out colour; _readout_sigs to its init signature. _init_sigs
         # lists the init signatures by id until the first step.
@@ -294,119 +272,12 @@ class RefinementSession:
 
     # -- stepping ---------------------------------------------------------
 
-    def step(self, expand: bool = True, table: dict = None) -> dict:
-        """Advance one iteration; returns the new color map.
-
-        ``expand`` controls walk expansion of the local folklore test: an
-        expanding step starts tracking the pairs one walk step further away
-        (``_walk_layers``). Other kinds ignore it. ``table`` is the
-        iteration's table shared with the other sessions of a lockstep run;
-        without one the step numbers its colours canonically. The plain
-        kinds take no table: they share ids only through ``lockstep``, which
-        steps all of a run's sessions as one ``_PlainUnion``.
-        """
-        kind, lone = self.kind, table is None
-        if kind.pair_indexed and not kind.folklore:
-            if not lone:
-                raise RefinementError("a plain pair session shares colour ids only in lockstep")
-            _PlainUnion([self]).step()
-            return self.colors
-        self._init_sigs = None  # t = 0 is over
-        if lone:
-            table = {}
-        if kind.folklore:
-            new, read_out = self._step_folklore(table, expand and kind.local)
-        else:
-            new, read_out = self._step_wl1(table), None
-        self._check_split_only(new)
-        tracked, sd = len(table), table.setdefault
-        readouts = {
-            pair: sd(read_out(sig, *pair), len(table))
-            for pair, sig in self._readout_sigs.items()
-            if pair not in new
-        }
-        if lone:
-            new, readouts, _ = _canonical_ids(new, readouts, table, tracked)
-        self.colors, self.readouts = new, readouts
-        return new
-
-    def _step_wl1(self, table):
-        c, nbrs, sd = self.colors, self.nbrs, table.setdefault
-        return {
-            v: sd(("s", c[v], tuple(sorted(c[u] for u in nbrs[v]))), len(table))
-            for v in c
-        }
-
-    def _step_folklore(self, table, expand: bool):
-        # A pair that is not tracked yet has no previous colour; it carries
-        # its init signature under its own tag instead, because ids restart
-        # at 0 in every iteration's table, so an init id may repeat as a
-        # tracked id of a later iteration.
-        c, n = self.colors, self.graph.n
-        if expand and self._layers is None:
-            self._layers, self._plan = self._walk_layers(), None
-        if self._plan is None:
-            # Rows: the tracked pairs, the pairs expansion will track in that
-            # order, the other read-outs. Tracked pairs stay a prefix.
-            self._row = {pair: i for i, pair in enumerate(c)}
-            for pair in itertools.chain(*(self._layers or ()), self._readout_sigs):
-                self._row.setdefault(pair, len(self._row))
-            self._plan = self._entry_plan(np.array([p * n + q for p, q in self._row], np.int64))
-        grown = self._layers.pop(0) if expand and self._layers else []
-        rows = self._entry_rows(self._plan)
-        sd = table.setdefault
-        new = {pair: sd(("s", cpq, row), len(table)) for (pair, cpq), row in zip(c.items(), rows)}
-        labels, eff, k = self.labels, self.eff, len(c)
-        for pair, row in zip(grown, rows[k:]):
-            new[pair] = sd(("v", _init_pair_sig(labels, eff, *pair), row), len(table))
-        # Read-outs follow the expansion rule: in an iteration's shared table, a
-        # read-out of one session gets the colour that expansion gives the
-        # same pair in another.
-        return new, lambda sig, p, q: ("v", sig, rows[self._row[p, q]])
-
-    def _entry_plan(self, codes):
-        """Where the entries (C[u, q], C[p, u]), u in nbrs[p] ∪ nbrs[q], of each
-        pair p * n + q in ``codes`` are among them, per width class of rows (to
-        64, then powers of two, so few wide rows never widen the rest): its rows,
-        their positions padded to a matrix (-1: not in ``codes``), their pads."""
-        if not len(codes):
-            return 0, []
-        n, order = self.graph.n, np.argsort(codes)
-        keys = codes[order]
-        (ps, qs), start, flat = np.divmod(codes, n), self._start, self._flat
-        # u runs over nbrs[p], then over nbrs[q] where that is another set
-        lp = self._deg[ps]
-        width = lp + np.where((ps == qs) | self.kind.dense, 0, self._deg[qs])
-        width_class = np.frexp(np.maximum(width, 64))[1]
-        groups = []
-        for k in np.unique(width_class):
-            sel = np.flatnonzero(width_class == k)
-            p, q, a, b = ps[sel], qs[sel], lp[sel, None], width[sel, None]
-            j = np.arange(b.max())
-            live, in_q = j < b, j >= a
-            us = flat[np.where(live, np.where(in_q, start[q, None] - a, start[p, None]) + j, 0)]
-            # a common neighbour of p and q is one entry: drop its copy in nbrs[q]
-            r, col = np.nonzero(in_q & live)
-            live[r, col] = ~_find(self._nbr_codes, p[r] * n + us[r, col])[1]
-            i, hit = _find(keys, np.stack([us * n + q[:, None], p[:, None] * n + us]))
-            pos = np.where(hit & live, order[i], -1)
-            groups.append((sel.tolist(), pos, (len(j) - live.sum(1)).tolist()))
-        return len(codes), groups
-
-    def _entry_rows(self, plan):
-        """The planned rows' sorted entries; the tracked pairs are the first rows
-        and any other pair reads ABSENT. A pad is 0, below any entry ((p, u) or
-        (u, q) is tracked), so pads sort first."""
-        size, groups = plan
-        vals = np.full(size + 1, ABSENT, np.int64)  # the last for the pads
-        vals[: len(self.colors)] = np.fromiter(self.colors.values(), np.int64, len(self.colors))
-        rows = [None] * size
-        for sel, pos, pads in groups:
-            entries = _encode_entries(vals[pos[0]], vals[pos[1]])
-            entries.sort(axis=1)
-            for i, row, m in zip(sel, entries.tolist(), pads):
-                rows[i] = tuple(row[m:])
-        return rows
+    def step(self, expand: bool = True) -> dict:
+        """Advance one iteration as a lone session; returns the new color map.
+        An expanding step of the local folklore test starts tracking the
+        pairs one walk step further away (``_walk_layers``)."""
+        _Union([self], expand).step()
+        return self.colors
 
     def _walk_layers(self):
         """Untracked pairs by the expanding step that tracks them. A right or
@@ -428,15 +299,6 @@ class RefinementSession:
                 if d != 1:  # edges are tracked from init on
                     layers.setdefault(max(d - 1, 1), []).append((s, q))
         return [layers[t] for t in sorted(layers)]  # steps 1, 2, ... have no gap
-
-    def _check_split_only(self, new):
-        # Refinement invariant: classes split, never merge. Each new color
-        # must originate from exactly one old color.
-        origin = {}
-        for unit, old in self.colors.items():
-            cur = new[unit]
-            if origin.setdefault(cur, old) != old:
-                raise RefinementError("refinement merged two color classes")
 
     # -- readout ----------------------------------------------------------
 
@@ -467,86 +329,64 @@ class RefinementSession:
         return ColorMap(self.colors, self.readouts)
 
 
-# The plain step ranks its lines (rows and columns) in blocks of entry
-# positions: every line in the first block of this many, then only the lines
-# that reach further in blocks of doubling width, so that one long line never
-# pads the others to its length.
+# Lines are ranked in blocks of entry positions, this many first, then doubling,
+# each with the lines that reach it only: one long line never pads the others.
 _LINE_BLOCK = 16
 
 
-class _PlainUnion:
-    """The plain pair rule (WL2, WL2_Local) over the disjoint union of the
-    sessions of one lockstep run, one array step per iteration.
+def _rank_rows(block, bound: int):
+    """Dense ranks of the rows of ``block`` (entries in [-1, bound)) in tuple
+    order, and their number. The columns fold into the ranks left to right,
+    as many at a time as fit in an int64 key beside the ranks so far."""
+    base, rank, count, j = bound + 1, 0, 1, 0
+    while j < block.shape[1]:
+        m = 1
+        while j + m < block.shape[1] and count * base ** (m + 1) < 2**63:
+            m += 1
+        if count * base**m >= 2**63:
+            raise RefinementError("line entries do not fit in int64 keys")
+        digits = base ** np.arange(m - 1, -1, -1, dtype=np.int64)
+        key = rank * base**m + block[:, j: j + m] @ digits + int(digits.sum())  # pads read 0
+        rank, count = _dense_ranks(key)
+        j += m
+    return rank, count
 
-    Node v of the i-th session is node offset_i + v of the union, so each
-    session keeps its own ``nbrs``. A tracked pair (p, u) has u in nbrs[p],
-    and nbrs is symmetric, so row p of the rule (the colours of (p, v), v in
-    nbrs[p]) holds the tracked pairs starting at p, and column q those ending
-    at q. Rows and columns are lines: sorted colour tuples, ranked together
-    in tuple order. A tracked pair's new colour is the dense rank of
-    (colour, rank of column q, rank of row p), a read-out's that of (rank of
-    its init signature, column q, row p), offset after the tracked ones.
-    Every rank keeps the order of the signature it stands for, so a lone
-    session gets the canonical ids of sorted signatures, as the other kinds
-    do, and a run of several sessions ids that compare across them.
-    """
 
-    def __init__(self, sessions):
-        self.sessions = sessions
-        sizes = [s.graph.n for s in sessions]
-        offset = np.cumsum([0] + sizes[:-1])
-        self.pairs = [list(s.colors) for s in sessions]
-        self.reads = [list(s.readouts) for s in sessions]
+class _Lines:
+    """Lines of int64 entries, ranked in tuple order. ``line`` gives the line
+    of every entry of a ranking, in ascending order. A line is its entries
+    sorted and padded at the end with -1, so it ranks before its extensions,
+    as a tuple does."""
 
-        def nodes(per_session):
-            # (p, q) of every pair as nodes of the union
-            counts = [2 * len(pairs) for pairs in per_session]
-            flat = itertools.chain.from_iterable(itertools.chain.from_iterable(per_session))
-            flat = np.fromiter(flat, np.int64, sum(counts)) + np.repeat(offset, counts)
-            return flat[0::2], flat[1::2]
-
-        # lines 0..n-1 are the rows, n..2n-1 the columns
-        n = sum(sizes)
-        self.row, col = nodes(self.pairs)
-        self.read_row, read_col = nodes(self.reads)
-        self.col, self.read_col = col + n, read_col + n
-        colors = itertools.chain.from_iterable(s.colors.values() for s in sessions)
-        self.c = np.fromiter(colors, np.int64, len(self.row))
-        sigs = [s._readout_sigs[pair] for s, pairs in zip(sessions, self.reads) for pair in pairs]
-        ranks = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        self.sig_rank = np.array([ranks[sig] for sig in sigs], np.int64)
-        # every unit is an entry of its row and of its column; sorted by
-        # line, the entries of each line are a run at a fixed place
-        self.entry_line = np.concatenate((self.row, self.col))
-        self.line = np.sort(self.entry_line)
-        self.lines = 2 * n
-        width = np.bincount(self.line, minlength=self.lines)
-        pos = np.arange(len(self.line)) - (np.cumsum(width) - width)[self.line]
-        self.blocks, live, lo, hi = [], np.arange(self.lines), 0, _LINE_BLOCK
+    def __init__(self, line, lines: int):
+        self.line, self.lines = line, lines
+        width = np.bincount(line, minlength=lines)
+        pos = np.arange(len(line)) - (np.cumsum(width) - width)[line]
+        self.blocks, live, lo, hi = [], np.arange(lines), 0, _LINE_BLOCK
         while True:
-            slot = np.zeros(self.lines, np.int64)
-            slot[live] = np.arange(len(live))
-            sel = np.flatnonzero((pos >= lo) & (pos < hi))
-            shape = (len(live), max(min(hi, width.max(initial=0)) - lo, 1))
-            self.blocks.append((live, sel, slot[self.line[sel]], pos[sel] - lo, shape))
+            sel = (pos >= lo) & (pos < hi)
+            cols = max(min(hi, width.max(initial=0)) - lo, 1)
+            # a block's row per live line: its entries from position lo, then pads
+            self.blocks.append((live, sel, np.arange(lo, lo + cols) < width[live, None]))
             live = np.flatnonzero(width > hi)
             if not live.size:
                 break
             lo, hi = hi, 2 * hi
 
-    def step(self) -> int:
-        """Step every session once; returns the number of tracked colours."""
-        c = self.c
-        bound = int(c.max()) + 1 if c.size else 1
+    def rank(self, values, bound: int):
+        """Dense ranks of the lines whose entries are ``values`` (0 <= values <
+        bound), and the number of distinct lines."""
         if self.lines * bound > 2**63:
-            raise RefinementError("plain step signatures do not fit in int64 keys")
-        entries = np.sort(self.entry_line * bound + np.concatenate((c, c))) - self.line * bound
+            raise RefinementError("line entries do not fit in int64 keys")
+        entries = self.line * bound
+        entries += values
+        entries.sort()
+        entries %= bound
         rank = None
-        for live, sel, row, col, shape in self.blocks:
-            # a line reads -1 past its end, which sorts it before its extensions
-            block = np.full(shape, -1, np.int64)
-            block[row, col] = entries[sel]
-            sub, count = _dense_ranks(block)
+        for live, sel, fill in self.blocks:
+            block = np.full(fill.shape, -1, np.int64)
+            block[fill] = entries[sel]
+            sub, count = _rank_rows(block, bound)
             if rank is None:
                 rank = sub
             else:
@@ -554,20 +394,179 @@ class _PlainUnion:
                 # the block ranks first among the lines that tie with it so far
                 merged = rank * (count + 1)
                 merged[live] += sub + 1
-                rank = _dense_ranks(merged)[0]
-        k = int(rank.max()) + 1 if rank.size else 1
-        new, tracked = _dense_ranks(_pack(c, bound, rank[self.col], rank[self.row], k))
-        _check_splits(c, new)
-        read = _pack(self.sig_rank, len(self.sig_rank), rank[self.read_col], rank[self.read_row], k)
-        self.c = new
-        new, read = new.tolist(), (_dense_ranks(read)[0] + tracked).tolist()
-        at = read_at = 0
-        for s, pairs, reads in zip(self.sessions, self.pairs, self.reads):
-            s.colors = dict(zip(pairs, new[at: at + len(pairs)]))
-            s.readouts = dict(zip(reads, read[read_at: read_at + len(reads)]))
+                rank, count = _dense_ranks(merged)
+        return rank, count
+
+
+def _adjacency(sessions):
+    """The nbrs of the disjoint union of ``sessions`` (node v of the i-th is
+    node offset_i + v): the degrees, and all neighbours as one flat array."""
+    nbrs = [nb for s in sessions for nb in s.nbrs]
+    deg = np.fromiter(map(len, nbrs), np.int64, len(nbrs))
+    flat = np.fromiter(itertools.chain.from_iterable(nbrs), np.int64, int(deg.sum()))
+    sizes = [s.graph.n for s in sessions]
+    offset = np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
+    return deg, flat + np.repeat(offset, deg)
+
+
+def _entry_plan(codes, n: int, deg, flat, dense: bool):
+    """Where the folklore entries (C[u, q], C[p, u]), u in nbrs[p] ∪ nbrs[q],
+    of each pair p * n + q in ``codes`` are among them: per entry its pair's
+    index, in ascending order, and the indices of (u, q) and (p, u) (-1: not
+    in ``codes``). nbrs is given as ``_adjacency`` gives it."""
+    order = np.argsort(codes)
+    keys = codes[order]
+    start = np.cumsum(deg) - deg
+    ps, qs = np.divmod(codes, n)
+
+    def spread(pairs, nodes):
+        # (pair, u) for every u in nbrs[node], per pair and its node
+        counts = deg[nodes]
+        first = np.cumsum(counts) - counts
+        at = np.repeat(start[nodes] - first, counts) + np.arange(counts.sum())
+        return np.repeat(pairs, counts), flat[at]
+
+    line, u = spread(np.arange(len(codes)), ps)
+    if not dense:
+        # u runs over nbrs[q] too where that is another set, and a common
+        # neighbour of p and q is one entry: drop its copy in nbrs[q]
+        other = np.flatnonzero(ps != qs)
+        line_q, u_q = spread(other, qs[other])
+        nbr_codes = np.repeat(np.arange(n), deg) * n + flat
+        keep = ~np.isin(ps[line_q] * n + u_q, nbr_codes)
+        line, u = np.concatenate((line, line_q[keep])), np.concatenate((u, u_q[keep]))
+        by_line = np.argsort(line, kind="stable")
+        line, u = line[by_line], u[by_line]
+
+    def index(x):  # where x is in codes, -1 if it is not
+        i = np.minimum(np.searchsorted(keys, x), len(keys) - 1)
+        return np.where(keys[i] == x, order[i], -1)
+
+    return line, index(u * n + qs[line]), index(ps[line] * n + u)
+
+
+class _Union:
+    """The rule of one kind over the disjoint union of a lockstep run's sessions.
+
+    Node v of the i-th session is node offset_i + v of the union, so each
+    session keeps its own ``nbrs``. A slot is a unit the rule colours. The
+    slots run in groups: the sessions' tracked units, then per expanding
+    step the pairs it starts tracking (``_walk_layers``), then the read-outs
+    that are none of these, so ``ends[t]`` ends the slots tracked after step
+    t. ``vals`` holds their colours (ABSENT: not tracked), then an ABSENT pad.
+
+    Lines per rule: a node's neighbour colours (node kinds); row p and column
+    q of a pair (p, q), the colours of (p, v), v in nbrs[p], and of (u, q),
+    u in nbrs[q] (plain kinds: lines 0..n-1 are the rows, n..2n-1 the
+    columns); a pair's folklore entries (``_entry_plan``), each coded by
+    ``_encode_entries`` and ranked among all codes of the step.
+
+    A step ranks every line (``_Lines``), and a slot's new colour is the
+    dense rank of its key (head, ranks of its lines). The head is the slot's
+    colour if it was tracked, else C + the rank of its init signature (C
+    above every colour), as the tag "v" follows "s"; read-outs' heads follow
+    all others, so their ids follow the tracked ones. (No read-out's
+    signature equals a tracked one's: a pair that a step starts tracking
+    has an entry with both sides tracked, and a read-out has none yet.)
+    Every rank keeps the order of the signature it stands for, so a lone
+    session gets the canonical ids of sorted signatures, and a run of
+    several sessions ids that compare across them.
+    """
+
+    def __init__(self, sessions, expand: bool):
+        kind = self.kind = sessions[0].kind
+        self.sessions, self.t = sessions, 0
+        self.grow = expand and kind.folklore and kind.local
+        sizes = [s.graph.n for s in sessions]
+        offset = np.cumsum([0] + sizes[:-1]).tolist()
+        groups = []
+        for s in sessions:
+            if self.grow and s._layers is None:
+                s._layers = s._walk_layers()
+            groups.append([list(s.colors)] + (s._layers if self.grow else []))
+        self.last = max(map(len, groups)) - 1  # the last group that a step tracks
+        for s, mine in zip(sessions, groups):
+            seen = set(itertools.chain(*mine))
+            rest = [pair for pair in s._readout_sigs if pair not in seen]
+            mine += [[]] * (self.last + 1 - len(mine)) + [rest]
+        # per slot its unit and init signature (untracked); per run its node offset
+        units, sigs, runs, self.parts, self.ends = [], [], [], [[] for _ in sessions], []
+        for k in range(self.last + 2):
+            for i, (s, mine) in enumerate(zip(sessions, groups)):
+                self.parts[i].append((len(units), mine[k]))
+                runs.append((offset[i], len(mine[k])))
+                units += mine[k]
+                sigs += [_init_pair_sig(s.labels, s.eff, *pair) for pair in mine[k]] if k else []
+            self.ends.append(len(units))
+        self.reads = []  # per session: (read-out pair, slot) of the untracked ones
+        for s, parts in zip(sessions, self.parts):
+            slot = {u: a + j for a, mine in parts[1:] for j, u in enumerate(mine)}
+            self.reads.append([(pair, slot[pair]) for pair in s._readout_sigs if pair in slot])
+        tracked = self.ends[0]
+        self.vals = np.full(len(units) + 1, ABSENT, np.int64)
+        self.vals[:tracked] = [c for s in sessions for c in s.colors.values()]
+        self.bound = int(self.vals.max()) + 1  # above every colour
+        ranks = {sig: r for r, sig in enumerate(sorted(set(sigs)))}
+        self.sig_bound = len(ranks)
+        self.sig = np.zeros(len(units), np.int64)
+        self.sig[tracked:] = [ranks[sig] for sig in sigs]
+        # the heads of untracked slots past the step's: read-outs, then the rest
+        self.rest = self.sig + 2 * self.sig_bound
+        self.rest[[slot for reads in self.reads for _, slot in reads]] -= self.sig_bound
+
+        self.state = (_dense_ranks(self.vals[:tracked])[1], tracked)
+        n, self.line_of = sum(sizes), [slice(None)]  # a slot's own line, or plain's two
+        if not kind.pair_indexed:
+            deg, flat = _adjacency(sessions)
+            self.entry = (flat,)
+            self.lines = _Lines(np.repeat(np.arange(n), deg), n)
+            return
+        # (p, q) of every slot as nodes of the union
+        pairs = np.fromiter(itertools.chain.from_iterable(units), np.int64, 2 * len(units))
+        pairs += np.repeat([off for off, _ in runs], [2 * size for _, size in runs])
+        p, q = pairs[0::2], pairs[1::2]
+        if kind.folklore:
+            line, a, b = _entry_plan(p * n + q, n, *_adjacency(sessions), kind.dense)
+            self.entry = (a, b)
+            self.lines = _Lines(line, len(units))
+        else:
+            # a plain session tracks the same pairs at every step
+            line = np.concatenate((p[:tracked], q[:tracked] + n))
+            order = np.argsort(line, kind="stable")
+            self.entry = (np.tile(np.arange(tracked), 2)[order],)
+            self.lines = _Lines(line[order], 2 * n)
+            self.line_of = [q + n, p]
+
+    def step(self):
+        """Step every session once; returns the new ``state``: the number of
+        distinct tracked colours, and of tracked units."""
+        self.t += 1
+        last, vals, bound = self.last, self.vals, self.bound
+        old, on = self.ends[min(self.t - 1, last)], self.ends[min(self.t, last)]
+        if self.kind.folklore:
+            codes = _dense_ranks(_encode_entries(vals[self.entry[0]], vals[self.entry[1]]))
+            line_rank, k = self.lines.rank(*codes)
+        else:
+            line_rank, k = self.lines.rank(vals[self.entry[0]], bound)
+        head = self.rest + bound
+        head[old:on] = self.sig[old:on] + bound
+        head[:old] = vals[:old]
+        fields = [(head, bound + 3 * self.sig_bound)] + [(line_rank[i], k) for i in self.line_of]
+        ids = _dense_ranks(_pack(fields))[0]
+        _check_splits(vals[:old], ids[:old])
+        vals[:on] = ids[:on]
+        self.bound = int(ids[:on].max(initial=-1)) + 1
+        # hand every session its new colour and read-out dicts
+        ids, chain = ids.tolist(), itertools.chain.from_iterable
+        for s, parts, reads in zip(self.sessions, self.parts, self.reads):
+            parts = parts[: min(self.t, last) + 1]
+            s.colors = dict(chain(zip(u, ids[a: a + len(u)]) for a, u in parts))
+            s.readouts = {pair: ids[slot] for pair, slot in reads if slot >= on}
+            if self.grow and s._layers:
+                s._layers.pop(0)
             s._init_sigs = None  # t = 0 is over
-            at, read_at = at + len(pairs), read_at + len(reads)
-        return tracked
+        self.state = self.bound, on
+        return self.state
 
 
 def lockstep(sessions, max_iters: int = None, observe=None):
@@ -579,13 +578,11 @@ def lockstep(sessions, max_iters: int = None, observe=None):
     their total number of units. ``max_iters`` must be >= 1 and defaults to
     the largest session default. Returns ``(iterations, stable)``.
 
-    The sessions must share one kind. A lone session numbers every
-    iteration canonically. Several sessions, which must not have stepped
-    yet, share their colour ids in every iteration: t = 0 joins their
-    canonical init ids, which sessions with the same init signatures keep.
-    The plain kinds then step all sessions as one ``_PlainUnion``, which
-    numbers the union canonically; the other kinds give every step a fresh
-    table that all sessions intern into, in first-appearance order.
+    The sessions must share one kind. Several sessions, which must not have
+    stepped yet, share their colour ids in every iteration: t = 0 joins their
+    canonical init ids, which sessions with the same init signatures keep,
+    and every step numbers all sessions together as one ``_Union``, as it
+    numbers a lone session.
     """
     if max_iters is None:
         max_iters = max(s.default_max_iters for s in sessions)
@@ -594,8 +591,7 @@ def lockstep(sessions, max_iters: int = None, observe=None):
     kind = sessions[0].kind
     if any(s.kind is not kind for s in sessions):
         raise RefinementError("sessions in lockstep must share one kind")
-    shared = len(sessions) > 1
-    if shared:
+    if len(sessions) > 1:
         table = {}
         for s in sessions:
             if s._init_sigs is None:
@@ -606,25 +602,14 @@ def lockstep(sessions, max_iters: int = None, observe=None):
                 s.readouts = {u: ids[c] for u, c in s.readouts.items()}
                 s._init_sigs = list(table)  # its ids index the table now
 
-    def state():
-        colors = [s.colors for s in sessions]
-        return len(set().union(*[c.values() for c in colors])), sum(map(len, colors))
-
     if observe is not None and observe(0):
         return 0, False
-    prev = state()
-    union = _PlainUnion(sessions) if kind.pair_indexed and not kind.folklore else None
+    union = _Union(sessions, expand=True)
+    prev = union.state
     for t in range(1, max_iters + 1):
-        if union is None:
-            table = {} if shared else None
-            for s in sessions:
-                s.step(table=table)
-        else:
-            classes = union.step()
+        cur = union.step()
         if observe is not None and observe(t):
             return t, False
-        # a plain step tracks no new units
-        cur = state() if union is None else (classes, prev[1])
         if cur == prev:
             return t, True
         prev = cur

@@ -241,10 +241,12 @@ def test_flag_the_command_does_not_read_is_refused(command, flag, value, c6_file
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag,value", [(flag, value) for flag, value, _ in SCOPED_FLAGS])
+@pytest.mark.parametrize("flag,value", [(flag, value) for flag, value, _ in SCOPED_FLAGS] + [
+    ("--outp", "json"),  # no option at all: named, not its value read as a command
+])
 def test_command_flag_before_the_command_is_refused(flag, value, c6_file, tmp_path, capsys):
     assert main([flag, value] + _argv("predict", c6_file, tmp_path)) == 1
-    assert capsys.readouterr().err.startswith("usage error:")
+    assert capsys.readouterr().err.startswith(f"usage error: {flag} ")
 
 
 @pytest.mark.parametrize("flag,value", [(flag, value) for flag, value, _ in SCOPED_FLAGS] + [

@@ -31,7 +31,10 @@ from wl2link.refine import (
     RefinementError,
     RefinementSession,
     TestKind,
+    _adjacency,
+    _check_splits,
     _encode_entries,
+    _entry_plan,
     _init_pair_sig,
     indistinguishable,
     lockstep,
@@ -298,13 +301,24 @@ class TestSplitOnlyGuard:
         a = session.colors[0]
         b = session.colors[1]
         assert a != b
+        old = np.fromiter(session.colors.values(), np.int64)
+        _check_splits(old, np.array([1, 0, 1]))  # renumbered, not merged
         with pytest.raises(RefinementError, match="merged"):
-            session._check_split_only({0: 99, 1: 99, 2: 99})
+            _check_splits(old, np.array([99, 99, 99]))
 
     def test_plain_step_checks_its_ranks(self, monkeypatch):
         # the array step checks its own ids: keys that lose the old colour merge
         session = RefinementSession(TestKind.WL2, path_graph(3))
-        monkeypatch.setattr(refine, "_pack", lambda major, *rest: 0 * major)
+        monkeypatch.setattr(refine, "_pack", lambda fields: 0 * fields[0][0])
+        with pytest.raises(RefinementError, match="merged"):
+            session.step()
+
+    @pytest.mark.parametrize("kind", [TestKind.WL1, TestKind.FWL2, TestKind.FWL2_LOCAL])
+    def test_node_and_folklore_steps_check_their_ranks(self, kind, monkeypatch):
+        # the same guard on the other rules: their init has two classes here
+        session = RefinementSession(kind, Graph.build(3, [(0, 1), (1, 2)], labels=[0, 1, 0]))
+        assert len(set(session.colors.values())) > 1
+        monkeypatch.setattr(refine, "_pack", lambda fields: 0 * fields[0][0])
         with pytest.raises(RefinementError, match="merged"):
             session.step()
 
@@ -316,12 +330,12 @@ class TestSplitOnlyGuard:
             "assert False, 'asserts are live'\n"
             "s = RefinementSession(TestKind.WL1, path_graph(3))\n"
             "s.step()\n"
-            "try:\n"
-            "    s._check_split_only({0: 99, 1: 99, 2: 99})\n"
-            "except RefinementError as err:\n"
-            "    print(err)\n"
             "import numpy as np\n"
             "from wl2link.refine import _check_splits\n"
+            "try:\n"
+            "    _check_splits(np.array(list(s.colors.values())), np.array([99, 99, 99]))\n"
+            "except RefinementError as err:\n"
+            "    print(err)\n"
             "try:\n"
             "    _check_splits(np.array([0, 1, 0]), np.array([0, 0, 0]))\n"
             "except RefinementError as err:\n"
@@ -345,16 +359,22 @@ class TestSplitOnlyGuard:
 
 class TestFwl2LocalReadouts:
     def test_targets_are_not_tracked(self):
-        # both sessions intern into one table per iteration
-        self._check_targets_not_tracked(dict)
+        # both sessions step in one lockstep run and share colour ids
+        self._check_targets_not_tracked(lambda sessions, check: lockstep(sessions, 3, check))
 
     def test_targets_are_not_tracked_canonical(self):
         # each session runs alone and numbers its own colours, read-outs
         # after tracked ones
-        self._check_targets_not_tracked(lambda: None)
+        def alone(sessions, check):
+            for t in range(1, 4):
+                for s in sessions:
+                    s.step()
+                check(t)
+
+        self._check_targets_not_tracked(alone)
 
     @staticmethod
-    def _check_targets_not_tracked(new_table):
+    def _check_targets_not_tracked(run):
         g = path_graph(4)
         session = RefinementSession(TestKind.FWL2_LOCAL, g, mask=(0, 3), extra_targets=[(0, 2)])
         assert not {(0, 3), (3, 0), (0, 2), (2, 0)} & set(session.colors)
@@ -363,36 +383,39 @@ class TestFwl2LocalReadouts:
         # targets change neither the tracked colours nor their growth
         plain = RefinementSession(TestKind.FWL2_LOCAL, g)
         assert session.colors == plain.colors
-        for _ in range(3):
-            table = new_table()
-            session.step(table=table)
-            plain.step(table=table)
+        steps = []
+
+        def check(t):
             assert session.colors == plain.colors
-            # (0, 2) is walk-reachable and now tracked: the key reads it there
-            assert session.ordered_key((0, 2)) == (
-                plain.colors[(0, 2)], plain.colors[(2, 0)]
-            )
+            if t:
+                # (0, 2) is walk-reachable and now tracked: the key reads it there
+                assert session.ordered_key((0, 2)) == (
+                    plain.colors[(0, 2)], plain.colors[(2, 0)]
+                )
+                steps.append(t)
+
+        run([session, plain], check)
+        assert steps == [1, 2, 3]
 
     def test_readout_carries_on_when_tracked(self):
-        # sessions sharing an iteration's table: a read-out's signature is
-        # the one expansion gives the pair, so it keeps its colour once tracked
+        # a step that does not expand reads (0, 2) out, an expanding one
+        # tracks it; one lockstep run expands every session alike
         g = path_graph(5)
         read = RefinementSession(TestKind.FWL2_LOCAL, g, extra_targets=[(0, 2)])
         grow = RefinementSession(TestKind.FWL2_LOCAL, g, extra_targets=[(0, 2)])
-        table = {}
-        read.step(expand=False, table=table)
-        grow.step(table=table)
+        read.step(expand=False)
+        grow.step()
         assert (0, 2) not in read.colors and (0, 2) not in grow.readouts
-        assert read.readouts[(0, 2)] == grow.colors[(0, 2)]
+        assert (0, 2) in read.readouts and (0, 2) in grow.colors
 
 
 class TestOneTablePerIteration:
-    """Several sessions in lockstep share one fresh table per iteration."""
+    """Several sessions in lockstep share one numbering per iteration."""
 
     @pytest.mark.parametrize("kind", ALL)
     def test_ids_in_use_are_dense_at_every_t(self, kind, monkeypatch):
         # at every t, the ids in use across all sessions, read-outs
-        # included, are exactly range(k): no table outlives its iteration
+        # included, are exactly range(k): no numbering outlives its iteration
         labelled = Graph.build(5, [(0, 1), (1, 2), (2, 3), (3, 4)], labels=[0, 1, 0, 2, 0])
         instances = [
             (cycle_graph(6), (0, 2)),
@@ -441,13 +464,10 @@ class TestOneTablePerIteration:
             lockstep([a, b])
 
     def test_one_kind_per_run(self):
-        # the plain kinds number a run's union in arrays, the others intern
-        # into a table, so the two never share ids
+        # every kind ranks lines of its own, so two kinds never share ids
         wl1, wl2 = (RefinementSession(kind, path_graph(3)) for kind in (TestKind.WL1, TestKind.WL2))
         with pytest.raises(RefinementError, match="one kind"):
             lockstep([wl1, wl2])
-        with pytest.raises(RefinementError, match="only in lockstep"):
-            wl2.step(table={})
 
 
 class TestEntryEncoding:
@@ -469,34 +489,40 @@ class TestEntryEncoding:
                 _encode_entries(a, b)
 
 
+def _folklore_signatures(session, colors):
+    """The pure-Python folklore rule's signatures of the pairs tracked after
+    the step and of the read-outs: entries as sorted tuples of colour pairs,
+    and walk expansion by a scan of every tracked pair."""
+    nbrs, eff, labels, get = session.nbrs, session.eff, session.labels, colors.get
+
+    def entries(p, q):
+        via = set(nbrs[p]) | set(nbrs[q])
+        return tuple(sorted((get((u, q), ABSENT), get((p, u), ABSENT)) for u in via))
+
+    sigs = {pair: ("s", c, entries(*pair)) for pair, c in colors.items()}
+    if session.kind.local:
+        candidates = set()
+        for p, u in colors:
+            candidates.update((p, q) for q in nbrs[u])
+            candidates.update((x, u) for x in nbrs[p])
+        for pair in candidates - colors.keys():
+            sigs[pair] = ("v", _init_pair_sig(labels, eff, *pair), entries(*pair))
+    read = {
+        pair: ("v", sig, entries(*pair))
+        for pair, sig in session._readout_sigs.items()
+        if pair not in sigs
+    }
+    return sigs, read
+
+
 def _reference_folklore(kind, g, mask, targets, iterations):
     """(colours, read-outs) per iteration of a lone folklore session, by the
-    pure-Python rule: entries as sorted tuples of colour pairs, and walk
-    expansion by a scan of every tracked pair."""
+    pure-Python rule (``_folklore_signatures``)."""
     session = RefinementSession(kind, g, mask=mask, extra_targets=targets)
-    nbrs, eff, labels = session.nbrs, session.eff, session.labels
     colors = session.colors
     history = [(colors, session.readouts)]
     for _ in range(iterations):
-        get = colors.get
-
-        def entries(p, q):
-            via = set(nbrs[p]) | set(nbrs[q])
-            return tuple(sorted((get((u, q), ABSENT), get((p, u), ABSENT)) for u in via))
-
-        sigs = {pair: ("s", c, entries(*pair)) for pair, c in colors.items()}
-        if kind.local:
-            candidates = set()
-            for p, u in colors:
-                candidates.update((p, q) for q in nbrs[u])
-                candidates.update((x, u) for x in nbrs[p])
-            for pair in candidates - colors.keys():
-                sigs[pair] = ("v", _init_pair_sig(labels, eff, *pair), entries(*pair))
-        read = {
-            pair: ("v", sig, entries(*pair))
-            for pair, sig in session._readout_sigs.items()
-            if pair not in sigs
-        }
+        sigs, read = _folklore_signatures(session, colors)
         ids = {}
         for group in (sigs.values(), read.values()):
             for sig in sorted(set(group) - ids.keys()):
@@ -536,21 +562,23 @@ class TestFolkloreReference:
 
     @pytest.mark.parametrize("kind", [TestKind.FWL2, TestKind.FWL2_LOCAL])
     def test_entry_rows_decode_to_pairs(self, kind):
-        # every pair's row, tracked or not, is its sorted tuple of colour
-        # pairs (C[u, q], C[p, u]) over u in nbrs[p] ∪ nbrs[q], encoded
+        # every pair's line, tracked or not, is its tuple of colour pairs
+        # (C[u, q], C[p, u]) over u in nbrs[p] ∪ nbrs[q], encoded
         for g, mask, targets in _folklore_cases():
             session = RefinementSession(kind, g, mask=mask, extra_targets=targets)
             for _ in range(3):
                 get, nbrs = session.colors.get, session.nbrs
-                # the tracked pairs come first, in the order of their colours
-                pairs = list(session.colors)
-                pairs += [(p, q) for p in range(g.n) for q in range(g.n)]
-                pairs = list(dict.fromkeys(pairs))
+                pairs = [(p, q) for p in range(g.n) for q in range(g.n)]
                 codes = np.array([p * g.n + q for p, q in pairs], np.int64)
-                rows = session._entry_rows(session._entry_plan(codes))
-                for (p, q), row in zip(pairs, rows):
+                line, a, b = _entry_plan(codes, g.n, *_adjacency([session]), kind.dense)
+                assert (np.diff(line) >= 0).all()
+                vals = np.array([get(pair, ABSENT) for pair in pairs] + [ABSENT], np.int64)
+                entries = _encode_entries(vals[a], vals[b]).tolist()
+                ends = np.searchsorted(line, np.arange(len(pairs) + 1)).tolist()
+                for (p, q), lo, hi in zip(pairs, ends, ends[1:]):
                     via = set(nbrs[p]) | set(nbrs[q])
                     pairs_row = sorted((get((u, q), ABSENT), get((p, u), ABSENT)) for u in via)
+                    row = sorted(entries[lo:hi])
                     assert [((c >> 32) - 1, (c & 0xFFFFFFFF) - 1) for c in row] == pairs_row
                 session.step()
 
@@ -617,6 +645,27 @@ def _reference_plain(kind, g, mask, targets, iterations):
     return history
 
 
+def _wl1_signatures(session, colors):
+    """The dict rule's signatures of the nodes: colour and sorted neighbour
+    colours. Node kinds have no read-outs."""
+    nbrs = session.nbrs
+    return {v: ("s", c, tuple(sorted(colors[u] for u in nbrs[v]))) for v, c in colors.items()}, {}
+
+
+def _reference_wl1(kind, g, mask, targets, iterations):
+    """Colours (and no read-outs) per iteration of a lone node session, by
+    the dict rule with canonical ids: sorted signatures."""
+    session = RefinementSession(kind, g, mask=mask, extra_targets=targets)
+    colors = session.colors
+    history = [(colors, session.readouts)]
+    for _ in range(iterations):
+        sigs, _ = _wl1_signatures(session, colors)
+        ids = {sig: i for i, sig in enumerate(sorted(set(sigs.values())))}
+        colors = {v: ids[sig] for v, sig in sigs.items()}
+        history.append((colors, {}))
+    return history
+
+
 def _plain_cases():
     # _folklore_cases, plus lines wider than one block of the array step
     star, _ = disjoint_union(Graph.build(21, [(0, v) for v in range(1, 21)]), cycle_graph(5))
@@ -643,19 +692,34 @@ def _partitions(sessions):
 PLAIN = [TestKind.WL2, TestKind.WL2_LOCAL]
 
 
+def _signatures(session, colors):
+    """The dict rule's signatures of ``session``'s kind."""
+    if not session.kind.pair_indexed:
+        return _wl1_signatures(session, colors)
+    if session.kind.folklore:
+        return _folklore_signatures(session, colors)
+    return _plain_signatures(session, colors)
+
+
+def _cases(kind):
+    """``_plain_cases``, but those without a target for WL1_Label01."""
+    return [c for c in _plain_cases() if c[1] is not None or kind is not TestKind.WL1_LABEL01]
+
+
 class TestPlainReference:
-    @pytest.mark.parametrize("kind", PLAIN)
+    @pytest.mark.parametrize("kind", PLAIN + [TestKind.WL1, TestKind.WL1_LABEL01])
     def test_lone_session_matches_dict_rule(self, kind):
-        for g, mask, targets in _plain_cases():
+        reference = _reference_plain if kind.pair_indexed else _reference_wl1
+        for g, mask, targets in _cases(kind):
             result = refine_to_stable(kind, g, mask=mask, extra_targets=targets)
             history = [(m.colors, m.readouts) for m in result.history]
-            assert history == _reference_plain(kind, g, mask, targets, len(history) - 1)
+            assert history == reference(kind, g, mask, targets, len(history) - 1)
 
-    @pytest.mark.parametrize("kind", PLAIN)
+    @pytest.mark.parametrize("kind", ALL)
     def test_lockstep_partitions_match_one_shared_dict(self, kind):
         # every case of one kind in one run, against the dict rule with one
         # table per iteration shared by all sessions in first-appearance order
-        cases = _plain_cases()
+        cases = _cases(kind)
 
         def open_all():
             return [RefinementSession(kind, g, mask=m, extra_targets=ts) for g, m, ts in cases]
@@ -668,7 +732,7 @@ class TestPlainReference:
         for _ in range(iterations):
             table, steps = {}, []
             for s in reference:
-                sigs, read = _plain_signatures(s, s.colors)
+                sigs, read = _signatures(s, s.colors)
                 ids = [table.setdefault(sig, len(table)) for sig in sigs.values()]
                 steps.append((dict(zip(sigs, ids)), read))
             for s, (colors, read) in zip(reference, steps):
