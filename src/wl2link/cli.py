@@ -47,10 +47,14 @@ class _Parser(argparse.ArgumentParser):
 
     def parse_known_args(self, args=None, namespace=None):
         args = sys.argv[1:] if args is None else list(args)
+        # Name an unknown flag first, not its value read as the command or a missing
+        # required flag; a command's parser has no commands, so checks all its args.
         for arg in itertools.takewhile(lambda arg: arg not in self.commands, args):
             flag = arg.partition("=")[0]
-            if self.commands and flag.startswith("--") and flag not in self._option_string_actions:
-                raise UsageError(f"{flag} is not an option of wl2link or of any command")
+            if flag.startswith("--") and flag not in self._option_string_actions:
+                if self.commands:
+                    raise UsageError(f"{flag} is not an option of wl2link or of any command")
+                raise UsageError(f"unrecognized arguments: {flag}")
         return super().parse_known_args(args, namespace)
 
 
@@ -313,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.commands = sub.choices
 
     def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+        return sub.add_parser(name, parents=[common], allow_abbrev=False, **kw)
 
     p = add_parser("refine", help="refine one graph to stability")
     p.add_argument("--graph", required=True)

@@ -90,7 +90,7 @@ def featurize_many(kind: TestKind, g_train: Graph, targets, width: int = 8) -> n
             row = _target_features(session, target, width, sizes, keys)
             for i in indices:
                 rows[i] = row
-    return np.array(rows)
+    return np.array(rows).reshape(len(rows), 3 + width)
 
 
 def _target_features(session: RefinementSession, target, width: int, sizes, keys) -> np.ndarray:

@@ -15,13 +15,15 @@ target that is not tracked already is a read-out, coloured from the tracked
 pairs each step but never fed back into them. So every target of one masked
 graph can share a session (``session_groups``).
 
-Every rule gives a unit the rank of (old colour, sorted lines of colours):
-1-WL reads a node's neighbour colours, plain 2-WL a pair's row and column,
-2-FWL a pair's entries (the tensor form of Maron et al., NeurIPS 2019). One
-exact ranker (``_Lines``) ranks all lines of a step at once in numpy, in
-tuple order, so every new colour is the id of its sorted signature
-(Shervashidze et al., JMLR 2011). A step runs over the disjoint union of all
-sessions of a lockstep run (``_Union``); a lone session is a union of one.
+Every colour id, t = 0 included, is the rank of a signature packed into an
+int64 key (``_pack``, ``_dense_ranks``): the id of the sorted signature
+(Shervashidze et al., JMLR 2011). At t = 0 that is a unit's atomic type:
+label ranks, edge bit and diagonal bit (``_init_ranks``). A step ranks (old
+colour, sorted lines of colours): 1-WL reads a node's neighbour colours,
+plain 2-WL a pair's row and column, 2-FWL a pair's entries (the tensor form
+of Maron et al., NeurIPS 2019), all lines ranked at once by ``_Lines``.
+Every iteration runs over the disjoint union of a lockstep run's sessions
+(``_Union``); a lone session is a union of one.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ DEFAULT_DENSE_NODE_LIMIT = 128
 class Interner:
     """Injective signature -> dense id table (exact, no lossy hashing), with
     ids in first-appearance order: ``unroll``'s hash-consing table. The
-    refinement steps rank their signatures in arrays instead (``_Lines``).
+    refinement ranks its signatures in arrays instead (``_Union``).
     """
 
     def __init__(self):
@@ -124,26 +126,6 @@ class ColorMap:
         for unit, c in self.colors.items():
             classes.setdefault(c, []).append(unit)
         return sorted(frozenset(v) for v in classes.values())
-
-
-def _init_pair_sig(labels, eff: Graph, r: int, s: int):
-    e_ind = 1 if r != s and eff.has_edge(r, s) else 0
-    return ("i", labels[r], labels[s], e_ind, 1 if r == s else 0)
-
-
-def _canonical_ids(colors, readouts, table, tracked: int):
-    """Renumber the init colours in the sorted order of their signatures.
-    ``table`` maps signature -> colour, the first ``tracked`` colours tracked
-    and the rest read-out-only, which stay last. Returns the new dicts (the
-    old ones if no id moves) and the signatures by new id."""
-    sigs = list(table)
-    canon = sorted(sigs[:tracked]) + sorted(sigs[tracked:])
-    if canon != sigs:
-        ids = {sig: i for i, sig in enumerate(canon)}
-        new = [ids[sig] for sig in sigs]
-        colors = {u: new[c] for u, c in colors.items()}
-        readouts = {u: new[c] for u, c in readouts.items()}
-    return colors, readouts, canon
 
 
 def _encode_entries(a, b):
@@ -189,6 +171,34 @@ def _pack(fields):
     return key
 
 
+def _adjacency(nbrs):
+    """The degrees and the flat neighbours of the disjoint union of graphs
+    given by their ``nbrs`` (node v of the i-th is node offset_i + v)."""
+    offset = list(itertools.accumulate(map(len, nbrs[:-1]), initial=0))
+    width = [sum(map(len, graph)) for graph in nbrs]
+    nbrs = [nb for graph in nbrs for nb in graph]
+    deg = np.fromiter(map(len, nbrs), np.int64, len(nbrs))
+    flat = np.fromiter(itertools.chain.from_iterable(nbrs), np.int64, sum(width))
+    return deg, flat + np.repeat(offset, width)
+
+
+def _init_ranks(sessions, p, q, tracked: int, deg, flat):
+    """Dense ranks, and their number, of the slots' init signatures: (slot
+    from ``tracked`` on, label ranks of p and q, edge bit, diagonal bit), p
+    and q nodes of the union of ``sessions`` (a node v is (v, v)) whose edges
+    are ``_adjacency``'s ``deg, flat``. Labels rank among the sessions'
+    labels, so the ranks keep the tuple order of any int labels."""
+    labels = [x for s in sessions for x in s.labels]
+    order = {x: i for i, x in enumerate(sorted(set(labels)))}
+    label = np.fromiter(map(order.__getitem__, labels), np.int64, len(labels))
+    n = len(labels)
+    edges = np.append(np.repeat(np.arange(n) * n, deg) + flat, n * n)  # sorted, then a stop
+    codes = p * n + q
+    fields = [(np.arange(len(p)) >= tracked, 2), (label[p], len(order)), (label[q], len(order))]
+    fields += [(edges[np.searchsorted(edges, codes)] == codes, 2), (p == q, 2)]
+    return _dense_ranks(_pack(fields))
+
+
 class RefinementSession:
     """One refinement run: a graph, a test kind, an optional masked target.
 
@@ -198,12 +208,13 @@ class RefinementSession:
     check them.
 
     Every iteration has its own colour ids, which restart at 0 and number
-    the iteration's distinct signatures in sorted order (Shervashidze et al.,
-    JMLR 2011). Tracked ids depend only on (kind, graph, mask) up to
-    isomorphism; read-out-only ids follow them, in signature order, so the
-    targets never shift a tracked id. In a ``lockstep`` run of several
-    sessions, t = 0 joins the sessions' init ids, and every step numbers the
-    signatures of all of them together (``_Union``). Every signature is
+    the iteration's distinct signatures in sorted order. Tracked ids depend
+    only on (kind, graph, mask) up to isomorphism; read-out-only ids follow
+    them, in signature order, so the targets never shift a tracked id. The
+    first ``_Union`` a session joins numbers its t = 0 (on the first read of
+    ``colors`` or ``readouts``, a union of one), and every step the next
+    iteration. In a ``lockstep`` run of several sessions, every iteration
+    numbers the signatures of all of them together, and every signature is
     purely structural, so ids compare across the sessions of one iteration.
     """
 
@@ -235,40 +246,22 @@ class RefinementSession:
         n = graph.n
         self.nbrs = (tuple(range(n)),) * n if kind.dense else self.eff.adj
         self._layers = None  # local folklore: ``_walk_layers`` not yet tracked
-        # readouts maps each target pair that is not tracked to its current
-        # read-out colour; _readout_sigs to its init signature. _init_sigs
-        # lists the init signatures by id until the first step.
-        table = {}
-        colors, self._readout_sigs = self._init_colors(table, targets)
-        tracked, sd = len(table), table.setdefault
-        readouts = {pair: sd(sig, len(table)) for pair, sig in self._readout_sigs.items()}
-        colors, readouts, self._init_sigs = _canonical_ids(colors, readouts, table, tracked)
-        self.colors, self.readouts = colors, readouts
+        # The units at t = 0, tracked and read out (None once it is over): a
+        # pair kind tracks (p, u) for every u in nbrs[p] and reads out every
+        # other target pair, so the targets never change the tracked colours.
+        # colors and readouts (targets' read-out colours) start unset.
+        tracked, reads = range(n), []
+        if kind.pair_indexed:
+            tracked = [(p, u) for p, nb in enumerate(self.nbrs) for u in nb]
+            pairs = dict.fromkeys(pair for p, q in targets for pair in ((p, q), (q, p)))
+            reads = [(p, q) for p, q in pairs if q not in self.nbrs[p]]
+        self._init_units = tracked, reads
 
-    # -- initialization ---------------------------------------------------
-
-    def _init_colors(self, table, targets):
-        """Init colours of the tracked units, and init signatures of read-outs.
-
-        A pair kind tracks (p, u) for every u in nbrs[p] and reads out every
-        other target pair: no tracked signature reads a read-out, so the
-        targets never change the tracked colours.
-        """
-        eff, labels, nbrs, sd = self.eff, self.labels, self.nbrs, table.setdefault
-        if not self.kind.pair_indexed:
-            return {v: sd(("i", labels[v]), len(table)) for v in range(eff.n)}, {}
-        colors = {
-            (p, u): sd(_init_pair_sig(labels, eff, p, u), len(table))
-            for p, nb in enumerate(nbrs)
-            for u in nb
-        }
-        untracked = {
-            pair: _init_pair_sig(labels, eff, *pair)
-            for p, q in targets
-            for pair in ((p, q), (q, p))
-            if pair not in colors
-        }
-        return colors, untracked
+    def __getattr__(self, name):
+        if name not in ("colors", "readouts"):
+            raise AttributeError(name)
+        _Union([self], expand=False)  # numbers t = 0
+        return self.__dict__[name]
 
     # -- stepping ---------------------------------------------------------
 
@@ -398,17 +391,6 @@ class _Lines:
         return rank, count
 
 
-def _adjacency(sessions):
-    """The nbrs of the disjoint union of ``sessions`` (node v of the i-th is
-    node offset_i + v): the degrees, and all neighbours as one flat array."""
-    nbrs = [nb for s in sessions for nb in s.nbrs]
-    deg = np.fromiter(map(len, nbrs), np.int64, len(nbrs))
-    flat = np.fromiter(itertools.chain.from_iterable(nbrs), np.int64, int(deg.sum()))
-    sizes = [s.graph.n for s in sessions]
-    offset = np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
-    return deg, flat + np.repeat(offset, deg)
-
-
 def _entry_plan(codes, n: int, deg, flat, dense: bool):
     """Where the folklore entries (C[u, q], C[p, u]), u in nbrs[p] ∪ nbrs[q],
     of each pair p * n + q in ``codes`` are among them: per entry its pair's
@@ -461,74 +443,86 @@ class _Union:
     columns); a pair's folklore entries (``_entry_plan``), each coded by
     ``_encode_entries`` and ranked among all codes of the step.
 
-    A step ranks every line (``_Lines``), and a slot's new colour is the
-    dense rank of its key (head, ranks of its lines). The head is the slot's
-    colour if it was tracked, else C + the rank of its init signature (C
-    above every colour), as the tag "v" follows "s"; read-outs' heads follow
-    all others, so their ids follow the tracked ones. (No read-out's
-    signature equals a tracked one's: a pair that a step starts tracking
-    has an entry with both sides tracked, and a read-out has none yet.)
-    Every rank keeps the order of the signature it stands for, so a lone
-    session gets the canonical ids of sorted signatures, and a run of
-    several sessions ids that compare across them.
+    ``sig`` ranks every slot's init signature (``_init_ranks``), the tracked
+    ones first. Built on sessions at t = 0, the union numbers t = 0 with it
+    (the read-outs' ranks closed up over the other untracked slots). A step
+    ranks every line (``_Lines``), and a slot's new colour is the dense rank
+    of its key (head, ranks of its lines). The head is the slot's colour if
+    it was tracked, else C + its ``sig`` (C above every colour), as the tag
+    "v" follows "s"; read-outs' heads follow all others, so their ids follow
+    the tracked ones. (No read-out's signature equals a tracked one's: a
+    pair that a step starts tracking has an entry with both sides tracked,
+    and a read-out has none yet.) Every rank keeps the order of the
+    signature it stands for, so a lone session gets the canonical ids of
+    sorted signatures, and a run of several sessions ids that compare
+    across them.
     """
 
     def __init__(self, sessions, expand: bool):
         kind = self.kind = sessions[0].kind
         self.sessions, self.t = sessions, 0
         self.grow = expand and kind.folklore and kind.local
-        sizes = [s.graph.n for s in sessions]
-        offset = np.cumsum([0] + sizes[:-1]).tolist()
-        groups = []
+        fresh = sessions[0]._init_units is not None  # the union numbers t = 0 too
+        groups, reads = [], []
         for s in sessions:
+            units, read = s._init_units if fresh else (list(s.colors), list(s.readouts))
             if self.grow and s._layers is None:
                 s._layers = s._walk_layers()
-            groups.append([list(s.colors)] + (s._layers if self.grow else []))
+            groups.append([units] + (s._layers if self.grow else []))
+            reads.append(read)
         self.last = max(map(len, groups)) - 1  # the last group that a step tracks
-        for s, mine in zip(sessions, groups):
+        for read, mine in zip(reads, groups):
             seen = set(itertools.chain(*mine))
-            rest = [pair for pair in s._readout_sigs if pair not in seen]
-            mine += [[]] * (self.last + 1 - len(mine)) + [rest]
-        # per slot its unit and init signature (untracked); per run its node offset
-        units, sigs, runs, self.parts, self.ends = [], [], [], [[] for _ in sessions], []
+            mine += [[]] * (self.last + 1 - len(mine)) + [[u for u in read if u not in seen]]
+        # per run of slots its node offset and units
+        *offset, n = itertools.accumulate((s.graph.n for s in sessions), initial=0)
+        runs, self.parts, self.ends, size = [], [[] for _ in sessions], [], 0
         for k in range(self.last + 2):
-            for i, (s, mine) in enumerate(zip(sessions, groups)):
-                self.parts[i].append((len(units), mine[k]))
-                runs.append((offset[i], len(mine[k])))
-                units += mine[k]
-                sigs += [_init_pair_sig(s.labels, s.eff, *pair) for pair in mine[k]] if k else []
-            self.ends.append(len(units))
-        self.reads = []  # per session: (read-out pair, slot) of the untracked ones
-        for s, parts in zip(sessions, self.parts):
+            for i, mine in enumerate(groups):
+                self.parts[i].append((size, mine[k]))
+                runs.append((offset[i], mine[k]))
+                size += len(mine[k])
+            self.ends.append(size)
+        self.reads = []  # per session: (read-out pair, slot)
+        for read, parts in zip(reads, self.parts):
             slot = {u: a + j for a, mine in parts[1:] for j, u in enumerate(mine)}
-            self.reads.append([(pair, slot[pair]) for pair in s._readout_sigs if pair in slot])
+            self.reads.append([(pair, slot[pair]) for pair in read])
+        read = [slot for reads in self.reads for _, slot in reads]
         tracked = self.ends[0]
-        self.vals = np.full(len(units) + 1, ABSENT, np.int64)
+        # (p, q) of every slot as nodes of the union: a node kind's slots are
+        # its nodes, in order, and a node v is (v, v)
+        p = q = np.arange(size)
+        if kind.pair_indexed:
+            flat = itertools.chain.from_iterable(units for _, units in runs)
+            pairs = np.fromiter(itertools.chain.from_iterable(flat), np.int64, 2 * size)
+            pairs += np.repeat([off for off, _ in runs], [2 * len(units) for _, units in runs])
+            p, q = pairs[0::2], pairs[1::2]
+        adj = _adjacency([s.eff.adj for s in sessions])  # the nbrs of all but dense kinds
+        self.sig, self.sig_bound = _init_ranks(sessions, p, q, tracked, *adj)
+        if fresh:
+            ids = self.sig.copy()
+            if self.grow:  # close up the ranks of layer pairs that are no read-out
+                ids[read] = _dense_ranks(ids[read])[0] + int(ids[:tracked].max(initial=-1)) + 1
+            self._hand_out(ids)
+        self.vals = np.full(size + 1, ABSENT, np.int64)
         self.vals[:tracked] = [c for s in sessions for c in s.colors.values()]
         self.bound = int(self.vals.max()) + 1  # above every colour
-        ranks = {sig: r for r, sig in enumerate(sorted(set(sigs)))}
-        self.sig_bound = len(ranks)
-        self.sig = np.zeros(len(units), np.int64)
-        self.sig[tracked:] = [ranks[sig] for sig in sigs]
         # the heads of untracked slots past the step's: read-outs, then the rest
         self.rest = self.sig + 2 * self.sig_bound
-        self.rest[[slot for reads in self.reads for _, slot in reads]] -= self.sig_bound
-
+        self.rest[read] -= self.sig_bound
         self.state = (_dense_ranks(self.vals[:tracked])[1], tracked)
-        n, self.line_of = sum(sizes), [slice(None)]  # a slot's own line, or plain's two
+
+        self.line_of = [slice(None)]  # a slot's own line, or plain's two
         if not kind.pair_indexed:
-            deg, flat = _adjacency(sessions)
+            deg, flat = adj
             self.entry = (flat,)
             self.lines = _Lines(np.repeat(np.arange(n), deg), n)
             return
-        # (p, q) of every slot as nodes of the union
-        pairs = np.fromiter(itertools.chain.from_iterable(units), np.int64, 2 * len(units))
-        pairs += np.repeat([off for off, _ in runs], [2 * size for _, size in runs])
-        p, q = pairs[0::2], pairs[1::2]
         if kind.folklore:
-            line, a, b = _entry_plan(p * n + q, n, *_adjacency(sessions), kind.dense)
+            nbrs = _adjacency([s.nbrs for s in sessions]) if kind.dense else adj
+            line, a, b = _entry_plan(p * n + q, n, *nbrs, kind.dense)
             self.entry = (a, b)
-            self.lines = _Lines(line, len(units))
+            self.lines = _Lines(line, size)
         else:
             # a plain session tracks the same pairs at every step
             line = np.concatenate((p[:tracked], q[:tracked] + n))
@@ -556,17 +550,21 @@ class _Union:
         _check_splits(vals[:old], ids[:old])
         vals[:on] = ids[:on]
         self.bound = int(ids[:on].max(initial=-1)) + 1
-        # hand every session its new colour and read-out dicts
-        ids, chain = ids.tolist(), itertools.chain.from_iterable
-        for s, parts, reads in zip(self.sessions, self.parts, self.reads):
-            parts = parts[: min(self.t, last) + 1]
-            s.colors = dict(chain(zip(u, ids[a: a + len(u)]) for a, u in parts))
-            s.readouts = {pair: ids[slot] for pair, slot in reads if slot >= on}
+        self._hand_out(ids)
+        for s in self.sessions:
             if self.grow and s._layers:
                 s._layers.pop(0)
-            s._init_sigs = None  # t = 0 is over
+            s._init_units = None
         self.state = self.bound, on
         return self.state
+
+    def _hand_out(self, ids):
+        """Hand every session its dicts of iteration t: ``ids`` by slot."""
+        t = min(self.t, self.last)
+        ids, on, chain = ids.tolist(), self.ends[t], itertools.chain.from_iterable
+        for s, parts, reads in zip(self.sessions, self.parts, self.reads):
+            s.colors = dict(chain(zip(u, ids[a: a + len(u)]) for a, u in parts[: t + 1]))
+            s.readouts = {pair: ids[slot] for pair, slot in reads if slot >= on}
 
 
 def lockstep(sessions, max_iters: int = None, observe=None):
@@ -579,11 +577,12 @@ def lockstep(sessions, max_iters: int = None, observe=None):
     the largest session default. Returns ``(iterations, stable)``.
 
     The sessions must share one kind. Several sessions, which must not have
-    stepped yet, share their colour ids in every iteration: t = 0 joins their
-    canonical init ids, which sessions with the same init signatures keep,
-    and every step numbers all sessions together as one ``_Union``, as it
-    numbers a lone session.
+    stepped yet, share their colour ids in every iteration: one ``_Union``
+    numbers all of them together, t = 0 by their sorted init signatures and
+    every step by the step's, as it numbers a lone session.
     """
+    if not sessions:
+        raise RefinementError("no sessions were given to lockstep")
     if max_iters is None:
         max_iters = max(s.default_max_iters for s in sessions)
     elif max_iters < 1:
@@ -591,20 +590,12 @@ def lockstep(sessions, max_iters: int = None, observe=None):
     kind = sessions[0].kind
     if any(s.kind is not kind for s in sessions):
         raise RefinementError("sessions in lockstep must share one kind")
-    if len(sessions) > 1:
-        table = {}
-        for s in sessions:
-            if s._init_sigs is None:
-                raise RefinementError("sessions in lockstep must start at t = 0")
-            ids = [table.setdefault(sig, len(table)) for sig in s._init_sigs]
-            if ids != list(range(len(ids))):
-                s.colors = {u: ids[c] for u, c in s.colors.items()}
-                s.readouts = {u: ids[c] for u, c in s.readouts.items()}
-                s._init_sigs = list(table)  # its ids index the table now
+    if len(sessions) > 1 and any(s._init_units is None for s in sessions):
+        raise RefinementError("sessions in lockstep must start at t = 0")
 
+    union = _Union(sessions, expand=True)
     if observe is not None and observe(0):
         return 0, False
-    union = _Union(sessions, expand=True)
     prev = union.state
     for t in range(1, max_iters + 1):
         cur = union.step()

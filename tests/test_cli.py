@@ -260,6 +260,16 @@ def test_command_flag_before_the_command_is_named(flag, value, c6_file, tmp_path
     assert "put it after the command" in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["refine", "--graph", "/dev/null", "--tes", "WL1", "--mas", "0,1"], "--tes"),
+    (["power-check", "--corpus", "fixtures", "--outp", "x"], "--outp"),
+])
+def test_command_flags_are_not_abbreviated(argv, flag, capsys):
+    # --tes is not --test, and --outp is not --output, after the command too
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"usage error: unrecognized arguments: {flag}\n"
+
+
 def test_generate_help_names_the_seed_option(capsys):
     with pytest.raises(SystemExit):
         main(["predict", "--help"])

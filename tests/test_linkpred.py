@@ -171,6 +171,10 @@ class TestFeaturizeMany:
         featurize_many(TestKind.WL1_LABEL01, cycle_graph(8), targets)
         assert masks == [(0, 2), (0, 4), (0, 1), (4, 3)]
 
+    @pytest.mark.parametrize("kind", LINKPRED_KINDS)
+    def test_no_targets_no_rows(self, kind):
+        assert featurize_many(kind, cycle_graph(8), [], width=5).shape == (0, 3 + 5)
+
 
 class TestTrainScorer:
     def test_separable_loss_decreases(self):

@@ -35,7 +35,6 @@ from wl2link.refine import (
     _check_splits,
     _encode_entries,
     _entry_plan,
-    _init_pair_sig,
     indistinguishable,
     lockstep,
     refine_to_stable,
@@ -267,6 +266,43 @@ class TestEquivariance:
         assert not res.distinguished
 
 
+class TestInitRanks:
+    """t = 0 ranks every unit's init signature with the step's ranker."""
+
+    @pytest.mark.parametrize("kind", ALL)
+    def test_json_depends_only_on_label_order(self, kind):
+        # labels rank before they pack: any ints in the same order give the
+        # same JSON, negative ones and ones above 2**63 included
+        g = erdos_renyi(9, 0.4, seed=8)
+        small = [v % 4 for v in range(g.n)]
+        spread = {0: -(2**70), 1: -3, 2: 2**63 + 7, 3: 2**64}
+
+        def json_of(labels):
+            h = Graph.build(g.n, g.edges, labels)
+            return refine_to_stable(kind, h, mask=(0, 1), extra_targets=[(2, 7)]).to_json()
+
+        assert json_of([spread[x] for x in small]) == json_of(small)
+        assert json_of([3 - x for x in small]) != json_of(small)  # the order does count
+
+    @pytest.mark.parametrize("kind", ALL)
+    def test_shared_run_ranks_sorted_signatures(self, kind):
+        # the t = 0 ids of a shared run are the ranks of the sorted keys
+        # (read-out, init signature) over all of its sessions
+        cases = [(g, mask, ts) for g, mask, ts in _cases(kind) if g.n < 30]
+        sessions = [RefinementSession(kind, g, mask=m, extra_targets=ts) for g, m, ts in cases]
+        assert lockstep(sessions, observe=lambda t: True) == (0, False)
+
+        ids, keys = {}, {}
+        for i, s in enumerate(sessions):
+            for read, colors in ((0, s.colors), (1, s.readouts)):
+                for unit, c in colors.items():
+                    p, q = unit if kind.pair_indexed else (unit, unit)
+                    ids[i, read, unit] = c
+                    keys[i, read, unit] = (read, _init_pair_sig(s.labels, s.eff, p, q))
+        rank = {k: r for r, k in enumerate(sorted(set(keys.values())))}
+        assert ids == {unit: rank[k] for unit, k in keys.items()}
+
+
 class TestCanonicalIds:
     @pytest.mark.parametrize("kind", ALL)
     def test_ids_follow_relabelling(self, kind):
@@ -307,16 +343,19 @@ class TestSplitOnlyGuard:
             _check_splits(old, np.array([99, 99, 99]))
 
     def test_plain_step_checks_its_ranks(self, monkeypatch):
-        # the array step checks its own ids: keys that lose the old colour merge
+        # the array step checks its own ids: keys that lose the old colour
+        # merge (t = 0 ranks with _pack too, so the broken keys start at t = 1)
         session = RefinementSession(TestKind.WL2, path_graph(3))
+        session.step()
         monkeypatch.setattr(refine, "_pack", lambda fields: 0 * fields[0][0])
         with pytest.raises(RefinementError, match="merged"):
             session.step()
 
     @pytest.mark.parametrize("kind", [TestKind.WL1, TestKind.FWL2, TestKind.FWL2_LOCAL])
     def test_node_and_folklore_steps_check_their_ranks(self, kind, monkeypatch):
-        # the same guard on the other rules: their init has two classes here
+        # the same guard on the other rules: two classes a step in
         session = RefinementSession(kind, Graph.build(3, [(0, 1), (1, 2)], labels=[0, 1, 0]))
+        session.step()
         assert len(set(session.colors.values())) > 1
         monkeypatch.setattr(refine, "_pack", lambda fields: 0 * fields[0][0])
         with pytest.raises(RefinementError, match="merged"):
@@ -463,6 +502,11 @@ class TestOneTablePerIteration:
         with pytest.raises(RefinementError, match="t = 0"):
             lockstep([a, b])
 
+    def test_no_sessions(self):
+        for run in (lambda: lockstep([]), lambda: batch_refine(TestKind.WL1, Corpus([], {}))):
+            with pytest.raises(RefinementError, match="no sessions were given"):
+                run()
+
     def test_one_kind_per_run(self):
         # every kind ranks lines of its own, so two kinds never share ids
         wl1, wl2 = (RefinementSession(kind, path_graph(3)) for kind in (TestKind.WL1, TestKind.WL2))
@@ -489,6 +533,13 @@ class TestEntryEncoding:
                 _encode_entries(a, b)
 
 
+def _init_pair_sig(labels, eff, r, s):
+    """The init signature of the pair (r, s): its endpoint labels, edge bit
+    and diagonal bit."""
+    e_ind = 1 if r != s and eff.has_edge(r, s) else 0
+    return ("i", labels[r], labels[s], e_ind, 1 if r == s else 0)
+
+
 def _folklore_signatures(session, colors):
     """The pure-Python folklore rule's signatures of the pairs tracked after
     the step and of the read-outs: entries as sorted tuples of colour pairs,
@@ -508,8 +559,8 @@ def _folklore_signatures(session, colors):
         for pair in candidates - colors.keys():
             sigs[pair] = ("v", _init_pair_sig(labels, eff, *pair), entries(*pair))
     read = {
-        pair: ("v", sig, entries(*pair))
-        for pair, sig in session._readout_sigs.items()
+        pair: ("v", _init_pair_sig(labels, eff, *pair), entries(*pair))
+        for pair in session.readouts
         if pair not in sigs
     }
     return sigs, read
@@ -570,7 +621,7 @@ class TestFolkloreReference:
                 get, nbrs = session.colors.get, session.nbrs
                 pairs = [(p, q) for p in range(g.n) for q in range(g.n)]
                 codes = np.array([p * g.n + q for p, q in pairs], np.int64)
-                line, a, b = _entry_plan(codes, g.n, *_adjacency([session]), kind.dense)
+                line, a, b = _entry_plan(codes, g.n, *_adjacency([session.nbrs]), kind.dense)
                 assert (np.diff(line) >= 0).all()
                 vals = np.array([get(pair, ABSENT) for pair in pairs] + [ABSENT], np.int64)
                 entries = _encode_entries(vals[a], vals[b]).tolist()
@@ -624,7 +675,11 @@ def _plain_signatures(session, colors):
     rows = [tuple(sorted(colors[(p, v)] for v in nb)) for p, nb in enumerate(nbrs)]
     cols = [tuple(sorted(colors[(u, q)] for u in nb)) for q, nb in enumerate(nbrs)]
     sigs = {(p, q): ("s", c, cols[q], rows[p]) for (p, q), c in colors.items()}
-    read = {(p, q): ("v", sig, cols[q], rows[p]) for (p, q), sig in session._readout_sigs.items()}
+    labels, eff = session.labels, session.eff
+    read = {
+        (p, q): ("v", _init_pair_sig(labels, eff, p, q), cols[q], rows[p])
+        for p, q in session.readouts
+    }
     return sigs, read
 
 
