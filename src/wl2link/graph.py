@@ -68,7 +68,10 @@ class Graph:
         key = (u, v) if u < v else (v, u)
         if key not in self.edges:
             return self
-        return Graph.build(self.n, self.edges - {key}, self.labels)
+        adj = list(self.adj)  # only the two endpoints' neighbours change
+        adj[u] = tuple(x for x in adj[u] if x != v)
+        adj[v] = tuple(x for x in adj[v] if x != u)
+        return Graph(self.n, self.edges - {key}, self.labels, tuple(adj))
 
     def edge_list(self):
         return sorted(self.edges)
@@ -160,8 +163,8 @@ def label01(g: Graph, target) -> Graph:
     target's orientation.
     """
     p, q = check_target(g, target)
-    labels = [2 * lab + (1 if v in (p, q) else 0) for v, lab in enumerate(g.labels)]
-    return Graph.build(g.n, g.edges, labels)
+    labels = tuple(2 * lab + (1 if v in (p, q) else 0) for v, lab in enumerate(g.labels))
+    return Graph(g.n, g.edges, labels, g.adj)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .generate import (
     complete_graph,
     cycle_graph,
@@ -73,37 +75,36 @@ def all_pairs_corpus(g: Graph) -> Corpus:
 # Batch lockstep refinement: all instances of one kind refined together, one
 # session per group of ``session_groups``. Each iteration numbers the colours of
 # all sessions together, so colours compare corpus-wide within an iteration.
+# Every iteration's keys of all instances are one gather off the run's ids.
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class BatchResult:
     kind: TestKind
-    histories: list  # per instance: list over t of ordered key (a, b)
+    history: np.ndarray  # int64 (T + 1, instances, 2): ordered key (a, b) per t, instance
     iterations: int
     stable: bool
 
     def link_key(self, i: int, t: int = -1):
-        return tuple(sorted(self.histories[i][t]))
+        return tuple(sorted(self.history[t, i].tolist()))
 
     def final_keys(self):
-        return [self.link_key(i) for i in range(len(self.histories))]
+        return list(map(tuple, np.sort(self.history[-1], axis=1).tolist()))
 
     def first_difference(self, i: int, j: int):
-        steps = range(len(self.histories[i]))
-        return next((t for t in steps if self.link_key(i, t) != self.link_key(j, t)), None)
+        keys = np.sort(self.history[:, [i, j]], axis=2)
+        differ = np.flatnonzero((keys[:, 0] != keys[:, 1]).any(axis=1))
+        return int(differ[0]) if differ.size else None
 
 
 def batch_refine(kind: TestKind, corpus: Corpus, max_iters: int = None) -> BatchResult:
     sessions, readers = open_sessions(kind, corpus.instances)
-    histories = [[] for _ in readers]
-
-    def record(t):
-        for history, (session, target) in zip(histories, readers):
-            history.append(session.ordered_key(target))
-
-    iterations, stable = lockstep(sessions, max_iters, record)
-    return BatchResult(kind=kind, histories=histories, iterations=iterations, stable=stable)
+    history = []
+    iterations, stable = lockstep(
+        sessions, max_iters, lambda t, keys: history.append(keys), readers
+    )
+    return BatchResult(kind=kind, history=np.stack(history), iterations=iterations, stable=stable)
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,7 @@ def featurize_many(kind: TestKind, g_train: Graph, targets, width: int = 8) -> n
             session = RefinementSession(kind, g_train, mask=mask, extra_targets=group)
             session.step(expand=False)
         else:
+            # only the stable colours are read: no earlier iteration's map is built
             session = refine_to_stable(kind, g_train, mask=mask, extra_targets=group).session
         # class sizes and their rank order, once per session
         sizes = Counter(session.colors.values())

@@ -23,7 +23,9 @@ colour, sorted lines of colours): 1-WL reads a node's neighbour colours,
 plain 2-WL a pair's row and column, 2-FWL a pair's entries (the tensor form
 of Maron et al., NeurIPS 2019), all lines ranked at once by ``_Lines``.
 Every iteration runs over the disjoint union of a lockstep run's sessions
-(``_Union``); a lone session is a union of one.
+(``_Union``); a lone session is a union of one. The union keeps the ids by
+slot, and a run reads its targets' keys off them in one gather; a session's
+colour dicts are built only when they are read.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import enum
 import itertools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -216,6 +219,11 @@ class RefinementSession:
     iteration. In a ``lockstep`` run of several sessions, every iteration
     numbers the signatures of all of them together, and every signature is
     purely structural, so ids compare across the sessions of one iteration.
+
+    The ids live on the session's latest union, by slot. ``colors`` (tracked
+    unit -> id) and ``readouts`` (read-out target -> id) are dicts built
+    from them on the first read of an iteration, so a run that nobody reads
+    through them builds none.
     """
 
     def __init__(
@@ -256,12 +264,25 @@ class RefinementSession:
             pairs = dict.fromkeys(pair for p, q in targets for pair in ((p, q), (q, p)))
             reads = [(p, q) for p, q in pairs if q not in self.nbrs[p]]
         self._init_units = tracked, reads
+        self._union = self._index = None  # the union that holds the ids, and where
+        self._view = None  # (union, t, colors, readouts) of the last read
 
     def __getattr__(self, name):
+        # colors and readouts, built from the union's ids once per iteration;
+        # a plain attribute of either name shadows them
         if name not in ("colors", "readouts"):
             raise AttributeError(name)
-        _Union([self], expand=False)  # numbers t = 0
-        return self.__dict__[name]
+        if self._union is None:
+            _Union([self], expand=False)  # numbers t = 0
+        union, view = self._union, self._view
+        if view is None or view[0] is not union or view[1] != union.t:
+            view = self._view = (union, union.t, *union.dicts(self._index, union.t, union.ids))
+        return view[2] if name == "colors" else view[3]
+
+    def _stepped(self) -> bool:
+        """Whether the session is past t = 0."""
+        union = self._union
+        return union is not None and (union.t > 0 or not union.fresh)
 
     # -- stepping ---------------------------------------------------------
 
@@ -315,11 +336,6 @@ class RefinementSession:
     def default_max_iters(self) -> int:
         n = self.graph.n
         return (n * n + 2) if self.kind.pair_indexed else (n + 2)
-
-    def color_map(self) -> ColorMap:
-        """This iteration's colours. A step replaces the session's dicts and
-        never mutates them, so the map shares them."""
-        return ColorMap(self.colors, self.readouts)
 
 
 # Lines are ranked in blocks of entry positions, this many first, then doubling,
@@ -431,11 +447,18 @@ class _Union:
     """The rule of one kind over the disjoint union of a lockstep run's sessions.
 
     Node v of the i-th session is node offset_i + v of the union, so each
-    session keeps its own ``nbrs``. A slot is a unit the rule colours. The
-    slots run in groups: the sessions' tracked units, then per expanding
-    step the pairs it starts tracking (``_walk_layers``), then the read-outs
-    that are none of these, so ``ends[t]`` ends the slots tracked after step
-    t. ``vals`` holds their colours (ABSENT: not tracked), then an ABSENT pad.
+    session keeps its own ``nbrs``. A slot is a unit the rule colours, and
+    it keeps its slot for the whole run. The slots run in groups: the
+    sessions' tracked units, then per expanding step the pairs it starts
+    tracking (``_walk_layers``), then the read-outs that are none of these,
+    so ``ends[t]`` ends the slots tracked after step t. ``ids`` holds every
+    slot's id of the current iteration, read-outs and layer pairs included;
+    ``vals`` the colours of the tracked ones (ABSENT: not tracked), then an
+    ABSENT pad. ``reads[i]`` gives the slot of every read pair of session i
+    (its read-out, or the layer that tracks it), and ``slots`` the slots of
+    readers' keys, so a run reads its targets off ``ids`` and the sessions'
+    dicts are built only when read (``dicts``). The union holds none of its
+    sessions: once they are gone, so are its arrays.
 
     Lines per rule: a node's neighbour colours (node kinds); row p and column
     q of a pair (p, q), the colours of (p, v), v in nbrs[p], and of (u, q),
@@ -460,19 +483,23 @@ class _Union:
 
     def __init__(self, sessions, expand: bool):
         kind = self.kind = sessions[0].kind
-        self.sessions, self.t = sessions, 0
+        self.t, self.fresh = 0, not sessions[0]._stepped()  # fresh: numbers t = 0 too
         self.grow = expand and kind.folklore and kind.local
-        fresh = sessions[0]._init_units is not None  # the union numbers t = 0 too
         groups, reads = [], []
         for s in sessions:
-            units, read = s._init_units if fresh else (list(s.colors), list(s.readouts))
+            units, read = s._init_units
+            if not self.fresh:
+                units = list(s.colors)
             if self.grow and s._layers is None:
                 s._layers = s._walk_layers()
             groups.append([units] + (s._layers if self.grow else []))
             reads.append(read)
+        self.layers = [s._layers for s in sessions] if self.grow else []  # popped per step
         self.last = max(map(len, groups)) - 1  # the last group that a step tracks
+        # a read pair is no init unit; a session that has stepped may track it
+        tracked_from = 1 if self.fresh else 0
         for read, mine in zip(reads, groups):
-            seen = set(itertools.chain(*mine))
+            seen = set(itertools.chain(*mine[tracked_from:]))
             mine += [[]] * (self.last + 1 - len(mine)) + [[u for u in read if u not in seen]]
         # per run of slots its node offset and units
         *offset, n = itertools.accumulate((s.graph.n for s in sessions), initial=0)
@@ -483,9 +510,9 @@ class _Union:
                 runs.append((offset[i], mine[k]))
                 size += len(mine[k])
             self.ends.append(size)
-        self.reads = []  # per session: (read-out pair, slot)
+        self.reads = []  # per session: (read pair, slot)
         for read, parts in zip(reads, self.parts):
-            slot = {u: a + j for a, mine in parts[1:] for j, u in enumerate(mine)}
+            slot = {u: a + j for a, mine in parts[tracked_from:] for j, u in enumerate(mine)}
             self.reads.append([(pair, slot[pair]) for pair in read])
         read = [slot for reads in self.reads for _, slot in reads]
         tracked = self.ends[0]
@@ -499,13 +526,20 @@ class _Union:
             p, q = pairs[0::2], pairs[1::2]
         adj = _adjacency([s.eff.adj for s in sessions])  # the nbrs of all but dense kinds
         self.sig, self.sig_bound = _init_ranks(sessions, p, q, tracked, *adj)
-        if fresh:
+        if self.fresh:
             ids = self.sig.copy()
             if self.grow:  # close up the ranks of layer pairs that are no read-out
                 ids[read] = _dense_ranks(ids[read])[0] + int(ids[:tracked].max(initial=-1)) + 1
-            self._hand_out(ids)
+        else:  # a lone session that has stepped: its ids so far, in this union's slots
+            (s,), ids = sessions, np.full(size, ABSENT, np.int64)
+            ids[:tracked] = list(s.colors.values())
+            late = [(pair, slot) for pair, slot in self.reads[0] if slot >= tracked]
+            ids[[slot for _, slot in late]] = [s.readouts[pair] for pair, _ in late]
+        self.ids = ids
+        for i, s in enumerate(sessions):
+            s._union, s._index = self, i
         self.vals = np.full(size + 1, ABSENT, np.int64)
-        self.vals[:tracked] = [c for s in sessions for c in s.colors.values()]
+        self.vals[:tracked] = ids[:tracked]
         self.bound = int(self.vals.max()) + 1  # above every colour
         # the heads of untracked slots past the step's: read-outs, then the rest
         self.rest = self.sig + 2 * self.sig_bound
@@ -550,31 +584,61 @@ class _Union:
         _check_splits(vals[:old], ids[:old])
         vals[:on] = ids[:on]
         self.bound = int(ids[:on].max(initial=-1)) + 1
-        self._hand_out(ids)
-        for s in self.sessions:
-            if self.grow and s._layers:
-                s._layers.pop(0)
-            s._init_units = None
+        self.ids = ids
+        for layers in self.layers:
+            if layers:
+                layers.pop(0)
         self.state = self.bound, on
         return self.state
 
-    def _hand_out(self, ids):
-        """Hand every session its dicts of iteration t: ``ids`` by slot."""
-        t = min(self.t, self.last)
-        ids, on, chain = ids.tolist(), self.ends[t], itertools.chain.from_iterable
-        for s, parts, reads in zip(self.sessions, self.parts, self.reads):
-            s.colors = dict(chain(zip(u, ids[a: a + len(u)]) for a, u in parts[: t + 1]))
-            s.readouts = {pair: ids[slot] for pair, slot in reads if slot >= on}
+    def dicts(self, i, t: int, ids):
+        """Session i's dicts of iteration t, whose ids are ``ids``: tracked
+        unit -> id, and read-out (a read pair not tracked yet) -> id."""
+        t = min(t, self.last)
+        on, colors = self.ends[t], {}
+        for a, units in self.parts[i][: t + 1]:
+            colors.update(zip(units, ids[a: a + len(units)].tolist()))
+        late = [(pair, slot) for pair, slot in self.reads[i] if slot >= on]
+        readouts = zip([pair for pair, _ in late], ids[[slot for _, slot in late]].tolist())
+        return colors, dict(readouts)
+
+    def slots(self, readers):
+        """The slots of every reader ``(session, (p, q))``'s ordered key, as
+        an (R, 2) int64 array: of p and q for a node kind, else of (p, q)
+        and (q, p), an init unit's by its place in the session's init units
+        (which start its first group) and a read pair's by ``reads``."""
+        out = np.empty((len(readers), 2), np.int64)
+        found = {}  # per session: read pair -> slot, and where its node's init units start
+        for r, (s, (p, q)) in enumerate(readers):
+            if s._union is not self:
+                raise RefinementError("a reader's session is not in the run")
+            i, base = s._index, self.parts[s._index][0][0]
+            if not self.kind.pair_indexed:
+                out[r] = base + p, base + q
+                continue
+            if i not in found:
+                first = itertools.accumulate(map(len, s.nbrs), initial=base)
+                found[i] = dict(self.reads[i]), list(first)
+            read, first = found[i]
+            for k, (a, b) in enumerate(((p, q), (q, p))):
+                slot = read.get((a, b))
+                out[r, k] = first[a] + s.nbrs[a].index(b) if slot is None else slot
+        return out
 
 
-def lockstep(sessions, max_iters: int = None, observe=None):
+def lockstep(sessions, max_iters: int = None, observe=None, readers=()):
     """Step ``sessions`` together until their joint partition stops splitting.
 
-    ``observe(t)`` runs after init (t = 0) and after every step; a true
-    result stops the run there. The run is stable at the first step that
-    changes neither the number of distinct colours across all sessions nor
-    their total number of units. ``max_iters`` must be >= 1 and defaults to
-    the largest session default. Returns ``(iterations, stable)``.
+    ``observe(t, keys)`` runs after init (t = 0) and after every step; a true
+    result stops the run there. ``keys`` holds the ordered key of every
+    reader ``(session, target)`` of ``readers`` (``ordered_key``'s, row by
+    row) as one (len(readers), 2) int64 array, read off the union's ids. The
+    run is stable at the first step that changes neither the number of
+    distinct colours across all sessions nor their total number of units;
+    a run stable only after more steps than units + 1 breaks the refinement
+    bound and raises RefinementError. ``max_iters`` must be >= 1 and
+    defaults to the largest session default. Returns ``(iterations,
+    stable)``.
 
     The sessions must share one kind. Several sessions, which must not have
     stepped yet, share their colour ids in every iteration: one ``_Union``
@@ -590,18 +654,21 @@ def lockstep(sessions, max_iters: int = None, observe=None):
     kind = sessions[0].kind
     if any(s.kind is not kind for s in sessions):
         raise RefinementError("sessions in lockstep must share one kind")
-    if len(sessions) > 1 and any(s._init_units is None for s in sessions):
+    if len(sessions) > 1 and any(s._stepped() for s in sessions):
         raise RefinementError("sessions in lockstep must start at t = 0")
 
     union = _Union(sessions, expand=True)
-    if observe is not None and observe(0):
+    slots = union.slots(readers)
+    if observe is not None and observe(0, union.ids[slots]):
         return 0, False
     prev = union.state
     for t in range(1, max_iters + 1):
         cur = union.step()
-        if observe is not None and observe(t):
+        if observe is not None and observe(t, union.ids[slots]):
             return t, False
         if cur == prev:
+            if t > cur[1] + 1:
+                raise RefinementError("stabilization bound violated")
             return t, True
         prev = cur
     return max_iters, False
@@ -641,11 +708,28 @@ def open_sessions(kind: TestKind, instances):
     return sessions, readers
 
 
+class _History(Sequence):
+    """The ColorMap of every iteration of a lone session's run, each built
+    on its first read from the ids that the run's union had then."""
+
+    def __init__(self, union, ids):
+        self._union, self._ids, self._maps = union, ids, {}
+
+    def __len__(self):
+        return len(self._ids)
+
+    def __getitem__(self, t):
+        t = range(len(self))[t]
+        if t not in self._maps:
+            self._maps[t] = ColorMap(*self._union.dicts(0, t, self._ids[t]))
+        return self._maps[t]
+
+
 @dataclass
 class RefinementResult:
     kind: TestKind
     mask: tuple
-    history: list  # ColorMap per iteration, t = 0..T
+    history: Sequence  # ColorMap per iteration, t = 0..T (built on read)
     stable_at: int  # first t with partition unchanged; None if cap reached
     reached_cap: bool
     session: RefinementSession = field(repr=False, compare=False)
@@ -681,16 +765,14 @@ def refine_to_stable(
 ) -> RefinementResult:
     """Refine one lone, canonically numbered session until it stops splitting."""
     session = RefinementSession(kind, g, mask=mask, extra_targets=extra_targets)
-    history = []
+    ids = []  # every iteration's ids: a step makes new ones
     iterations, stable = lockstep(
-        [session], max_iters, lambda t: history.append(session.color_map())
+        [session], max_iters, lambda t, keys: ids.append(session._union.ids)
     )
-    if stable and iterations > session.num_units() + 1:
-        raise RefinementError("stabilization bound violated")
     return RefinementResult(
         kind=kind,
         mask=session.mask,
-        history=history,
+        history=_History(session._union, ids),
         stable_at=iterations if stable else None,
         reached_cap=not stable,
         session=session,
@@ -722,10 +804,13 @@ def indistinguishable(
     the target; pair of node colors for node-level tests) at every iteration.
     e1 is masked in g1, e2 in g2; one session serves both where it can.
     """
-    sessions, ((s1, t1), (s2, t2)) = open_sessions(kind, [(g1, e1), (g2, e2)])
+    sessions, readers = open_sessions(kind, [(g1, e1), (g2, e2)])
+    split = []  # per iteration: whether the two sorted keys differ
 
-    def split(t):
-        return s1.link_key(t1) != s2.link_key(t2)
+    def observe(t, keys):
+        a, b = keys.tolist()
+        split.append(sorted(a) != sorted(b))
+        return split[-1]
 
-    iterations, stable = lockstep(sessions, max_iters, split)
-    return DistinguishResult(iterations if split(iterations) else None, iterations, stable)
+    iterations, stable = lockstep(sessions, max_iters, observe, readers)
+    return DistinguishResult(iterations if split[-1] else None, iterations, stable)

@@ -127,10 +127,10 @@ def test_criterion4_tree_correspondence(
     if test_kind is TestKind.WL1_LABEL01:
         # the power report leaves this kind out; its tree is T_B over the
         # 0/1 labels
-        histories = batch_refine(test_kind, Corpus(instances, {})).histories
+        history = batch_refine(test_kind, Corpus(instances, {})).history
         instances = [(label01(g, e), e) for g, e in instances]
     else:
-        histories = [default_power_report.results[test_kind].histories[i] for i in small]
+        history = default_power_report.results[test_kind].history[:, small]
     interner = Interner()
     for depth in range(4):
         by_tree = {}
@@ -138,8 +138,7 @@ def test_criterion4_tree_correspondence(
         for i, (g, e) in enumerate(instances):
             tree = unroll(tree_kind, g, e, depth, interner)
             by_tree.setdefault(tree.canonical_id, set()).add(i)
-            hist = histories[i]
-            key = hist[min(depth, len(hist) - 1)]
+            key = tuple(history[min(depth, len(history) - 1), i].tolist())
             by_color.setdefault(key, set()).add(i)
         partition_tree = {frozenset(v) for v in by_tree.values()}
         partition_color = {frozenset(v) for v in by_color.values()}

@@ -17,6 +17,7 @@ from wl2link.graph import (
     sample_non_edges,
     split_links,
 )
+from wl2link.harness import builtin_fixtures
 
 
 class TestBuild:
@@ -47,6 +48,24 @@ class TestBuild:
         assert not h.has_edge(0, 1)
         assert h.m == g.m - 1
         assert g.without_edge(0, 2) is g  # absent edge: no copy
+
+    def test_copies_match_build(self):
+        # without_edge and label01 reuse what they do not change; the graphs
+        # they give equal what Graph.build gives, field by field
+        graphs = [g for f in builtin_fixtures() for g in (f.graph_a, f.graph_b)]
+        graphs += [erdos_renyi(n, 0.4, seed=n) for n in (5, 8, 12)]
+        graphs.append(Graph.build(4, [(0, 1), (1, 2), (2, 3), (0, 3)], labels=[2, 0, 1, 0]))
+
+        def fields(g):
+            return g.n, g.edges, g.labels, g.adj
+
+        for g in graphs:
+            for u, v in g.edge_list():
+                rest = Graph.build(g.n, g.edges - {(u, v)}, g.labels)
+                assert fields(g.without_edge(u, v)) == fields(rest)
+                assert fields(g.without_edge(v, u)) == fields(rest)
+                marked = [2 * x + (w in (u, v)) for w, x in enumerate(g.labels)]
+                assert fields(label01(g, (v, u))) == fields(Graph.build(g.n, g.edges, marked))
 
 
 class TestEdgeListIO:

@@ -2,8 +2,10 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
+from wl2link import refine
 from wl2link.generate import (
     cycle_graph,
     erdos_renyi,
@@ -75,6 +77,20 @@ class TestBatchRefine:
                 g2, e2 = instances[j]
                 ref = indistinguishable(kind, e1, g1, e2, g2)
                 assert (keys[i] != keys[j]) == ref.distinguished, (i, j)
+
+    def test_stabilization_bound(self, monkeypatch):
+        # a run whose colour count keeps changing for more steps than its
+        # units + 1 breaks the refinement bound
+        step = refine._Union.step
+
+        def slow(union):
+            count, units = step(union)
+            return count + min(union.t, 20), units
+
+        monkeypatch.setattr(refine._Union, "step", slow)
+        corpus = Corpus([(cycle_graph(6), (0, 1))], {})  # 6 units: stable by t = 7
+        with pytest.raises(RefinementError, match="stabilization bound"):
+            batch_refine(TestKind.WL1, corpus, max_iters=30)
 
     def test_first_difference_matches_reference(self):
         corpus = fixtures_corpus()
@@ -199,7 +215,7 @@ class TestFwl2LocalReadouts:
 
 def _partition(result, t):
     classes = {}
-    for i in range(len(result.histories)):
+    for i in range(result.history.shape[1]):
         classes.setdefault(result.link_key(i, t), set()).add(i)
     return sorted(map(sorted, classes.values()))
 
@@ -250,8 +266,8 @@ class TestPowerCheck:
         pi = [3, 0, 6, 1, 5, 2, 4]
         corpus = Corpus([(cycle_graph(10), (0, 1)), (g, (0, 1)), (permute(g, pi), (3, 0))], {})
         results = {
-            TestKind.WL1: BatchResult(TestKind.WL1, [[(0, 0)]] * 3, 0, True),
-            TestKind.WL2: BatchResult(TestKind.WL2, [[(0, 0)], [(0, 0)], [(0, 1)]], 0, True),
+            TestKind.WL1: BatchResult(TestKind.WL1, np.array([[(0, 0)] * 3]), 0, True),
+            TestKind.WL2: BatchResult(TestKind.WL2, np.array([[(0, 0), (0, 0), (0, 1)]]), 0, True),
         }
         assert oracle_soundness(corpus, results) == {
             "instances": 2,

@@ -37,6 +37,7 @@ from wl2link.refine import (
     _entry_plan,
     indistinguishable,
     lockstep,
+    open_sessions,
     refine_to_stable,
 )
 
@@ -113,7 +114,7 @@ class TestInitColors:
         masked = RefinementSession(TestKind.WL2, g, mask=(0, 1))
         unmasked = RefinementSession(TestKind.WL2, g)
 
-        def check(t):
+        def check(t, keys):
             assert masked.colors[(0, 1)] != unmasked.colors[(0, 1)]
             assert masked.colors[(0, 1)] == unmasked.colors[(0, 2)]  # both non-edges now
             return True
@@ -290,7 +291,7 @@ class TestInitRanks:
         # (read-out, init signature) over all of its sessions
         cases = [(g, mask, ts) for g, mask, ts in _cases(kind) if g.n < 30]
         sessions = [RefinementSession(kind, g, mask=m, extra_targets=ts) for g, m, ts in cases]
-        assert lockstep(sessions, observe=lambda t: True) == (0, False)
+        assert lockstep(sessions, observe=lambda t, keys: True) == (0, False)
 
         ids, keys = {}, {}
         for i, s in enumerate(sessions):
@@ -399,7 +400,9 @@ class TestSplitOnlyGuard:
 class TestFwl2LocalReadouts:
     def test_targets_are_not_tracked(self):
         # both sessions step in one lockstep run and share colour ids
-        self._check_targets_not_tracked(lambda sessions, check: lockstep(sessions, 3, check))
+        self._check_targets_not_tracked(
+            lambda sessions, check: lockstep(sessions, 3, lambda t, keys: check(t))
+        )
 
     def test_targets_are_not_tracked_canonical(self):
         # each session runs alone and numbers its own colours, read-outs
@@ -448,6 +451,20 @@ class TestFwl2LocalReadouts:
         assert (0, 2) in read.readouts and (0, 2) in grow.colors
 
 
+def _shared_instances():
+    """Instances that share sessions, with edge and non-edge targets; the
+    distance-2 targets are read-outs that a later FWL2_Local layer tracks."""
+    labelled = Graph.build(5, [(0, 1), (1, 2), (2, 3), (3, 4)], labels=[0, 1, 0, 2, 0])
+    return [
+        (cycle_graph(6), (0, 2)),
+        (cycle_graph(6), (0, 1)),
+        (labelled, (1, 3)),
+        (labelled, (0, 1)),
+        (complete_graph(4), (0, 1)),
+        (Graph.build(3, []), (0, 2)),
+    ]
+
+
 class TestOneTablePerIteration:
     """Several sessions in lockstep share one numbering per iteration."""
 
@@ -455,27 +472,19 @@ class TestOneTablePerIteration:
     def test_ids_in_use_are_dense_at_every_t(self, kind, monkeypatch):
         # at every t, the ids in use across all sessions, read-outs
         # included, are exactly range(k): no numbering outlives its iteration
-        labelled = Graph.build(5, [(0, 1), (1, 2), (2, 3), (3, 4)], labels=[0, 1, 0, 2, 0])
-        instances = [
-            (cycle_graph(6), (0, 2)),
-            (cycle_graph(6), (0, 1)),
-            (labelled, (1, 3)),
-            (labelled, (0, 1)),
-            (complete_graph(4), (0, 1)),
-            (Graph.build(3, []), (0, 2)),
-        ]
+        instances = _shared_instances()
         sizes = []
 
-        def spy(sessions, max_iters=None, observe=None):
-            def check(t):
+        def spy(sessions, max_iters=None, observe=None, readers=()):
+            def check(t, keys):
                 ids = set()
                 for s in sessions:
                     ids.update(s.colors.values(), s.readouts.values())
                 assert ids == set(range(len(ids))), f"t = {t}"
                 sizes.append(len(sessions))
-                return observe(t)
+                return observe(t, keys)
 
-            return lockstep(sessions, max_iters, check)
+            return lockstep(sessions, max_iters, check, readers)
 
         monkeypatch.setattr(harness, "lockstep", spy)
         monkeypatch.setattr(refine, "lockstep", spy)
@@ -485,6 +494,52 @@ class TestOneTablePerIteration:
         indistinguishable(kind, (0, 2), cycle_graph(6), (0, 3), c3c3)
         assert len(sizes) >= batch.iterations + 3  # and a step of the pair run
 
+    @pytest.mark.parametrize("kind", ALL)
+    def test_observed_keys_are_the_ordered_keys(self, kind):
+        # the keys gathered off the run's ids are the readers' ordered keys
+        # read from the dicts, at every t
+        sessions, readers = open_sessions(kind, _shared_instances())
+        tracked = []  # per t: the readers whose target orientation is tracked
+
+        def check(t, keys):
+            assert keys.dtype == np.int64 and keys.shape == (len(readers), 2)
+            assert keys.tolist() == [list(s.ordered_key(target)) for s, target in readers]
+            if kind.pair_indexed:
+                tracked.append({r for r, (s, target) in enumerate(readers) if target in s.colors})
+
+        iterations, _ = lockstep(sessions, observe=check, readers=readers)
+        assert len(tracked) == (iterations + 1 if kind.pair_indexed else 0)
+        if kind is TestKind.FWL2_LOCAL:
+            assert tracked[-1] - tracked[0]  # read out at t = 0, tracked by a layer later
+
+    @pytest.mark.parametrize("kind", ALL)
+    def test_runs_build_no_dicts(self, kind, monkeypatch):
+        # batch_refine and indistinguishable read their keys off the ids only
+        def no_dicts(*args):
+            raise AssertionError("a session's dicts were built")
+
+        monkeypatch.setattr(refine._Union, "dicts", no_dicts)
+        batch_refine(kind, Corpus(_shared_instances(), {}))
+        c3c3, _ = disjoint_union(cycle_graph(3), cycle_graph(3))
+        indistinguishable(kind, (0, 2), cycle_graph(6), (0, 3), c3c3)
+        indistinguishable(kind, (0, 2), cycle_graph(6), (0, 1), cycle_graph(6))
+
+    @pytest.mark.parametrize("kind", ALL)
+    def test_dicts_read_after_the_run_are_the_last_iteration(self, kind):
+        # a run that reads its dicts at every t, and one that reads them only
+        # once it has returned, end on the same dicts
+        read = []
+
+        def record(t, keys):
+            read.append([(s.colors, s.readouts) for s in watched])
+
+        watched, readers = open_sessions(kind, _shared_instances())
+        iterations, _ = lockstep(watched, observe=record, readers=readers)
+        sessions, readers = open_sessions(kind, _shared_instances())
+        assert lockstep(sessions, readers=readers) == (iterations, True)
+        assert [(s.colors, s.readouts) for s in sessions] == read[-1]
+        assert read[-1] != read[0]
+
     def test_init_joins_different_signatures(self):
         # each session numbers its init canonically; lockstep gives
         # different init signatures of different sessions different ids
@@ -492,7 +547,7 @@ class TestOneTablePerIteration:
         a, b = (RefinementSession(TestKind.WL1, h) for h in (g, ones))
         assert a.colors == b.colors
         for _ in range(2):  # a second join keeps the joint ids
-            assert lockstep([a, b], observe=lambda t: True) == (0, False)
+            assert lockstep([a, b], observe=lambda t, keys: True) == (0, False)
             assert a.colors[0] != b.colors[0]
         assert indistinguishable(TestKind.WL1, (0, 2), g, (0, 2), ones).distinguished_at == 0
 
@@ -780,9 +835,11 @@ class TestPlainReference:
             return [RefinementSession(kind, g, mask=m, extra_targets=ts) for g, m, ts in cases]
 
         sessions, seen = open_all(), []
-        iterations, _ = lockstep(sessions, observe=lambda t: seen.append(_partitions(sessions)))
+        iterations, _ = lockstep(
+            sessions, observe=lambda t, keys: seen.append(_partitions(sessions))
+        )
         reference = open_all()
-        assert lockstep(reference, observe=lambda t: True) == (0, False)  # the t = 0 join
+        assert lockstep(reference, observe=lambda t, keys: True) == (0, False)  # the t = 0 join
         expected = [_partitions(reference)]
         for _ in range(iterations):
             table, steps = {}, []
