@@ -10,7 +10,8 @@ Four measurements, each run on both checkouts:
   sample and the per-workload medians, and per metric the base's quartiles
   and the number of seeds whose head sample beat the base sample, in the
   direction that ``BENCHMARK.json`` gives the metric (ties count for
-  neither side).
+  neither side). Each end-to-end metric also gets its bound from
+  ``BENCHMARK.json`` and a verdict (see ``verdict``).
 - ``batch_refine`` per kind on the default corpus (the built-in fixtures
   plus ``random_corpus()``), one fresh process per kind, one round per seed
   with the sides alternating the same way: seconds, iterations, and the
@@ -134,9 +135,30 @@ def summarize(runs):
     }
 
 
-def compare(base, head, better):
+def verdict(row, bound, b, h):
+    """How one end-to-end metric's ``compare`` row reads, with ``bound`` a
+    fraction of the base's median and ``b``, ``h`` the base and head samples:
+    ``regressed`` when the head's median is worse than the base's by more
+    than the bound; else ``unresolved`` when the base's IQR is wider than the
+    bound and not every head sample beats every base sample; else
+    ``improved`` when the head won at least 9 pairs in 10 and the medians
+    differ by more than the base's IQR; else ``within_bound``."""
+    sign = 1 if row["better"] == "higher" else -1
+    allowed = bound * abs(row["base_median"])
+    gain = sign * (row["head_median"] - row["base_median"])
+    if -gain > allowed:
+        return "regressed"
+    if row["base_iqr"] > allowed and not all(sign * (y - x) > 0 for x in b for y in h):
+        return "unresolved"
+    if 10 * row["head_won"] >= 9 * row["pairs"] and gain > row["base_iqr"]:
+        return "improved"
+    return "within_bound"
+
+
+def compare(base, head, better, bounds):
     """Per metric: the base's quartiles and interquartile range, both medians,
-    and how many seed pairs the head won in the metric's direction."""
+    and how many seed pairs the head won in the metric's direction; per
+    metric with a bound (the end-to-end ones), the bound and the verdict."""
     out = {}
     for name, direction in better.items():
         if name not in base["samples"] or name not in head["samples"]:
@@ -144,7 +166,7 @@ def compare(base, head, better):
         b, h = base["samples"][name], head["samples"][name]
         sign = 1 if direction == "higher" else -1
         quartiles = statistics.quantiles(b, n=4, method="inclusive") if len(b) > 1 else [b[0]] * 3
-        out[name] = {
+        row = out[name] = {
             "better": direction,
             "base_quartiles": quartiles,
             "base_iqr": quartiles[2] - quartiles[0],
@@ -153,6 +175,9 @@ def compare(base, head, better):
             "head_won": sum(sign * (y - x) > 0 for x, y in zip(b, h)),
             "pairs": min(len(b), len(h)),
         }
+        if name in bounds:
+            row["bound"] = bounds[name]
+            row["verdict"] = verdict(row, bounds[name], b, h)
     return out
 
 
@@ -181,10 +206,13 @@ def main():
 
     declared = json.loads((HEAD / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in declared["end_to_end"]}
     workloads = {}
     for w, per in runs.items():
         workloads[w] = {side: summarize(r) for side, r in per.items()}
-        workloads[w]["comparison"] = compare(workloads[w]["base"], workloads[w]["head"], better)
+        workloads[w]["comparison"] = compare(
+            workloads[w]["base"], workloads[w]["head"], better, bounds
+        )
     report = {
         "machine": {"python": platform.python_version(), "cpus": len(os.sched_getaffinity(0))},
         "perfbench": {

@@ -86,9 +86,8 @@ class TestKind(enum.Enum):
 ALL_KINDS = tuple(TestKind)
 
 # Reserved color for pairs a local folklore session does not track yet.
-# Never a colour id; _encode_entries codes it as 0.
+# Never a colour id; a folklore step packs every entry colour plus one, so it is 0.
 ABSENT = -1
-_ENTRY_COLOR_BOUND = 2**31 - 1  # every encoded colour id is below it
 
 # Dense pair tests refuse more nodes than this; FWL2_Local expansion more pairs than its square.
 DEFAULT_DENSE_NODE_LIMIT = 128
@@ -129,18 +128,6 @@ class ColorMap:
         for unit, c in self.colors.items():
             classes.setdefault(c, []).append(unit)
         return sorted(frozenset(v) for v in classes.values())
-
-
-def _encode_entries(a, b):
-    """Folklore entries (a, b) as int64 ``(a + 1) << 32 | (b + 1)``: for
-    ABSENT <= a, b < _ENTRY_COLOR_BOUND injective and ordered like the pairs,
-    so sorted rows of codes compare like sorted rows of pairs."""
-    if a.size and max(a.max(), b.max()) >= _ENTRY_COLOR_BOUND:
-        raise RefinementError(f"colour id above {_ENTRY_COLOR_BOUND - 1} cannot be encoded")
-    codes = a + 1
-    codes <<= 32
-    codes |= b + 1
-    return codes
 
 
 def _check_splits(old, new):
@@ -213,12 +200,13 @@ class RefinementSession:
     Every iteration has its own colour ids, which restart at 0 and number
     the iteration's distinct signatures in sorted order. Tracked ids depend
     only on (kind, graph, mask) up to isomorphism; read-out-only ids follow
-    them, in signature order, so the targets never shift a tracked id. The
-    first ``_Union`` a session joins numbers its t = 0 (on the first read of
-    ``colors`` or ``readouts``, a union of one), and every step the next
-    iteration. In a ``lockstep`` run of several sessions, every iteration
-    numbers the signatures of all of them together, and every signature is
-    purely structural, so ids compare across the sessions of one iteration.
+    them, in signature order, so the targets never shift a tracked id. A
+    ``_Union`` is built only on sessions at t = 0 and numbers their t = 0
+    (on the first read of ``colors`` or ``readouts``, a union of one); the
+    union that steps a session numbers all its later iterations. In a
+    ``lockstep`` run of several sessions, every iteration numbers the
+    signatures of all of them together, and every signature is purely
+    structural, so ids compare across the sessions of one iteration.
 
     The ids live on the session's latest union, by slot. ``colors`` (tracked
     unit -> id) and ``readouts`` (read-out target -> id) are dicts built
@@ -253,11 +241,10 @@ class RefinementSession:
             self.labels = self.eff.labels
         n = graph.n
         self.nbrs = (tuple(range(n)),) * n if kind.dense else self.eff.adj
-        self._layers = None  # local folklore: ``_walk_layers`` not yet tracked
-        # The units at t = 0, tracked and read out (None once it is over): a
-        # pair kind tracks (p, u) for every u in nbrs[p] and reads out every
-        # other target pair, so the targets never change the tracked colours.
-        # colors and readouts (targets' read-out colours) start unset.
+        # The units at t = 0, tracked and read out: a pair kind tracks (p, u)
+        # for every u in nbrs[p] and reads out every other target pair, so the
+        # targets never change the tracked colours. colors and readouts
+        # (targets' read-out colours) start unset.
         tracked, reads = range(n), []
         if kind.pair_indexed:
             tracked = [(p, u) for p, nb in enumerate(self.nbrs) for u in nb]
@@ -281,16 +268,24 @@ class RefinementSession:
 
     def _stepped(self) -> bool:
         """Whether the session is past t = 0."""
-        union = self._union
-        return union is not None and (union.t > 0 or not union.fresh)
+        return self._union is not None and self._union.t > 0
 
     # -- stepping ---------------------------------------------------------
 
     def step(self, expand: bool = True) -> dict:
-        """Advance one iteration as a lone session; returns the new color map.
-        An expanding step of the local folklore test starts tracking the
-        pairs one walk step further away (``_walk_layers``)."""
-        _Union([self], expand).step()
+        """Advance one iteration; returns the new color map. An expanding
+        step of the local folklore test starts tracking the pairs one walk
+        step further away (``_walk_layers``). At t = 0 the session steps as a
+        union of one; past t = 0 it steps its own union, which must hold no
+        other session and grow as ``expand`` asks."""
+        union, kind = self._union, self.kind
+        if not self._stepped():
+            union = _Union([self], expand)
+        elif len(union.parts) > 1:
+            raise RefinementError("a session of a shared run steps only with its run")
+        elif union.grow != (expand and kind.folklore and kind.local):
+            raise RefinementError("a session past t = 0 cannot change whether it expands")
+        union.step()
         return self.colors
 
     def _walk_layers(self):
@@ -463,12 +458,14 @@ class _Union:
     Lines per rule: a node's neighbour colours (node kinds); row p and column
     q of a pair (p, q), the colours of (p, v), v in nbrs[p], and of (u, q),
     u in nbrs[q] (plain kinds: lines 0..n-1 are the rows, n..2n-1 the
-    columns); a pair's folklore entries (``_entry_plan``), each coded by
-    ``_encode_entries`` and ranked among all codes of the step.
+    columns); a pair's folklore entries (``_entry_plan``), each packed as
+    (C[u, q] + 1, C[p, u] + 1) by ``_pack`` and ranked among all entries of
+    the step.
 
     ``sig`` ranks every slot's init signature (``_init_ranks``), the tracked
-    ones first. Built on sessions at t = 0, the union numbers t = 0 with it
-    (the read-outs' ranks closed up over the other untracked slots). A step
+    ones first. A union is built only on sessions at t = 0, and numbers t = 0
+    with it (the read-outs' ranks closed up over the other untracked slots);
+    a session past t = 0 steps only through the union that numbered it. A step
     ranks every line (``_Lines``), and a slot's new colour is the dense rank
     of its key (head, ranks of its lines). The head is the slot's colour if
     it was tracked, else C + its ``sig`` (C above every colour), as the tag
@@ -483,23 +480,16 @@ class _Union:
 
     def __init__(self, sessions, expand: bool):
         kind = self.kind = sessions[0].kind
-        self.t, self.fresh = 0, not sessions[0]._stepped()  # fresh: numbers t = 0 too
-        self.grow = expand and kind.folklore and kind.local
+        self.t, self.grow = 0, expand and kind.folklore and kind.local
         groups, reads = [], []
         for s in sessions:
             units, read = s._init_units
-            if not self.fresh:
-                units = list(s.colors)
-            if self.grow and s._layers is None:
-                s._layers = s._walk_layers()
-            groups.append([units] + (s._layers if self.grow else []))
+            groups.append([units] + (s._walk_layers() if self.grow else []))
             reads.append(read)
-        self.layers = [s._layers for s in sessions] if self.grow else []  # popped per step
         self.last = max(map(len, groups)) - 1  # the last group that a step tracks
-        # a read pair is no init unit; a session that has stepped may track it
-        tracked_from = 1 if self.fresh else 0
+        # a read pair is no init unit, but a layer may track it
         for read, mine in zip(reads, groups):
-            seen = set(itertools.chain(*mine[tracked_from:]))
+            seen = set(itertools.chain(*mine[1:]))
             mine += [[]] * (self.last + 1 - len(mine)) + [[u for u in read if u not in seen]]
         # per run of slots its node offset and units
         *offset, n = itertools.accumulate((s.graph.n for s in sessions), initial=0)
@@ -512,7 +502,7 @@ class _Union:
             self.ends.append(size)
         self.reads = []  # per session: (read pair, slot)
         for read, parts in zip(reads, self.parts):
-            slot = {u: a + j for a, mine in parts[tracked_from:] for j, u in enumerate(mine)}
+            slot = {u: a + j for a, mine in parts[1:] for j, u in enumerate(mine)}
             self.reads.append([(pair, slot[pair]) for pair in read])
         read = [slot for reads in self.reads for _, slot in reads]
         tracked = self.ends[0]
@@ -526,16 +516,9 @@ class _Union:
             p, q = pairs[0::2], pairs[1::2]
         adj = _adjacency([s.eff.adj for s in sessions])  # the nbrs of all but dense kinds
         self.sig, self.sig_bound = _init_ranks(sessions, p, q, tracked, *adj)
-        if self.fresh:
-            ids = self.sig.copy()
-            if self.grow:  # close up the ranks of layer pairs that are no read-out
-                ids[read] = _dense_ranks(ids[read])[0] + int(ids[:tracked].max(initial=-1)) + 1
-        else:  # a lone session that has stepped: its ids so far, in this union's slots
-            (s,), ids = sessions, np.full(size, ABSENT, np.int64)
-            ids[:tracked] = list(s.colors.values())
-            late = [(pair, slot) for pair, slot in self.reads[0] if slot >= tracked]
-            ids[[slot for _, slot in late]] = [s.readouts[pair] for pair, _ in late]
-        self.ids = ids
+        ids = self.ids = self.sig.copy()
+        if self.grow:  # close up the ranks of layer pairs that are no read-out
+            ids[read] = _dense_ranks(ids[read])[0] + int(ids[:tracked].max(initial=-1)) + 1
         for i, s in enumerate(sessions):
             s._union, s._index = self, i
         self.vals = np.full(size + 1, ABSENT, np.int64)
@@ -572,7 +555,7 @@ class _Union:
         last, vals, bound = self.last, self.vals, self.bound
         old, on = self.ends[min(self.t - 1, last)], self.ends[min(self.t, last)]
         if self.kind.folklore:
-            codes = _dense_ranks(_encode_entries(vals[self.entry[0]], vals[self.entry[1]]))
+            codes = _dense_ranks(_pack([(vals[e] + 1, bound + 1) for e in self.entry]))
             line_rank, k = self.lines.rank(*codes)
         else:
             line_rank, k = self.lines.rank(vals[self.entry[0]], bound)
@@ -585,9 +568,6 @@ class _Union:
         vals[:on] = ids[:on]
         self.bound = int(ids[:on].max(initial=-1)) + 1
         self.ids = ids
-        for layers in self.layers:
-            if layers:
-                layers.pop(0)
         self.state = self.bound, on
         return self.state
 
@@ -640,10 +620,10 @@ def lockstep(sessions, max_iters: int = None, observe=None, readers=()):
     defaults to the largest session default. Returns ``(iterations,
     stable)``.
 
-    The sessions must share one kind. Several sessions, which must not have
-    stepped yet, share their colour ids in every iteration: one ``_Union``
-    numbers all of them together, t = 0 by their sorted init signatures and
-    every step by the step's, as it numbers a lone session.
+    The sessions must share one kind, and none may be past t = 0. They share
+    their colour ids in every iteration: one ``_Union`` numbers all of them
+    together, t = 0 by their sorted init signatures and every step by the
+    step's, as it numbers a lone session.
     """
     if not sessions:
         raise RefinementError("no sessions were given to lockstep")
@@ -654,7 +634,7 @@ def lockstep(sessions, max_iters: int = None, observe=None, readers=()):
     kind = sessions[0].kind
     if any(s.kind is not kind for s in sessions):
         raise RefinementError("sessions in lockstep must share one kind")
-    if len(sessions) > 1 and any(s._stepped() for s in sessions):
+    if any(s._stepped() for s in sessions):
         raise RefinementError("sessions in lockstep must start at t = 0")
 
     union = _Union(sessions, expand=True)

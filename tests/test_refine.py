@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -23,7 +24,6 @@ from wl2link.graph import Graph, GraphError, disjoint_union, permute
 from wl2link.harness import Corpus, batch_refine
 from wl2link.linkpred import featurize_many
 from wl2link.refine import (
-    _ENTRY_COLOR_BOUND,
     ABSENT,
     DEFAULT_DENSE_NODE_LIMIT,
     Interner,
@@ -33,8 +33,8 @@ from wl2link.refine import (
     TestKind,
     _adjacency,
     _check_splits,
-    _encode_entries,
     _entry_plan,
+    _pack,
     indistinguishable,
     lockstep,
     open_sessions,
@@ -380,9 +380,9 @@ class TestSplitOnlyGuard:
             "    _check_splits(np.array([0, 1, 0]), np.array([0, 0, 0]))\n"
             "except RefinementError as err:\n"
             "    print('array', err)\n"
-            "from wl2link.refine import _ENTRY_COLOR_BOUND, _encode_entries\n"
+            "from wl2link.refine import _pack\n"
             "try:\n"
-            "    _encode_entries(np.array([_ENTRY_COLOR_BOUND]), np.array([0]))\n"
+            "    _pack([(np.array([0]), 2**32)] * 2)\n"
             "except RefinementError as err:\n"
             "    print(err)\n"
         )
@@ -394,7 +394,7 @@ class TestSplitOnlyGuard:
         )
         assert "merged" in out.stdout
         assert "array refinement merged" in out.stdout
-        assert "cannot be encoded" in out.stdout
+        assert "do not fit" in out.stdout
 
 
 class TestFwl2LocalReadouts:
@@ -569,23 +569,86 @@ class TestOneTablePerIteration:
             lockstep([wl1, wl2])
 
 
+class TestOneUnionPerSession:
+    """A union is built on sessions at t = 0; a session past t = 0 steps only
+    through its own union."""
+
+    @pytest.mark.parametrize("kind", ALL)
+    def test_hand_steps_match_refine_to_stable(self, kind):
+        # read at t = 0, then stepped one step at a time
+        g, mask, targets = cycle_graph(7), (0, 2), [(0, 3)]
+        result = refine_to_stable(kind, g, mask=mask, extra_targets=targets)
+        session = RefinementSession(kind, g, mask=mask, extra_targets=targets)
+        for t, expected in enumerate(result.history):
+            if t:
+                session.step()
+            assert session.colors == expected.colors, f"t = {t}"
+            assert session.readouts == expected.readouts, f"t = {t}"
+
+    def test_steps_reuse_the_union(self, monkeypatch):
+        # one union numbers the read at t = 0, one more runs all three steps
+        built = []
+        init = refine._Union.__init__
+
+        def count(union, sessions, expand):
+            built.append(expand)
+            init(union, sessions, expand)
+
+        monkeypatch.setattr(refine._Union, "__init__", count)
+        g = path_graph(4)
+        session = RefinementSession(TestKind.FWL2_LOCAL, g, mask=(0, 3), extra_targets=[(0, 2)])
+        assert set(session.readouts) == {(0, 3), (3, 0), (0, 2), (2, 0)}
+        for _ in range(3):
+            session.step()
+        assert built == [False, True]
+
+    def test_a_shared_session_steps_only_with_its_run(self):
+        a, b = (RefinementSession(TestKind.WL2, path_graph(3)) for _ in range(2))
+        lockstep([a, b], max_iters=1)
+        with pytest.raises(RefinementError, match="shared run"):
+            a.step()
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_expand_is_kept_past_init(self, first):
+        session = RefinementSession(TestKind.FWL2_LOCAL, path_graph(5))
+        session.step(expand=first)
+        with pytest.raises(RefinementError, match="whether it expands"):
+            session.step(expand=not first)
+        session.step(expand=first)
+        # a kind that never expands steps on whatever it is asked
+        dense = RefinementSession(TestKind.FWL2, path_graph(5))
+        dense.step(expand=first)
+        dense.step(expand=not first)
+
+    def test_lockstep_refuses_a_lone_stepped_session(self):
+        session = RefinementSession(TestKind.WL1, path_graph(3))
+        session.step()
+        with pytest.raises(RefinementError, match="t = 0"):
+            lockstep([session])
+
+
 class TestEntryEncoding:
+    """A folklore step packs its entries (a, b) as ``_pack``'s keys of
+    (a + 1, b + 1), both below the step's colour bound + 1."""
+
     def test_orders_like_the_pairs(self):
-        top = _ENTRY_COLOR_BOUND - 1
-        values = (ABSENT, 0, 1, 2, 255, 256, 2**31 - 3, top)
+        bound = 3 * 10**9
+        values = (ABSENT, 0, 1, 2, 255, 256, 2**31 - 1, 2**31, bound - 1)
         pairs = [(a, b) for a in values for b in values]
-        codes = _encode_entries(*map(np.array, zip(*pairs))).tolist()
-        assert len(set(codes)) == len(pairs)
-        assert sorted(pairs, key=lambda ab: codes[pairs.index(ab)]) == sorted(pairs)
-        assert min(codes) == 0  # (ABSENT, ABSENT): no wrap-around below it
+        a, b = map(np.array, zip(*pairs))
+        keys = _pack([(a + 1, bound + 1), (b + 1, bound + 1)]).tolist()
+        assert len(set(keys)) == len(pairs)
+        assert sorted(pairs, key=lambda ab: keys[pairs.index(ab)]) == sorted(pairs)
+        assert min(keys) == 0  # (ABSENT, ABSENT) is the 0 pad: no wrap-around below it
 
     def test_colour_bound(self):
-        top = np.array([_ENTRY_COLOR_BOUND - 1])
-        _encode_entries(top, top)
-        over = np.array([_ENTRY_COLOR_BOUND])
-        for a, b in ((over, top), (top, over)):
-            with pytest.raises(RefinementError, match="cannot be encoded"):
-                _encode_entries(a, b)
+        # the largest bound whose square fits in int64 packs its top entry;
+        # bounds whose product is above 2**63 do not fit, in either order
+        top = math.isqrt(2**63)
+        assert _pack([(np.array([top - 1]), top)] * 2).tolist() == [top * top - 1]
+        for bounds in ((top + 1, top + 1), (2**62, 3), (3, 2**62)):
+            with pytest.raises(RefinementError, match="do not fit"):
+                _pack([(np.array([0]), bound) for bound in bounds])
 
 
 def _init_pair_sig(labels, eff, r, s):
@@ -669,7 +732,7 @@ class TestFolkloreReference:
     @pytest.mark.parametrize("kind", [TestKind.FWL2, TestKind.FWL2_LOCAL])
     def test_entry_rows_decode_to_pairs(self, kind):
         # every pair's line, tracked or not, is its tuple of colour pairs
-        # (C[u, q], C[p, u]) over u in nbrs[p] ∪ nbrs[q], encoded
+        # (C[u, q], C[p, u]) over u in nbrs[p] ∪ nbrs[q], packed as a step packs it
         for g, mask, targets in _folklore_cases():
             session = RefinementSession(kind, g, mask=mask, extra_targets=targets)
             for _ in range(3):
@@ -679,13 +742,14 @@ class TestFolkloreReference:
                 line, a, b = _entry_plan(codes, g.n, *_adjacency([session.nbrs]), kind.dense)
                 assert (np.diff(line) >= 0).all()
                 vals = np.array([get(pair, ABSENT) for pair in pairs] + [ABSENT], np.int64)
-                entries = _encode_entries(vals[a], vals[b]).tolist()
+                base = int(vals.max()) + 2  # the step's colour bound + 1
+                entries = _pack([(vals[a] + 1, base), (vals[b] + 1, base)]).tolist()
                 ends = np.searchsorted(line, np.arange(len(pairs) + 1)).tolist()
                 for (p, q), lo, hi in zip(pairs, ends, ends[1:]):
                     via = set(nbrs[p]) | set(nbrs[q])
                     pairs_row = sorted((get((u, q), ABSENT), get((p, u), ABSENT)) for u in via)
                     row = sorted(entries[lo:hi])
-                    assert [((c >> 32) - 1, (c & 0xFFFFFFFF) - 1) for c in row] == pairs_row
+                    assert [tuple(x - 1 for x in divmod(c, base)) for c in row] == pairs_row
                 session.step()
 
     def test_tracked_pairs_follow_distance(self):
