@@ -22,11 +22,18 @@ Four measurements, each run on both checkouts:
 - The tier-1 suite (``python -m pytest -q --continue-on-collection-errors``),
   once per side: wall seconds and pytest's summary line.
 
+The file also gives each side's code size: the lines of ``src/wl2link`` that
+hold code, per file and in all, counting no comment, docstring or blank
+line (``code_lines``). Each end-to-end comparison row gives its relative
+change, the head's median over the base's, minus 1.
+
 Run it from the root of the checkout to measure; the base is any other
 checkout of the repository.
 """
 
 import argparse
+import ast
+import io
 import json
 import os
 import platform
@@ -34,6 +41,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 HEAD = Path(__file__).resolve().parent.parent
@@ -73,6 +81,31 @@ print(json.dumps({"seconds": time.perf_counter() - start, "test_auc": report.tes
 def last_json_line(cmd, cwd, env=None):
     proc = subprocess.run(cmd, cwd=cwd, env=env, stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def code_lines(text):
+    """The number of lines of the Python source ``text`` that hold code. A
+    line that holds only a comment, part of a docstring or nothing does not
+    count."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
+            if isinstance(node.value.value, str):
+                docstrings.update(range(node.lineno, node.end_lineno + 1))
+    skip = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+            tokenize.ENDMARKER}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in skip:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def code_size(root):
+    """``code_lines`` of every module of ``src/wl2link`` under ``root``, and their sum."""
+    paths = sorted(Path(root, "src", "wl2link").glob("*.py"))
+    files = {p.name: code_lines(p.read_text()) for p in paths}
+    return {"files": files, "total": sum(files.values())}
 
 
 def perfbench(root, workload, seed):
@@ -158,7 +191,8 @@ def verdict(row, bound, b, h):
 def compare(base, head, better, bounds):
     """Per metric: the base's quartiles and interquartile range, both medians,
     and how many seed pairs the head won in the metric's direction; per
-    metric with a bound (the end-to-end ones), the bound and the verdict."""
+    metric with a bound (the end-to-end ones), the bound, the verdict and the
+    relative change of the medians (None if the base's is 0)."""
     out = {}
     for name, direction in better.items():
         if name not in base["samples"] or name not in head["samples"]:
@@ -178,6 +212,8 @@ def compare(base, head, better, bounds):
         if name in bounds:
             row["bound"] = bounds[name]
             row["verdict"] = verdict(row, bounds[name], b, h)
+            base_median = row["base_median"]
+            row["relative_change"] = row["head_median"] / base_median - 1 if base_median else None
     return out
 
 
@@ -223,6 +259,7 @@ def main():
         "default_corpus_batch_refine": corpus,
         "ring200_benchmark": ring,
         "tier1": suite,
+        "code_lines": {side: code_size(root) for side, root in sides.items()},
     }
     out = HEAD / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")

@@ -41,6 +41,7 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     commands = ()  # the top-level parser's command names
+    command_flags = {}  # the top-level parser's: flag -> the commands that take it
 
     def error(self, message):
         raise UsageError(message)
@@ -52,6 +53,9 @@ class _Parser(argparse.ArgumentParser):
         for arg in itertools.takewhile(lambda arg: arg not in self.commands, args):
             flag = arg.partition("=")[0]
             if flag.startswith("--") and flag not in self._option_string_actions:
+                if flag in self.command_flags:
+                    names = ", ".join(self.command_flags[flag])
+                    raise UsageError(f"{flag} is an option of {names}; put it after the command")
                 if self.commands:
                     raise UsageError(f"{flag} is not an option of wl2link or of any command")
                 raise UsageError(f"unrecognized arguments: {flag}")
@@ -284,20 +288,6 @@ def cmd_predict(args) -> int:
 # -- entry point -------------------------------------------------------------
 
 
-class _CommandFlag(argparse.Action):
-    """A command's flag given before the command: a usage error naming it."""
-
-    def __init__(self, option_strings, dest, commands):
-        super().__init__(
-            option_strings, dest, nargs="?", default=argparse.SUPPRESS, help=argparse.SUPPRESS
-        )
-        names = ", ".join(commands)
-        self.message = f"{option_strings[0]} is an option of {names}; put it after the command"
-
-    def __call__(self, *args):
-        raise UsageError(self.message)
-
-
 def _add_output_flags(parser, output, quiet):
     parser.add_argument("--output", choices=("json", "table"), default=output)
     parser.add_argument("--quiet", action="store_true", default=quiet)
@@ -356,15 +346,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     # Before the command, a command's flag would be an unknown extra and its
-    # value would read as the command name ("invalid choice: '3'"); so would
-    # a flag of no command, which _Parser.parse_known_args refuses.
-    commands_of = {}
+    # value would read as the command name ("invalid choice: '3'"), so
+    # _Parser.parse_known_args names the commands that take it.
+    parser.command_flags = {}
     for name, command in sub.choices.items():
         for flag in command._option_string_actions:
-            commands_of.setdefault(flag, []).append(name)
-    for flag, names in commands_of.items():
-        if flag not in parser._option_string_actions:  # not --output, --quiet, --help
-            parser.add_argument(flag, action=_CommandFlag, commands=names)
+            parser.command_flags.setdefault(flag, []).append(name)
     return parser
 
 

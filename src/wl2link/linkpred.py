@@ -108,14 +108,14 @@ def _target_features(session: RefinementSession, target, width: int, sizes, keys
         cn = pa = ra = 0.0
         units = set(eff.adj[p]) | set(eff.adj[q])
     # The target's own read-outs count as units; the other targets' do not.
-    # Each moves its class's (size, color) key, and other keys past it.
+    # A read-out's id follows every tracked colour, so each adds a (size,
+    # color) key of its own, which moves the keys past it.
     extra = Counter(readouts[u] for u in ((p, q), (q, p)) if u in readouts)
-    old = [(sizes[c], c) for c in extra if c in sizes]
-    new = [(sizes[c] + k, c) for c, k in extra.items()]
+    new = [(k, c) for c, k in extra.items()]
     hist = [0.0] * width
     for c, k in (Counter(colors[u] for u in units) + extra).items():
         key = (sizes[c] + extra[c], c)
-        rank = bisect_left(keys, key) - sum(o < key for o in old) + sum(m < key for m in new)
+        rank = bisect_left(keys, key) + sum(m < key for m in new)
         hist[rank % width] += k
     # Relative frequencies: the histogram encodes color composition only.
     # Raw counts would re-encode |N(p) ∪ N(q)|, i.e. degree information that

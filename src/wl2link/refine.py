@@ -5,7 +5,9 @@ two target nodes marked) and two pair rules, plain and folklore. Each pair
 rule runs over one neighbourhood per node: every node for the dense tests
 (WL2, FWL2), or the node's neighbours in the observed edges for the local
 tests (WL2_Local, FWL2_Local). A dense session tracks all ordered pairs, a
-local one both orientations of every edge.
+local one both orientations of every edge. An expanding FWL2_Local step
+also starts tracking every pair with a folklore entry whose two sides are
+tracked: the pairs one walk step further away.
 
 Masked-target semantics: when a pair is the prediction target, its edge (if
 present) is removed from the working edge set before refinement, so neither
@@ -24,8 +26,9 @@ plain 2-WL a pair's row and column, 2-FWL a pair's entries (the tensor form
 of Maron et al., NeurIPS 2019), all lines ranked at once by ``_Lines``.
 Every iteration runs over the disjoint union of a lockstep run's sessions
 (``_Union``); a lone session is a union of one. The union keeps the ids by
-slot, and a run reads its targets' keys off them in one gather; a session's
-colour dicts are built only when they are read.
+slot, each slot found by its pair's code p * n + q (``_locate``), and a run
+reads its targets' keys off them in one gather; a session's colour dicts
+are built only when they are read.
 """
 
 from __future__ import annotations
@@ -194,8 +197,8 @@ class RefinementSession:
 
     ``extra_targets`` are further pairs whose link colours the caller reads.
     A pair kind keeps every target coloured: a target it does not track
-    already (a dense kind tracks every pair) is read out. Node kinds only
-    check them.
+    already (a dense kind tracks every pair) is read out, and ``reads``
+    lists these read pairs, both orientations. Node kinds only check them.
 
     Every iteration has its own colour ids, which restart at 0 and number
     the iteration's distinct signatures in sorted order. Tracked ids depend
@@ -203,7 +206,8 @@ class RefinementSession:
     them, in signature order, so the targets never shift a tracked id. A
     ``_Union`` is built only on sessions at t = 0 and numbers their t = 0
     (on the first read of ``colors`` or ``readouts``, a union of one); the
-    union that steps a session numbers all its later iterations. In a
+    union that steps a session numbers all its later iterations, and a
+    step at t = 0 reuses that union of one where it grows as asked. In a
     ``lockstep`` run of several sessions, every iteration numbers the
     signatures of all of them together, and every signature is purely
     structural, so ids compare across the sessions of one iteration.
@@ -241,16 +245,11 @@ class RefinementSession:
             self.labels = self.eff.labels
         n = graph.n
         self.nbrs = (tuple(range(n)),) * n if kind.dense else self.eff.adj
-        # The units at t = 0, tracked and read out: a pair kind tracks (p, u)
-        # for every u in nbrs[p] and reads out every other target pair, so the
-        # targets never change the tracked colours. colors and readouts
-        # (targets' read-out colours) start unset.
-        tracked, reads = range(n), []
-        if kind.pair_indexed:
-            tracked = [(p, u) for p, nb in enumerate(self.nbrs) for u in nb]
-            pairs = dict.fromkeys(pair for p, q in targets for pair in ((p, q), (q, p)))
-            reads = [(p, q) for p, q in pairs if q not in self.nbrs[p]]
-        self._init_units = tracked, reads
+        # A pair kind tracks (p, u) for every u in nbrs[p] and reads out every
+        # other target pair, so the targets never change the tracked colours.
+        pairs = dict.fromkeys(pair for p, q in targets for pair in ((p, q), (q, p)))
+        reads = [(p, q) for p, q in pairs if q not in self.nbrs[p]]
+        self.reads = tuple(reads) if kind.pair_indexed else ()  # the read pairs
         self._union = self._index = None  # the union that holds the ids, and where
         self._view = None  # (union, t, colors, readouts) of the last read
 
@@ -263,7 +262,7 @@ class RefinementSession:
             _Union([self], expand=False)  # numbers t = 0
         union, view = self._union, self._view
         if view is None or view[0] is not union or view[1] != union.t:
-            view = self._view = (union, union.t, *union.dicts(self._index, union.t, union.ids))
+            view = self._view = (union, union.t, *union.dicts(self, union.t, union.ids))
         return view[2] if name == "colors" else view[3]
 
     def _stepped(self) -> bool:
@@ -274,40 +273,24 @@ class RefinementSession:
 
     def step(self, expand: bool = True) -> dict:
         """Advance one iteration; returns the new color map. An expanding
-        step of the local folklore test starts tracking the pairs one walk
-        step further away (``_walk_layers``). At t = 0 the session steps as a
-        union of one; past t = 0 it steps its own union, which must hold no
-        other session and grow as ``expand`` asks."""
+        step of the local folklore test starts tracking every pair that has
+        an entry with both sides tracked. At t = 0 the session steps as a
+        union of one: the union that numbered t = 0 if it holds this session
+        alone and grows as ``expand`` asks, else a new one. Past t = 0 it
+        steps its own union, which must hold no other session and grow as
+        ``expand`` asks."""
         union, kind = self._union, self.kind
-        if not self._stepped():
+        grow = expand and kind.folklore and kind.local
+        if union is None or len(union.offset) > 2 or union.grow != grow:
+            if self._stepped():
+                raise RefinementError(
+                    "a session of a shared run steps only with its run"
+                    if len(union.offset) > 2
+                    else "a session past t = 0 cannot change whether it expands"
+                )
             union = _Union([self], expand)
-        elif len(union.parts) > 1:
-            raise RefinementError("a session of a shared run steps only with its run")
-        elif union.grow != (expand and kind.folklore and kind.local):
-            raise RefinementError("a session past t = 0 cannot change whether it expands")
         union.step()
         return self.colors
-
-    def _walk_layers(self):
-        """Untracked pairs by the expanding step that tracks them. A right or
-        left walk extension adds exactly the pairs one step further away, so
-        (p, q) is tracked from step max(dist(p, q) - 1, 0) on and (p, p) from
-        step 1 if p has a neighbour: every pair of a component with an edge."""
-        nbrs, layers, size = self.nbrs, {}, 0
-        for s in (s for s in range(self.graph.n) if nbrs[s]):
-            dist, queue = {s: 0}, [s]
-            for v in queue:
-                for u in nbrs[v]:
-                    if u not in dist:
-                        dist[u] = dist[v] + 1
-                        queue.append(u)
-            size += len(dist)  # the sum of |component|^2 once every s is done
-            if size > DEFAULT_DENSE_NODE_LIMIT**2:
-                raise MemoryGateError(f"walk expansion needs > {DEFAULT_DENSE_NODE_LIMIT}^2 pairs")
-            for q, d in dist.items():
-                if d != 1:  # edges are tracked from init on
-                    layers.setdefault(max(d - 1, 1), []).append((s, q))
-        return [layers[t] for t in sorted(layers)]  # steps 1, 2, ... have no gap
 
     # -- readout ----------------------------------------------------------
 
@@ -402,13 +385,27 @@ class _Lines:
         return rank, count
 
 
+def _locate(codes, x):
+    """The index in ``codes`` of each code of ``x``, or -1 where it is none."""
+    if not (len(codes) and len(x)):
+        return np.full(len(x), -1)
+    order = np.argsort(codes)
+    keys = codes[order]
+    i = np.minimum(np.searchsorted(keys, x), len(keys) - 1)
+    return np.where(keys[i] == x, order[i], -1)
+
+
+def _pair_codes(pairs, off: int, n: int):
+    """The codes (off + p) * n + off + q of the ``pairs`` (p, q)."""
+    pq = np.array(pairs, np.int64).reshape(-1, 2) + off
+    return pq[:, 0] * n + pq[:, 1]
+
+
 def _entry_plan(codes, n: int, deg, flat, dense: bool):
     """Where the folklore entries (C[u, q], C[p, u]), u in nbrs[p] ∪ nbrs[q],
     of each pair p * n + q in ``codes`` are among them: per entry its pair's
     index, in ascending order, and the indices of (u, q) and (p, u) (-1: not
     in ``codes``). nbrs is given as ``_adjacency`` gives it."""
-    order = np.argsort(codes)
-    keys = codes[order]
     start = np.cumsum(deg) - deg
     ps, qs = np.divmod(codes, n)
 
@@ -430,46 +427,74 @@ def _entry_plan(codes, n: int, deg, flat, dense: bool):
         line, u = np.concatenate((line, line_q[keep])), np.concatenate((u, u_q[keep]))
         by_line = np.argsort(line, kind="stable")
         line, u = line[by_line], u[by_line]
+    return line, _locate(codes, u * n + qs[line]), _locate(codes, ps[line] * n + u)
 
-    def index(x):  # where x is in codes, -1 if it is not
-        i = np.minimum(np.searchsorted(keys, x), len(keys) - 1)
-        return np.where(keys[i] == x, order[i], -1)
 
-    return line, index(u * n + qs[line]), index(ps[line] * n + u)
+def _component_pairs(sessions, offset, n: int, units):
+    """The sorted codes of every pair of nodes in one component with an edge
+    but the ``units`` (sorted codes of the edges), for ``sessions`` whose
+    nodes start at ``offset`` among the union's n: the pairs that walk
+    expansion tracks beyond the edges. A session refuses components whose
+    sizes' squares sum to more than the dense cap's n^2 pairs."""
+    blocks = [np.empty(0, np.int64)]
+    for s, off in zip(sessions, offset):
+        seen, size = set(), 0
+        for v in range(s.graph.n):
+            if v in seen or not s.nbrs[v]:
+                continue
+            part = [v]
+            seen.add(v)
+            for x in part:
+                for u in s.nbrs[x]:
+                    if u not in seen:
+                        seen.add(u)
+                        part.append(u)
+            size += len(part) ** 2
+            if size > DEFAULT_DENSE_NODE_LIMIT**2:
+                raise MemoryGateError(f"walk expansion needs > {DEFAULT_DENSE_NODE_LIMIT}^2 pairs")
+            nodes = np.array(part, np.int64) + off
+            blocks.append((nodes[:, None] * n + nodes).ravel())
+    pairs = np.sort(np.concatenate(blocks))
+    return np.delete(pairs, np.searchsorted(pairs, units))
 
 
 class _Union:
     """The rule of one kind over the disjoint union of a lockstep run's sessions.
 
-    Node v of the i-th session is node offset_i + v of the union, so each
+    Node v of the i-th session is node offset[i] + v of the union, so each
     session keeps its own ``nbrs``. A slot is a unit the rule colours, and
-    it keeps its slot for the whole run. The slots run in groups: the
-    sessions' tracked units, then per expanding step the pairs it starts
-    tracking (``_walk_layers``), then the read-outs that are none of these,
-    so ``ends[t]`` ends the slots tracked after step t. ``ids`` holds every
-    slot's id of the current iteration, read-outs and layer pairs included;
-    ``vals`` the colours of the tracked ones (ABSENT: not tracked), then an
-    ABSENT pad. ``reads[i]`` gives the slot of every read pair of session i
-    (its read-out, or the layer that tracks it), and ``slots`` the slots of
-    readers' keys, so a run reads its targets off ``ids`` and the sessions'
-    dicts are built only when read (``dicts``). The union holds none of its
-    sessions: once they are gone, so are its arrays.
+    it keeps its slot for the whole run. ``codes`` gives each slot's pair
+    (p, q) as p * n + q, a node v being (v, v), in three runs: the tracked
+    units in code order (from ``_adjacency``), then for an expanding run
+    every other pair of a component with an edge in code order
+    (``_component_pairs``), then the read pairs that are none of these.
+    ``since`` gives the step that starts tracking each slot (0 for the
+    units; never, so far, for the rest), and ``read`` marks the read pairs.
+    ``ids`` holds every slot's id of the current iteration; ``vals`` the
+    colours of the tracked ones (ABSENT: not tracked), then an ABSENT pad.
+    ``_locate`` finds the slots of a pair's code, so a run reads its
+    readers' keys off ``ids`` (``slots``) and a session's dicts are built
+    only when read (``dicts``). The union holds none of its sessions: once
+    they are gone, so are its arrays.
 
     Lines per rule: a node's neighbour colours (node kinds); row p and column
     q of a pair (p, q), the colours of (p, v), v in nbrs[p], and of (u, q),
     u in nbrs[q] (plain kinds: lines 0..n-1 are the rows, n..2n-1 the
     columns); a pair's folklore entries (``_entry_plan``), each packed as
     (C[u, q] + 1, C[p, u] + 1) by ``_pack`` and ranked among all entries of
-    the step.
+    the step. An expanding step starts tracking every untracked slot with
+    an entry whose two sides are tracked: that adds the pairs one walk step
+    further away, so (p, q) joins at step max(dist(p, q) - 1, 1).
 
     ``sig`` ranks every slot's init signature (``_init_ranks``), the tracked
     ones first. A union is built only on sessions at t = 0, and numbers t = 0
-    with it (the read-outs' ranks closed up over the other untracked slots);
-    a session past t = 0 steps only through the union that numbered it. A step
+    with it (the read-outs' ranks closed up over the later pairs'); a
+    session past t = 0 steps only through the union that numbered it. A step
     ranks every line (``_Lines``), and a slot's new colour is the dense rank
     of its key (head, ranks of its lines). The head is the slot's colour if
     it was tracked, else C + its ``sig`` (C above every colour), as the tag
-    "v" follows "s"; read-outs' heads follow all others, so their ids follow
+    "v" follows "s": first the slots that the step starts tracking, then the
+    read-outs, then the other untracked slots, so the read-outs' ids follow
     the tracked ones. (No read-out's signature equals a tracked one's: a
     pair that a step starts tracking has an entry with both sides tracked,
     and a read-out has none yet.) Every rank keeps the order of the
@@ -481,47 +506,31 @@ class _Union:
     def __init__(self, sessions, expand: bool):
         kind = self.kind = sessions[0].kind
         self.t, self.grow = 0, expand and kind.folklore and kind.local
-        groups, reads = [], []
-        for s in sessions:
-            units, read = s._init_units
-            groups.append([units] + (s._walk_layers() if self.grow else []))
-            reads.append(read)
-        self.last = max(map(len, groups)) - 1  # the last group that a step tracks
-        # a read pair is no init unit, but a layer may track it
-        for read, mine in zip(reads, groups):
-            seen = set(itertools.chain(*mine[1:]))
-            mine += [[]] * (self.last + 1 - len(mine)) + [[u for u in read if u not in seen]]
-        # per run of slots its node offset and units
-        *offset, n = itertools.accumulate((s.graph.n for s in sessions), initial=0)
-        runs, self.parts, self.ends, size = [], [[] for _ in sessions], [], 0
-        for k in range(self.last + 2):
-            for i, mine in enumerate(groups):
-                self.parts[i].append((size, mine[k]))
-                runs.append((offset[i], mine[k]))
-                size += len(mine[k])
-            self.ends.append(size)
-        self.reads = []  # per session: (read pair, slot)
-        for read, parts in zip(reads, self.parts):
-            slot = {u: a + j for a, mine in parts[1:] for j, u in enumerate(mine)}
-            self.reads.append([(pair, slot[pair]) for pair in read])
-        read = [slot for reads in self.reads for _, slot in reads]
-        tracked = self.ends[0]
-        # (p, q) of every slot as nodes of the union: a node kind's slots are
-        # its nodes, in order, and a node v is (v, v)
-        p = q = np.arange(size)
-        if kind.pair_indexed:
-            flat = itertools.chain.from_iterable(units for _, units in runs)
-            pairs = np.fromiter(itertools.chain.from_iterable(flat), np.int64, 2 * size)
-            pairs += np.repeat([off for off, _ in runs], [2 * len(units) for _, units in runs])
-            p, q = pairs[0::2], pairs[1::2]
+        offset = self.offset = list(itertools.accumulate((s.graph.n for s in sessions), initial=0))
+        n = self.n = offset[-1]
         adj = _adjacency([s.eff.adj for s in sessions])  # the nbrs of all but dense kinds
+        nbrs = _adjacency([s.nbrs for s in sessions]) if kind.dense else adj
+        deg, flat = nbrs if kind.pair_indexed else (1, np.arange(n))  # a node v is (v, v)
+        units = np.repeat(np.arange(n) * n, deg) + flat
+        tracked = len(units)
+        pairs = [(off + p, off + q) for s, off in zip(sessions, offset) for p, q in s.reads]
+        reads = _pair_codes(pairs, 0, n)
+        later = _component_pairs(sessions, offset, n, units) if self.grow else units[:0]
+        at = _locate(later, reads)  # the read pairs that are later pairs
+        codes = self.codes = np.concatenate((units, later, reads[at < 0]))
+        read = self.read = np.arange(len(codes)) >= tracked + len(later)
+        read[tracked + at[at >= 0]] = True
+        self.since = np.where(np.arange(len(codes)) < tracked, 0, np.iinfo(np.int64).max)
+        self.on = slice(tracked)  # the tracked slots
+
+        p, q = np.divmod(codes, n)
         self.sig, self.sig_bound = _init_ranks(sessions, p, q, tracked, *adj)
         ids = self.ids = self.sig.copy()
-        if self.grow:  # close up the ranks of layer pairs that are no read-out
+        if self.grow:  # close up the read-outs' ranks over the later pairs'
             ids[read] = _dense_ranks(ids[read])[0] + int(ids[:tracked].max(initial=-1)) + 1
         for i, s in enumerate(sessions):
             s._union, s._index = self, i
-        self.vals = np.full(size + 1, ABSENT, np.int64)
+        self.vals = np.full(len(codes) + 1, ABSENT, np.int64)
         self.vals[:tracked] = ids[:tracked]
         self.bound = int(self.vals.max()) + 1  # above every colour
         # the heads of untracked slots past the step's: read-outs, then the rest
@@ -534,12 +543,10 @@ class _Union:
             deg, flat = adj
             self.entry = (flat,)
             self.lines = _Lines(np.repeat(np.arange(n), deg), n)
-            return
-        if kind.folklore:
-            nbrs = _adjacency([s.nbrs for s in sessions]) if kind.dense else adj
-            line, a, b = _entry_plan(p * n + q, n, *nbrs, kind.dense)
+        elif kind.folklore:
+            line, a, b = _entry_plan(codes, n, *nbrs, kind.dense)
             self.entry = (a, b)
-            self.lines = _Lines(line, size)
+            self.lines = _Lines(line, len(codes))
         else:
             # a plain session tracks the same pairs at every step
             line = np.concatenate((p[:tracked], q[:tracked] + n))
@@ -552,58 +559,61 @@ class _Union:
         """Step every session once; returns the new ``state``: the number of
         distinct tracked colours, and of tracked units."""
         self.t += 1
-        last, vals, bound = self.last, self.vals, self.bound
-        old, on = self.ends[min(self.t - 1, last)], self.ends[min(self.t, last)]
+        vals, bound, old = self.vals, self.bound, self.on
         if self.kind.folklore:
             codes = _dense_ranks(_pack([(vals[e] + 1, bound + 1) for e in self.entry]))
             line_rank, k = self.lines.rank(*codes)
         else:
             line_rank, k = self.lines.rank(vals[self.entry[0]], bound)
         head = self.rest + bound
-        head[old:on] = self.sig[old:on] + bound
-        head[:old] = vals[:old]
+        if self.grow:
+            # a pair joins once one of its entries has both sides tracked
+            both = np.minimum(*(vals[e] for e in self.entry)) != ABSENT
+            joins = np.bincount(self.lines.line, both, len(head))
+            new = np.flatnonzero(joins * (vals[:-1] == ABSENT))
+            head[new], self.since[new] = self.sig[new] + bound, self.t
+            self.on = np.flatnonzero(self.since <= self.t)
+        head[old] = vals[old]
         fields = [(head, bound + 3 * self.sig_bound)] + [(line_rank[i], k) for i in self.line_of]
         ids = _dense_ranks(_pack(fields))[0]
-        _check_splits(vals[:old], ids[:old])
-        vals[:on] = ids[:on]
-        self.bound = int(ids[:on].max(initial=-1)) + 1
+        _check_splits(vals[old], ids[old])
+        tracked = vals[self.on] = ids[self.on]
+        self.bound = int(tracked.max(initial=-1)) + 1
         self.ids = ids
-        self.state = self.bound, on
+        self.state = self.bound, len(tracked)
         return self.state
 
-    def dicts(self, i, t: int, ids):
-        """Session i's dicts of iteration t, whose ids are ``ids``: tracked
+    def dicts(self, session, t: int, ids):
+        """``session``'s dicts of iteration t, whose ids are ``ids``: tracked
         unit -> id, and read-out (a read pair not tracked yet) -> id."""
-        t = min(t, self.last)
-        on, colors = self.ends[t], {}
-        for a, units in self.parts[i][: t + 1]:
-            colors.update(zip(units, ids[a: a + len(units)].tolist()))
-        late = [(pair, slot) for pair, slot in self.reads[i] if slot >= on]
-        readouts = zip([pair for pair, _ in late], ids[[slot for _, slot in late]].tolist())
-        return colors, dict(readouts)
+        n, codes, (lo, hi) = self.n, self.codes, self.offset[session._index: session._index + 2]
+        mine = np.flatnonzero((codes >= lo * n) & (codes < hi * n) & (self.since <= t))
+        p, q = np.divmod(codes[mine] - lo * (n + 1), n)
+        units = zip(p.tolist(), q.tolist()) if self.kind.pair_indexed else p.tolist()
+        at = _locate(codes, _pair_codes(session.reads, lo, n))
+        late = self.since[at] > t
+        reads = itertools.compress(session.reads, late.tolist())
+        return dict(zip(units, ids[mine].tolist())), dict(zip(reads, ids[at[late]].tolist()))
 
     def slots(self, readers):
         """The slots of every reader ``(session, (p, q))``'s ordered key, as
         an (R, 2) int64 array: of p and q for a node kind, else of (p, q)
-        and (q, p), an init unit's by its place in the session's init units
-        (which start its first group) and a read pair's by ``reads``."""
-        out = np.empty((len(readers), 2), np.int64)
-        found = {}  # per session: read pair -> slot, and where its node's init units start
-        for r, (s, (p, q)) in enumerate(readers):
+        and (q, p). A target must be one of its session's graph (else
+        GraphError), and a pair kind's orientations tracked units or read
+        pairs of the session."""
+        if not readers:
+            return np.empty((0, 2), np.int64)
+        pairs = []
+        for s, target in readers:
             if s._union is not self:
                 raise RefinementError("a reader's session is not in the run")
-            i, base = s._index, self.parts[s._index][0][0]
-            if not self.kind.pair_indexed:
-                out[r] = base + p, base + q
-                continue
-            if i not in found:
-                first = itertools.accumulate(map(len, s.nbrs), initial=base)
-                found[i] = dict(self.reads[i]), list(first)
-            read, first = found[i]
-            for k, (a, b) in enumerate(((p, q), (q, p))):
-                slot = read.get((a, b))
-                out[r, k] = first[a] + s.nbrs[a].index(b) if slot is None else slot
-        return out
+            off = self.offset[s._index]
+            p, q = (off + v for v in check_target(s.graph, target))
+            pairs += [(p, q), (q, p)] if self.kind.pair_indexed else [(p, p), (q, q)]
+        slots = _locate(self.codes, _pair_codes(pairs, 0, self.n))
+        if ((slots < 0) | ~((self.since[slots] == 0) | self.read[slots])).any():
+            raise RefinementError("a reader's target is neither tracked nor read out")
+        return slots.reshape(-1, 2)
 
 
 def lockstep(sessions, max_iters: int = None, observe=None, readers=()):
@@ -692,8 +702,8 @@ class _History(Sequence):
     """The ColorMap of every iteration of a lone session's run, each built
     on its first read from the ids that the run's union had then."""
 
-    def __init__(self, union, ids):
-        self._union, self._ids, self._maps = union, ids, {}
+    def __init__(self, session, ids):
+        self._session, self._ids, self._maps = session, ids, {}
 
     def __len__(self):
         return len(self._ids)
@@ -701,7 +711,7 @@ class _History(Sequence):
     def __getitem__(self, t):
         t = range(len(self))[t]
         if t not in self._maps:
-            self._maps[t] = ColorMap(*self._union.dicts(0, t, self._ids[t]))
+            self._maps[t] = ColorMap(*self._session._union.dicts(self._session, t, self._ids[t]))
         return self._maps[t]
 
 
@@ -752,7 +762,7 @@ def refine_to_stable(
     return RefinementResult(
         kind=kind,
         mask=session.mask,
-        history=_History(session._union, ids),
+        history=_History(session, ids),
         stable_at=iterations if stable else None,
         reached_cap=not stable,
         session=session,

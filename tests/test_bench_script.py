@@ -74,3 +74,49 @@ def test_reads_a_committed_run():
     assert verdicts[("oracle-small", "items_per_ref_s")] == "within_bound"
     assert verdicts[("oracle-small", "setup_s")] == "unresolved"
     assert "regressed" not in verdicts.values()
+
+
+def test_relative_change_of_the_medians():
+    side = {"samples": {"m": NARROW}}
+    row = bench.compare(side, {"samples": {"m": [110] * 10}}, {"m": "higher"}, {"m": 0.25})["m"]
+    assert row["relative_change"] == pytest.approx(0.1)
+    row = bench.compare(side, {"samples": {"m": [99] * 10}}, {"m": "lower"}, {"m": 0.15})["m"]
+    assert row["relative_change"] == pytest.approx(-0.01)
+    zero = {"samples": {"m": [0] * 10}}
+    assert bench.compare(zero, side, {"m": "lower"}, {"m": 0.15})["m"]["relative_change"] is None
+    assert "relative_change" not in bench.compare(side, side, {"m": "lower"}, {})["m"]
+
+
+def test_code_lines_count_no_comment_docstring_or_blank_line():
+    text = '''"""A module docstring
+over two lines."""
+
+# a comment
+import os  # code, with a comment
+
+
+def f(x):
+    """One line."""
+    y = [
+        x,  # a statement over three lines
+    ]
+    return "not a docstring"
+
+
+class C:
+    """A class docstring."""
+
+    z = """a string
+    that is code"""
+'''
+    # import, def, the three lines of y, return, class, and the two of z
+    assert bench.code_lines(text) == 9
+
+
+def test_code_size_sums_the_modules(tmp_path):
+    package = tmp_path / "src" / "wl2link"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\n\n# note\ny = 2\n")
+    (package / "b.py").write_text('"""doc"""\nimport os\n')
+    (package / "notes.txt").write_text("x = 1\n")
+    assert bench.code_size(tmp_path) == {"files": {"a.py": 2, "b.py": 1}, "total": 3}

@@ -477,10 +477,13 @@ class TestOneTablePerIteration:
 
         def spy(sessions, max_iters=None, observe=None, readers=()):
             def check(t, keys):
-                ids = set()
+                ids, tracked = set(), set()
                 for s in sessions:
                     ids.update(s.colors.values(), s.readouts.values())
+                    tracked.update(s.colors.values())
                 assert ids == set(range(len(ids))), f"t = {t}"
+                # a read-out's id follows every tracked colour
+                assert all(c >= len(tracked) for s in sessions for c in s.readouts.values())
                 sizes.append(len(sessions))
                 return observe(t, keys)
 
@@ -540,6 +543,23 @@ class TestOneTablePerIteration:
         assert [(s.colors, s.readouts) for s in sessions] == read[-1]
         assert read[-1] != read[0]
 
+    def test_readers_are_checked(self):
+        # a node kind's target must be one of its own session's graph, and a
+        # pair kind's must be tracked or read out by its session
+        a, b = RefinementSession(TestKind.WL1, path_graph(3)), RefinementSession(
+            TestKind.WL1, cycle_graph(5)
+        )
+        with pytest.raises(GraphError, match="out of range"):
+            lockstep([a, b], readers=[(a, (0, 4))])
+        lockstep([a, b], max_iters=1, readers=[(b, (0, 4))])
+        for kind in (TestKind.WL2_LOCAL, TestKind.FWL2_LOCAL):
+            # (0, 2) is a later pair of the expanding run, but no read-out
+            session = RefinementSession(kind, path_graph(3))
+            with pytest.raises(RefinementError, match="neither tracked nor read out"):
+                lockstep([session], readers=[(session, (0, 2))])
+        read = RefinementSession(TestKind.FWL2_LOCAL, path_graph(3), extra_targets=[(0, 2)])
+        lockstep([read], readers=[(read, (0, 2)), (read, (1, 0))])
+
     def test_init_joins_different_signatures(self):
         # each session numbers its init canonically; lockstep gives
         # different init signatures of different sessions different ids
@@ -586,7 +606,8 @@ class TestOneUnionPerSession:
             assert session.readouts == expected.readouts, f"t = {t}"
 
     def test_steps_reuse_the_union(self, monkeypatch):
-        # one union numbers the read at t = 0, one more runs all three steps
+        # expanding FWL2_Local: one union numbers the read at t = 0, one more
+        # runs all three steps
         built = []
         init = refine._Union.__init__
 
@@ -601,6 +622,21 @@ class TestOneUnionPerSession:
         for _ in range(3):
             session.step()
         assert built == [False, True]
+        # the union that numbered t = 0 takes the steps where it grows as they
+        # ask: for every kind that never expands, and for steps that do not
+        kinds = [(kind, True) for kind in ALL if kind is not TestKind.FWL2_LOCAL]
+        for kind, expand in kinds + [(TestKind.FWL2_LOCAL, False)]:
+            built.clear()
+            read, fresh = (
+                RefinementSession(kind, g, mask=(0, 3), extra_targets=[(0, 2)]) for _ in range(2)
+            )
+            assert read.readouts is not None  # numbers t = 0
+            for _ in range(3):
+                read.step(expand)
+            assert built == [False], kind
+            for _ in range(3):
+                fresh.step(expand)
+            assert (read.colors, read.readouts) == (fresh.colors, fresh.readouts), kind
 
     def test_a_shared_session_steps_only_with_its_run(self):
         a, b = (RefinementSession(TestKind.WL2, path_graph(3)) for _ in range(2))
