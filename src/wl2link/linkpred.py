@@ -5,14 +5,13 @@ from __future__ import annotations
 import json
 import random
 import time
-from bisect import bisect_left
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .graph import Graph, check_target, sample_non_edges, split_links
-from .refine import RefinementSession, TestKind, refine_to_stable, session_groups
+from .refine import RefinementSession, TestKind, _ranges, _Union, lockstep, session_groups
+from .refine import refine_to_stable  # noqa: F401  (a name perfbench's tracer wraps)
 
 
 class LinkPredError(ValueError):
@@ -46,9 +45,21 @@ def heuristic_ra(g: Graph, p: int, q: int) -> float:
 # -- color features ----------------------------------------------------------
 
 
-def _color_ranks(sizes):
-    """Distinct colors as (class size, color id) keys, in rank order."""
-    return sorted((size, c) for c, size in sizes.items())
+# A split's sessions run as consecutive unions of at most this many slots
+# (tracked units plus read pairs; a bigger session runs alone), so that the
+# run's memory stays bounded whatever the graph size. On 60- and 200-node
+# rings, larger unions were barely faster and raised the peak memory.
+_UNION_SLOTS = 2048
+
+
+def _color_ranks(sizes, owner):
+    """Each colour's rank among its session's colours in (class size, colour
+    id) order; colour c has class size ``sizes[c]`` in session ``owner[c]``."""
+    order = np.lexsort((sizes, owner))  # stable: ids break the ties
+    pos = np.empty_like(order)
+    pos[order] = np.arange(len(order))
+    classes = np.bincount(owner)
+    return pos - (np.cumsum(classes) - classes)[owner]
 
 
 def featurize(kind: TestKind, g_train: Graph, target, width: int = 8) -> np.ndarray:
@@ -63,67 +74,129 @@ def featurize_many(kind: TestKind, g_train: Graph, targets, width: int = 8) -> n
     and zero-filled for node-level kinds (whose point is to measure what
     refinement alone sees). The histogram buckets the final colors of the
     units incident to the target (pairs touching p or q; nodes adjacent to
-    p or q) by color rank modulo width.
+    p or q) by color rank modulo width; a color's rank orders its session's
+    colors by (class size, color id).
 
-    Targets with the same masked graph share one lone session
-    (``session_groups``), which numbers its colors canonically (sorted
-    signatures per iteration). A row reads the session's tracked colors and
-    only its own target's read-outs, so it is a pure function of (kind,
-    graph, target, width): neither earlier calls nor other targets change it.
+    Targets with the same masked graph share one session
+    (``session_groups``), and the sessions run in ``lockstep`` as a few
+    consecutive unions of at most ``_UNION_SLOTS`` slots. Each union is
+    own-numbered: its ids are the ranks of signatures that start with the
+    session, so they never span two sessions, and within a session they
+    keep the order of a lone session's canonical ids (sorted signatures per
+    iteration). The union stops at the first step where no session's own
+    partition splits; a lone session would be stable by then too, and a
+    step that splits nothing keeps each id's order. ``FWL2_Local`` takes a
+    single step over the observed pairs, without expansion. A row reads the
+    session's tracked colors and only its own target's read-outs, so it is
+    a pure function of (kind, graph, target, width): neither earlier calls
+    nor other targets change it.
     """
     if width < 1:
         raise LinkPredError("width must be >= 1")
     instances = [(g_train, t) for t in targets]
-    rows = [None] * len(instances)
-    for _, mask, group in session_groups(kind, instances):
-        if kind is TestKind.FWL2_LOCAL:
-            # One sharpening step over the observed pairs; expansion to longer
-            # walks is not needed for target-incident readout.
-            session = RefinementSession(kind, g_train, mask=mask, extra_targets=group)
-            session.step(expand=False)
-        else:
-            # only the stable colours are read: no earlier iteration's map is built
-            session = refine_to_stable(kind, g_train, mask=mask, extra_targets=group).session
-        # class sizes and their rank order, once per session
-        sizes = Counter(session.colors.values())
-        keys = _color_ranks(sizes)
-        for target, indices in group.items():
-            row = _target_features(session, target, width, sizes, keys)
-            for i in indices:
-                rows[i] = row
-    return np.array(rows).reshape(len(rows), 3 + width)
+    rows = np.zeros((len(instances), 3 + width))
+    for run in _runs(kind, instances):
+        indices, features = _run_features(kind, run, width)
+        rows[np.concatenate(indices)] = np.repeat(features, list(map(len, indices)), axis=0)
+    return rows
 
 
-def _target_features(session: RefinementSession, target, width: int, sizes, keys) -> np.ndarray:
-    kind, eff, colors, readouts = session.kind, session.eff, session.colors, session.readouts
-    p, q = target
+def _runs(kind: TestKind, instances):
+    """The sessions of ``session_groups``, opened in order and cut into
+    consecutive runs of at most ``_UNION_SLOTS`` slots (tracked units plus
+    read pairs): per run, a list of (session, {target: [instance index, ...]})."""
+    run, size = [], 0
+    for g, mask, group in session_groups(kind, instances):
+        session = RefinementSession(kind, g, mask=mask, extra_targets=group)
+        slots = len(session.reads) + (sum(map(len, session.nbrs)) if kind.pair_indexed else g.n)
+        if run and size + slots > _UNION_SLOTS:
+            yield run
+            run, size = [], 0
+        run.append((session, group))
+        size += slots
+    if run:
+        yield run
+
+
+def _run_features(kind: TestKind, run, width: int):
+    """One run's target indices, per (session, target), and feature rows."""
+    sessions = [s for s, _ in run]
+    union = _Union(sessions, expand=False, own=True)
+    # FWL2_Local: one sharpening step over the observed pairs; expansion to
+    # longer walks is not needed for target-incident read-out
+    lockstep(sessions, 1 if kind is TestKind.FWL2_LOCAL else None, _union=union)
+    readers = [(s, t) for s, group in run for t in group]
+    indices = [ix for _, group in run for ix in group.values()]
+    features = np.zeros((len(readers), 3 + width))
     if kind.pair_indexed:
-        cn = float(heuristic_cn(eff, p, q))
-        pa = float(heuristic_pa(eff, p, q))
-        ra = heuristic_ra(eff, p, q)
-        # featurize's sessions track exactly the pairs (a, u), u in nbrs[a]
-        units = {(a, u) for a in target for u in session.nbrs[a]}
-        units.update([(u, a) for a, u in units])
+        features[:, :3] = [
+            (heuristic_cn(s.eff, p, q), heuristic_pa(s.eff, p, q), heuristic_ra(s.eff, p, q))
+            for s, (p, q) in readers
+        ]
+    features[:, 3:] = _histograms(union, readers, width)
+    return indices, features
+
+
+def _histograms(union, readers, width: int):
+    """Every reader's relative colour-rank histogram, read off a stepped
+    own-numbered union that never expands, so that it tracks its first
+    ``units`` slots and their colours are 0 .. classes - 1."""
+    kind, ids, n, (classes, units) = union.kind, union.ids, union.n, union.state
+    last = union.offset[1:]
+    colours = ids[:units]
+    sizes = np.bincount(colours, minlength=classes)
+    owner = np.empty(classes, np.int64)
+    owner[colours] = np.searchsorted(last, union.codes[:units] // n, side="right")
+    rank = _color_ranks(sizes, owner)
+    # per session s and k = 0, 1, 2: how many of its classes have at most k units
+    at_most = np.stack([np.bincount(owner[sizes <= k], minlength=len(last)) for k in range(3)], 1)
+
+    key = union.slots(readers)  # (p, q) and (q, p), or p and q
+    ends = union.codes[key] // n  # every reader's p and q in the union
+    if kind.pair_indexed:
+        # the tracked units (e, u) of either end e are a run of the sorted
+        # tracked codes; then their reverses (u, e)
+        codes = union.codes[:units]
+        which, slots = _ranges(*(np.searchsorted(codes, ends.ravel() * n + d) for d in (0, n)))
+        slot_codes = codes[slots]
+        reverse = union.locate(slot_codes % n * n + slot_codes // n)
+        which, slots = np.tile(which, 2), np.concatenate((slots, reverse))
     else:
-        cn = pa = ra = 0.0
-        units = set(eff.adj[p]) | set(eff.adj[q])
-    # The target's own read-outs count as units; the other targets' do not.
-    # A read-out's id follows every tracked colour, so each adds a (size,
-    # color) key of its own, which moves the keys past it.
-    extra = Counter(readouts[u] for u in ((p, q), (q, p)) if u in readouts)
-    new = [(k, c) for c, k in extra.items()]
-    hist = [0.0] * width
-    for c, k in (Counter(colors[u] for u in units) + extra).items():
-        key = (sizes[c] + extra[c], c)
-        rank = bisect_left(keys, key) + sum(m < key for m in new)
-        hist[rank % width] += k
+        deg, flat = union.adj
+        start = np.cumsum(deg) - deg
+        which, at = _ranges(start[ends.ravel()], (start + deg)[ends.ravel()])
+        slots = flat[at]
+    # each reader's distinct units, then its (colour, count) pairs
+    reader, slots = np.divmod(np.unique(which // 2 * max(units, 1) + slots), max(units, 1))
+    keys, count = np.unique(reader * classes + colours[slots], return_counts=True)
+    reader, colour = np.divmod(keys, max(classes, 1))
+
+    # The target's own read-outs count as units of their own: a read-out
+    # follows every tracked colour, so it adds a (count, id) key that ranks
+    # after every class of at most its count. k: each orientation's count.
+    read = key >= units
+    out = ids[key]
+    k = read.astype(np.int64)
+    same = read.all(1) & (out[:, 0] == out[:, 1])
+    k[same] = (2, 0)
+    other_k, other = k[:, ::-1], out[:, ::-1]
+    before = (other_k > 0) & ((other_k < k) | ((other_k == k) & (other < out)))
+    session = np.searchsorted(last, ends[:, 0], side="right")
+    out_rank = at_most[session[:, None], k] + before
+    # and a tracked colour ranks after the read-out keys of smaller count
+    shift = ((k[reader] > 0) & (k[reader] < sizes[colour, None])).sum(1)
+
+    has = k > 0
+    rows = np.concatenate((reader, np.repeat(np.arange(len(readers)), 2)[has.ravel()]))
+    ranks = np.concatenate((rank[colour] + shift, out_rank[has]))
+    weights = np.concatenate((count, k[has]))
+    hist = np.bincount(rows * width + ranks % width, weights, len(readers) * width)
+    hist = hist.reshape(len(readers), width)
     # Relative frequencies: the histogram encodes color composition only.
     # Raw counts would re-encode |N(p) ∪ N(q)|, i.e. degree information that
     # belongs to the PA heuristic, not to the refinement colors.
-    total = sum(hist)
-    if total > 0:
-        hist = [h / total for h in hist]
-    return np.array([cn, pa, ra] + hist)
+    total = hist.sum(axis=1, keepdims=True)
+    return np.divide(hist, total, out=np.zeros(hist.shape), where=total > 0)
 
 
 # -- linear scorer -----------------------------------------------------------

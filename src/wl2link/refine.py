@@ -29,6 +29,14 @@ Every iteration runs over the disjoint union of a lockstep run's sessions
 slot, each slot found by its pair's code p * n + q (``_locate``), and a run
 reads its targets' keys off them in one gather; a session's colour dicts
 are built only when they are read.
+
+``lockstep`` steps a union until a step changes neither its number of
+colours nor its number of units. A joint union (``batch_refine``,
+``indistinguishable``) numbers all its sessions together, so its ids
+compare across sessions and it stops once the joint partition is stable.
+An own-numbered union (``featurize_many``) carries the session in every
+signature, so no colour spans two sessions, and it stops at the first
+step where no session's own partition splits.
 """
 
 from __future__ import annotations
@@ -175,19 +183,21 @@ def _adjacency(nbrs):
     return deg, flat + np.repeat(offset, width)
 
 
-def _init_ranks(sessions, p, q, tracked: int, deg, flat):
+def _init_ranks(sessions, p, q, tracked: int, deg, flat, part=None):
     """Dense ranks, and their number, of the slots' init signatures: (slot
     from ``tracked`` on, label ranks of p and q, edge bit, diagonal bit), p
     and q nodes of the union of ``sessions`` (a node v is (v, v)) whose edges
     are ``_adjacency``'s ``deg, flat``. Labels rank among the sessions'
-    labels, so the ranks keep the tuple order of any int labels."""
+    labels, so the ranks keep the tuple order of any int labels. ``part``,
+    each slot's session, if given, follows the first field."""
     labels = [x for s in sessions for x in s.labels]
     order = {x: i for i, x in enumerate(sorted(set(labels)))}
     label = np.fromiter(map(order.__getitem__, labels), np.int64, len(labels))
     n = len(labels)
     edges = np.append(np.repeat(np.arange(n) * n, deg) + flat, n * n)  # sorted, then a stop
     codes = p * n + q
-    fields = [(np.arange(len(p)) >= tracked, 2), (label[p], len(order)), (label[q], len(order))]
+    fields = [(np.arange(len(p)) >= tracked, 2)] + ([] if part is None else [(part, len(sessions))])
+    fields += [(label[p], len(order)), (label[q], len(order))]
     fields += [(edges[np.searchsorted(edges, codes)] == codes, 2), (p == q, 2)]
     return _dense_ranks(_pack(fields))
 
@@ -208,9 +218,10 @@ class RefinementSession:
     (on the first read of ``colors`` or ``readouts``, a union of one); the
     union that steps a session numbers all its later iterations, and a
     step at t = 0 reuses that union of one where it grows as asked. In a
-    ``lockstep`` run of several sessions, every iteration numbers the
+    joint ``lockstep`` run of several sessions, every iteration numbers the
     signatures of all of them together, and every signature is purely
-    structural, so ids compare across the sessions of one iteration.
+    structural, so ids compare across the sessions of one iteration (an
+    own-numbered run's ids do not: see ``_Union``).
 
     The ids live on the session's latest union, by slot. ``colors`` (tracked
     unit -> id) and ``readouts`` (read-out target -> id) are dicts built
@@ -385,14 +396,15 @@ class _Lines:
         return rank, count
 
 
-def _locate(codes, x):
-    """The index in ``codes`` of each code of ``x``, or -1 where it is none."""
+def _locate(codes, x, order=None):
+    """The index in ``codes`` of each code of ``x``, or -1 where it is none;
+    ``order`` sorts ``codes`` (None: they are sorted)."""
     if not (len(codes) and len(x)):
         return np.full(len(x), -1)
-    order = np.argsort(codes)
-    keys = codes[order]
-    i = np.minimum(np.searchsorted(keys, x), len(keys) - 1)
-    return np.where(keys[i] == x, order[i], -1)
+    i = np.minimum(np.searchsorted(codes, x, sorter=order), len(codes) - 1)
+    if order is not None:
+        i = order[i]
+    return np.where(codes[i] == x, i, -1)
 
 
 def _pair_codes(pairs, off: int, n: int):
@@ -401,20 +413,26 @@ def _pair_codes(pairs, off: int, n: int):
     return pq[:, 0] * n + pq[:, 1]
 
 
-def _entry_plan(codes, n: int, deg, flat, dense: bool):
+def _ranges(lo, hi):
+    """Per index i in [lo[r], hi[r]) of every row r: (r, i)."""
+    counts = hi - lo
+    which = np.repeat(np.arange(len(lo)), counts)
+    return which, np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+
+
+def _entry_plan(codes, n: int, deg, flat, dense: bool, order=None):
     """Where the folklore entries (C[u, q], C[p, u]), u in nbrs[p] ∪ nbrs[q],
     of each pair p * n + q in ``codes`` are among them: per entry its pair's
     index, in ascending order, and the indices of (u, q) and (p, u) (-1: not
-    in ``codes``). nbrs is given as ``_adjacency`` gives it."""
+    in ``codes``). nbrs is given as ``_adjacency`` gives it; ``order`` sorts
+    ``codes`` (None: they are sorted)."""
     start = np.cumsum(deg) - deg
     ps, qs = np.divmod(codes, n)
 
     def spread(pairs, nodes):
         # (pair, u) for every u in nbrs[node], per pair and its node
-        counts = deg[nodes]
-        first = np.cumsum(counts) - counts
-        at = np.repeat(start[nodes] - first, counts) + np.arange(counts.sum())
-        return np.repeat(pairs, counts), flat[at]
+        which, at = _ranges(start[nodes], start[nodes] + deg[nodes])
+        return pairs[which], flat[at]
 
     line, u = spread(np.arange(len(codes)), ps)
     if not dense:
@@ -422,12 +440,12 @@ def _entry_plan(codes, n: int, deg, flat, dense: bool):
         # neighbour of p and q is one entry: drop its copy in nbrs[q]
         other = np.flatnonzero(ps != qs)
         line_q, u_q = spread(other, qs[other])
-        nbr_codes = np.repeat(np.arange(n), deg) * n + flat
-        keep = ~np.isin(ps[line_q] * n + u_q, nbr_codes)
+        nbr_codes = np.repeat(np.arange(n), deg) * n + flat  # sorted
+        keep = _locate(nbr_codes, ps[line_q] * n + u_q) < 0
         line, u = np.concatenate((line, line_q[keep])), np.concatenate((u, u_q[keep]))
         by_line = np.argsort(line, kind="stable")
         line, u = line[by_line], u[by_line]
-    return line, _locate(codes, u * n + qs[line]), _locate(codes, ps[line] * n + u)
+    return line, _locate(codes, u * n + qs[line], order), _locate(codes, ps[line] * n + u, order)
 
 
 def _component_pairs(sessions, offset, n: int, units):
@@ -472,10 +490,12 @@ class _Union:
     units; never, so far, for the rest), and ``read`` marks the read pairs.
     ``ids`` holds every slot's id of the current iteration; ``vals`` the
     colours of the tracked ones (ABSENT: not tracked), then an ABSENT pad.
-    ``_locate`` finds the slots of a pair's code, so a run reads its
-    readers' keys off ``ids`` (``slots``) and a session's dicts are built
-    only when read (``dicts``). The union holds none of its sessions: once
-    they are gone, so are its arrays.
+    ``order`` sorts ``codes`` once, so ``locate`` finds the slots of pair
+    codes by binary search, a run reads its readers' keys off ``ids``
+    (``slots``), and a session's dicts are built only when read (``dicts``),
+    from its slots' run of the sorted codes. ``adj`` is the union's observed
+    adjacency as ``_adjacency`` gives it. The union holds none of
+    its sessions: once they are gone, so are its arrays.
 
     Lines per rule: a node's neighbour colours (node kinds); row p and column
     q of a pair (p, q), the colours of (p, v), v in nbrs[p], and of (u, q),
@@ -501,14 +521,21 @@ class _Union:
     signature it stands for, so a lone session gets the canonical ids of
     sorted signatures, and a run of several sessions ids that compare
     across them.
+
+    An ``own`` union ranks each slot's session right after the tier in its
+    init signature. Its ids then never span two sessions, every later id
+    inherits that (a step's key starts with the old colour, or an
+    untracked slot's init rank), and ``state`` counts the distinct (session,
+    colour) pairs: the sum of the sessions' own class counts. Within a
+    session the order of the ids is the lone session's.
     """
 
-    def __init__(self, sessions, expand: bool):
+    def __init__(self, sessions, expand: bool, own: bool = False):
         kind = self.kind = sessions[0].kind
         self.t, self.grow = 0, expand and kind.folklore and kind.local
         offset = self.offset = list(itertools.accumulate((s.graph.n for s in sessions), initial=0))
         n = self.n = offset[-1]
-        adj = _adjacency([s.eff.adj for s in sessions])  # the nbrs of all but dense kinds
+        adj = self.adj = _adjacency([s.eff.adj for s in sessions])  # all but dense kinds' nbrs
         nbrs = _adjacency([s.nbrs for s in sessions]) if kind.dense else adj
         deg, flat = nbrs if kind.pair_indexed else (1, np.arange(n))  # a node v is (v, v)
         units = np.repeat(np.arange(n) * n, deg) + flat
@@ -518,13 +545,15 @@ class _Union:
         later = _component_pairs(sessions, offset, n, units) if self.grow else units[:0]
         at = _locate(later, reads)  # the read pairs that are later pairs
         codes = self.codes = np.concatenate((units, later, reads[at < 0]))
+        self.order = np.argsort(codes)  # sorts the codes, for ``locate``
         read = self.read = np.arange(len(codes)) >= tracked + len(later)
         read[tracked + at[at >= 0]] = True
         self.since = np.where(np.arange(len(codes)) < tracked, 0, np.iinfo(np.int64).max)
         self.on = slice(tracked)  # the tracked slots
 
         p, q = np.divmod(codes, n)
-        self.sig, self.sig_bound = _init_ranks(sessions, p, q, tracked, *adj)
+        part = np.searchsorted(offset[1:], p, side="right") if own else None  # each slot's session
+        self.sig, self.sig_bound = _init_ranks(sessions, p, q, tracked, *adj, part)
         ids = self.ids = self.sig.copy()
         if self.grow:  # close up the read-outs' ranks over the later pairs'
             ids[read] = _dense_ranks(ids[read])[0] + int(ids[:tracked].max(initial=-1)) + 1
@@ -544,7 +573,7 @@ class _Union:
             self.entry = (flat,)
             self.lines = _Lines(np.repeat(np.arange(n), deg), n)
         elif kind.folklore:
-            line, a, b = _entry_plan(codes, n, *nbrs, kind.dense)
+            line, a, b = _entry_plan(codes, n, *nbrs, kind.dense, self.order)
             self.entry = (a, b)
             self.lines = _Lines(line, len(codes))
         else:
@@ -583,14 +612,21 @@ class _Union:
         self.state = self.bound, len(tracked)
         return self.state
 
+    def locate(self, x):
+        """The slot of each pair code of ``x``, or -1 where it is none."""
+        return _locate(self.codes, x, self.order)
+
     def dicts(self, session, t: int, ids):
         """``session``'s dicts of iteration t, whose ids are ``ids``: tracked
         unit -> id, and read-out (a read pair not tracked yet) -> id."""
-        n, codes, (lo, hi) = self.n, self.codes, self.offset[session._index: session._index + 2]
-        mine = np.flatnonzero((codes >= lo * n) & (codes < hi * n) & (self.since <= t))
-        p, q = np.divmod(codes[mine] - lo * (n + 1), n)
+        n, (lo, hi) = self.n, self.offset[session._index: session._index + 2]
+        # the session's slots are the codes in [lo * n, hi * n), in slot order
+        run = np.searchsorted(self.codes, (lo * n, hi * n), sorter=self.order)
+        mine = np.sort(self.order[slice(*run)])
+        mine = mine[self.since[mine] <= t]
+        p, q = np.divmod(self.codes[mine] - lo * (n + 1), n)
         units = zip(p.tolist(), q.tolist()) if self.kind.pair_indexed else p.tolist()
-        at = _locate(codes, _pair_codes(session.reads, lo, n))
+        at = self.locate(_pair_codes(session.reads, lo, n))
         late = self.since[at] > t
         reads = itertools.compress(session.reads, late.tolist())
         return dict(zip(units, ids[mine].tolist())), dict(zip(reads, ids[at[late]].tolist()))
@@ -610,30 +646,34 @@ class _Union:
             off = self.offset[s._index]
             p, q = (off + v for v in check_target(s.graph, target))
             pairs += [(p, q), (q, p)] if self.kind.pair_indexed else [(p, p), (q, q)]
-        slots = _locate(self.codes, _pair_codes(pairs, 0, self.n))
+        slots = self.locate(_pair_codes(pairs, 0, self.n))
         if ((slots < 0) | ~((self.since[slots] == 0) | self.read[slots])).any():
             raise RefinementError("a reader's target is neither tracked nor read out")
         return slots.reshape(-1, 2)
 
 
-def lockstep(sessions, max_iters: int = None, observe=None, readers=()):
-    """Step ``sessions`` together until their joint partition stops splitting.
+def lockstep(sessions, max_iters: int = None, observe=None, readers=(), *, _union=None):
+    """Step ``sessions`` together until their partition stops splitting.
 
     ``observe(t, keys)`` runs after init (t = 0) and after every step; a true
     result stops the run there. ``keys`` holds the ordered key of every
     reader ``(session, target)`` of ``readers`` (``ordered_key``'s, row by
     row) as one (len(readers), 2) int64 array, read off the union's ids. The
-    run is stable at the first step that changes neither the number of
-    distinct colours across all sessions nor their total number of units;
-    a run stable only after more steps than units + 1 breaks the refinement
-    bound and raises RefinementError. ``max_iters`` must be >= 1 and
-    defaults to the largest session default. Returns ``(iterations,
-    stable)``.
+    run is stable at the first step that changes neither the union's number
+    of distinct colours nor its number of units; a run stable only after
+    more steps than units + 1 breaks the refinement bound and raises
+    RefinementError. ``max_iters`` must be >= 1 and defaults to the largest
+    session default. Returns ``(iterations, stable)``.
 
-    The sessions must share one kind, and none may be past t = 0. They share
-    their colour ids in every iteration: one ``_Union`` numbers all of them
-    together, t = 0 by their sorted init signatures and every step by the
-    step's, as it numbers a lone session.
+    The sessions must share one kind, and none may be past t = 0. By default
+    they share their colour ids in every iteration: one expanding ``_Union``
+    numbers all of them together, t = 0 by their sorted init signatures and
+    every step by the step's, as it numbers a lone session. So the run stops
+    once the joint partition stops splitting. ``_union``, an unstepped union
+    built on exactly ``sessions``, is stepped instead: ``featurize_many``
+    passes an own-numbered one (``_Union``'s ``own``), whose colours never
+    span two sessions, so its run stops at the first step where no
+    session's own partition splits.
     """
     if not sessions:
         raise RefinementError("no sessions were given to lockstep")
@@ -647,7 +687,7 @@ def lockstep(sessions, max_iters: int = None, observe=None, readers=()):
     if any(s._stepped() for s in sessions):
         raise RefinementError("sessions in lockstep must start at t = 0")
 
-    union = _Union(sessions, expand=True)
+    union = _Union(sessions, expand=True) if _union is None else _union
     slots = union.slots(readers)
     if observe is not None and observe(0, union.ids[slots]):
         return 0, False

@@ -3,10 +3,13 @@ import os
 import random
 import subprocess
 import sys
+from bisect import bisect_left
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from wl2link import refine
 from wl2link.generate import (
     complete_graph,
     cycle_graph,
@@ -18,6 +21,7 @@ from wl2link.generate import (
 )
 from wl2link.graph import Graph, GraphError, permute, sample_non_edges
 from wl2link.linkpred import (
+    _UNION_SLOTS,
     LinkPredError,
     auc,
     benchmark,
@@ -28,7 +32,14 @@ from wl2link.linkpred import (
     heuristic_ra,
     train_scorer,
 )
-from wl2link.refine import RefinementSession, TestKind
+from wl2link.refine import (
+    RefinementSession,
+    TestKind,
+    lockstep,
+    open_sessions,
+    refine_to_stable,
+    session_groups,
+)
 
 
 class TestHeuristics:
@@ -141,7 +152,52 @@ GRAPHS = {
 }
 
 
+def _reference_row(kind, g, target, width):
+    """A target's row by the lone-session dict rule: a session of the target
+    alone, numbered canonically, its stable colours ranked by (class size,
+    id) in Python, the target's read-outs counting as units of their own."""
+    p, q = target
+    mask = target if kind is TestKind.WL1_LABEL01 or g.has_edge(p, q) else None
+    if kind is TestKind.FWL2_LOCAL:
+        session = RefinementSession(kind, g, mask=mask, extra_targets=[target])
+        session.step(expand=False)
+    else:
+        session = refine_to_stable(kind, g, mask=mask, extra_targets=[target]).session
+    colors, readouts, eff = session.colors, session.readouts, session.eff
+    sizes = Counter(colors.values())
+    keys = sorted((size, c) for c, size in sizes.items())
+    if kind.pair_indexed:
+        heuristics = [float(h(eff, p, q)) for h in (heuristic_cn, heuristic_pa, heuristic_ra)]
+        units = {(a, u) for a in target for u in session.nbrs[a]}
+        units |= {(u, a) for a, u in units}
+    else:
+        heuristics = [0.0] * 3
+        units = set(eff.adj[p]) | set(eff.adj[q])
+    extra = Counter(readouts[u] for u in ((p, q), (q, p)) if u in readouts)
+    new = [(k, c) for c, k in extra.items()]
+    hist = [0.0] * width
+    for c, k in (Counter(colors[u] for u in units) + extra).items():
+        key = (sizes[c] + extra[c], c)
+        hist[(bisect_left(keys, key) + sum(m < key for m in new)) % width] += k
+    total = sum(hist)
+    return np.array(heuristics + [h / total if total else h for h in hist])
+
+
 class TestFeaturizeMany:
+    @pytest.mark.parametrize("kind", list(TestKind))
+    def test_rows_match_the_lone_session_rule(self, kind):
+        graphs = [
+            ring_lattice(30, 4, 0.1, seed=3),
+            erdos_renyi(12, 0.3, seed=2),
+            Graph.build(7, [(0, 1), (1, 2), (2, 0), (3, 4)], labels=[0, 3, 3, 7, 0, 0, 7]),
+            Graph.build(4, []),
+        ]
+        for g in graphs:
+            pairs = [(p, q) for p in range(g.n) for q in range(g.n) if p != q]
+            targets = pairs[:: len(pairs) // 30 + 1]
+            reference = np.array([_reference_row(kind, g, t, 5) for t in targets])
+            assert featurize_many(kind, g, targets, width=5).tobytes() == reference.tobytes()
+
     @pytest.mark.parametrize("kind", LINKPRED_KINDS)
     @pytest.mark.parametrize("graph", sorted(GRAPHS))
     def test_shared_sessions_match_one_target_each(self, kind, graph):
@@ -170,6 +226,70 @@ class TestFeaturizeMany:
         masks.clear()
         featurize_many(TestKind.WL1_LABEL01, cycle_graph(8), targets)
         assert masks == [(0, 2), (0, 4), (0, 1), (4, 3)]
+
+    @pytest.mark.parametrize("kind", LINKPRED_KINDS)
+    def test_budgeted_unions_match_one_target_each(self, kind, monkeypatch):
+        # every edge masks its own session: more sessions than one union holds
+        g = ring_lattice(40, 4, 0.1, seed=1)
+        targets = g.edge_list() + sample_non_edges(g, 10, random.Random(3))
+        if kind is not TestKind.FWL2_LOCAL:
+            stable = {refine_to_stable(kind, g, mask=e).stable_at for e in g.edge_list()}
+            assert len(stable) > 1  # the sessions stabilise at different steps
+        unions = []
+        init = refine._Union.__init__
+
+        def spy(self, sessions, *args, **kwargs):
+            unions.append(len(sessions))
+            init(self, sessions, *args, **kwargs)
+
+        monkeypatch.setattr(refine._Union, "__init__", spy)
+        shared = featurize_many(kind, g, targets, width=6)
+        assert len(unions) > 1 and max(unions) > 1
+        single = np.array([featurize(kind, g, t, width=6) for t in targets])
+        assert shared.tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("kind", [TestKind.WL1, TestKind.WL1_LABEL01, TestKind.WL2_LOCAL])
+    def test_run_stops_when_every_session_is_stable(self, kind, monkeypatch):
+        # on a path, the joint partition keeps splitting after every session
+        # is stable: the sessions' masked paths differ in length
+        g = Graph.build(12, [(i, i + 1) for i in range(11)])
+        targets = g.edge_list()[:6] + [(0, 11), (1, 3)]
+        last = max(
+            refine_to_stable(kind, g, mask=m, extra_targets=ts).stable_at
+            for _, m, ts in session_groups(kind, [(g, t) for t in targets])
+        )
+        joint, _ = lockstep(open_sessions(kind, [(g, t) for t in targets])[0])
+        assert joint > last
+        steps = []
+        step = refine._Union.step
+
+        def spy(self):
+            steps.append(self.t + 1)
+            return step(self)
+
+        monkeypatch.setattr(refine._Union, "step", spy)
+        featurize_many(kind, g, targets)
+        assert steps == list(range(1, last + 1))
+
+    @pytest.mark.parametrize("kind", LINKPRED_KINDS)
+    def test_unions_keep_to_the_slot_budget(self, kind, monkeypatch):
+        unions = []
+        init = refine._Union.__init__
+
+        def spy(self, sessions, *args, **kwargs):
+            init(self, sessions, *args, **kwargs)
+            unions.append((len(sessions), len(self.codes)))
+
+        monkeypatch.setattr(refine._Union, "__init__", spy)
+        small = ring_lattice(40, 4, 0.1, seed=1)
+        targets = small.edge_list() + sample_non_edges(small, 10, random.Random(3))
+        featurize_many(kind, small, targets)
+        # a pair kind's session here tracks 2m > budget pairs: it runs alone
+        big = erdos_renyi(300, 0.03, seed=1)
+        featurize_many(kind, big, big.edge_list()[:3] + sample_non_edges(big, 3, random.Random(3)))
+        assert all(sessions == 1 or slots <= _UNION_SLOTS for sessions, slots in unions)
+        assert max(slots for _, slots in unions) > _UNION_SLOTS or not kind.pair_indexed
+        assert max(sessions for sessions, _ in unions) > 1
 
     @pytest.mark.parametrize("kind", LINKPRED_KINDS)
     def test_no_targets_no_rows(self, kind):
