@@ -29,6 +29,12 @@ change, the head's median over the base's, minus 1.
 
 Run it from the root of the checkout to measure; the base is any other
 checkout of the repository.
+
+``--workloads W ...`` runs the perfbench measurement alone, on those
+workloads only: the file then has no corpus, ring200 or tier-1 section.
+It serves a standing gate on one workload against an older commit:
+
+    python3 scripts/bench.py --base ../old-checkout --workloads oracle-small --tag gate
 """
 
 import argparse
@@ -217,28 +223,24 @@ def compare(base, head, better, bounds):
     return out
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="root of the checkout to compare against")
     ap.add_argument("--seeds", type=int, nargs="+", default=list(range(1, 11)))
     ap.add_argument("--tag", default="local", help="the output is BENCH_<tag>.json")
-    args = ap.parse_args()
+    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS,
+                    help="run only the perfbench part, on these workloads")
+    args = ap.parse_args(argv)
     sides = {"base": Path(args.base).resolve(), "head": HEAD}
+    selected = [w for w in WORKLOADS if args.workloads is None or w in args.workloads]
 
-    runs = {w: {side: [] for side in sides} for w in WORKLOADS}
-    for w in WORKLOADS:
+    runs = {w: {side: [] for side in sides} for w in selected}
+    for w in selected:
         for seed in args.seeds:
             order = ("base", "head") if seed % 2 else ("head", "base")
             for side in order:
                 runs[w][side].append(perfbench(sides[side], w, seed))
                 print(f"{w} seed {seed} {side}: {runs[w][side][-1]['metrics']}", file=sys.stderr)
-
-    corpus = probe_rounds(sides, args.seeds, POWER_KINDS, CORPUS_PROBE, "default corpus")
-    ring = probe_rounds(sides, args.seeds, RING_KINDS, RING_PROBE, "ring200")
-    suite = {}
-    for side in ("base", "head"):
-        suite[side] = tier1(sides[side])
-        print(f"tier-1 {side}: {suite[side]}", file=sys.stderr)
 
     declared = json.loads((HEAD / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
@@ -256,11 +258,17 @@ def main():
             "seeds": args.seeds,
             "workloads": workloads,
         },
-        "default_corpus_batch_refine": corpus,
-        "ring200_benchmark": ring,
-        "tier1": suite,
         "code_lines": {side: code_size(root) for side, root in sides.items()},
     }
+    if args.workloads is None:
+        report["default_corpus_batch_refine"] = probe_rounds(
+            sides, args.seeds, POWER_KINDS, CORPUS_PROBE, "default corpus"
+        )
+        report["ring200_benchmark"] = probe_rounds(sides, args.seeds, RING_KINDS, RING_PROBE, "ring200")
+        report["tier1"] = {}
+        for side in ("base", "head"):
+            report["tier1"][side] = tier1(sides[side])
+            print(f"tier-1 {side}: {report['tier1'][side]}", file=sys.stderr)
     out = HEAD / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}", file=sys.stderr)

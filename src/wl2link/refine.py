@@ -100,6 +100,9 @@ ALL_KINDS = tuple(TestKind)
 # Never a colour id; a folklore step packs every entry colour plus one, so it is 0.
 ABSENT = -1
 
+# ``_Union.since`` of a slot that no step has started tracking yet.
+NEVER = np.iinfo(np.int64).max
+
 # Dense pair tests refuse more nodes than this; FWL2_Local expansion more pairs than its square.
 DEFAULT_DENSE_NODE_LIMIT = 128
 
@@ -183,22 +186,26 @@ def _adjacency(nbrs):
     return deg, flat + np.repeat(offset, width)
 
 
-def _init_ranks(sessions, p, q, tracked: int, deg, flat, part=None):
-    """Dense ranks, and their number, of the slots' init signatures: (slot
-    from ``tracked`` on, label ranks of p and q, edge bit, diagonal bit), p
-    and q nodes of the union of ``sessions`` (a node v is (v, v)) whose edges
-    are ``_adjacency``'s ``deg, flat``. Labels rank among the sessions'
-    labels, so the ranks keep the tuple order of any int labels. ``part``,
-    each slot's session, if given, follows the first field."""
+def _edge_codes(n: int, deg, flat):
+    """The sorted codes p * n + q of the pairs (p, u), u in nbrs[p], of the
+    nbrs that ``_adjacency`` gives as ``deg, flat``."""
+    return np.repeat(np.arange(n) * n, deg) + flat
+
+
+def _init_ranks(sessions, codes, p, q, tracked: int, edges, part=None):
+    """Dense ranks, and their number, of the init signatures of the slots
+    whose pairs are ``codes`` = p * n + q: (slot from ``tracked`` on, label
+    ranks of p and q, edge bit, diagonal bit), p and q nodes of the union of
+    ``sessions`` (a node v is (v, v)) whose edges have the sorted codes
+    ``edges``. Labels rank among the sessions' labels, so the ranks keep the
+    tuple order of any int labels. ``part``, each slot's session, if given,
+    follows the first field."""
     labels = [x for s in sessions for x in s.labels]
     order = {x: i for i, x in enumerate(sorted(set(labels)))}
     label = np.fromiter(map(order.__getitem__, labels), np.int64, len(labels))
-    n = len(labels)
-    edges = np.append(np.repeat(np.arange(n) * n, deg) + flat, n * n)  # sorted, then a stop
-    codes = p * n + q
     fields = [(np.arange(len(p)) >= tracked, 2)] + ([] if part is None else [(part, len(sessions))])
     fields += [(label[p], len(order)), (label[q], len(order))]
-    fields += [(edges[np.searchsorted(edges, codes)] == codes, 2), (p == q, 2)]
+    fields += [(_locate(edges, codes) >= 0, 2), (p == q, 2)]
     return _dense_ranks(_pack(fields))
 
 
@@ -440,8 +447,7 @@ def _entry_plan(codes, n: int, deg, flat, dense: bool, order=None):
         # neighbour of p and q is one entry: drop its copy in nbrs[q]
         other = np.flatnonzero(ps != qs)
         line_q, u_q = spread(other, qs[other])
-        nbr_codes = np.repeat(np.arange(n), deg) * n + flat  # sorted
-        keep = _locate(nbr_codes, ps[line_q] * n + u_q) < 0
+        keep = _locate(_edge_codes(n, deg, flat), ps[line_q] * n + u_q) < 0
         line, u = np.concatenate((line, line_q[keep])), np.concatenate((u, u_q[keep]))
         by_line = np.argsort(line, kind="stable")
         line, u = line[by_line], u[by_line]
@@ -487,7 +493,7 @@ class _Union:
     every other pair of a component with an edge in code order
     (``_component_pairs``), then the read pairs that are none of these.
     ``since`` gives the step that starts tracking each slot (0 for the
-    units; never, so far, for the rest), and ``read`` marks the read pairs.
+    units; ``NEVER``, so far, for the rest), and ``read`` marks the read pairs.
     ``ids`` holds every slot's id of the current iteration; ``vals`` the
     colours of the tracked ones (ABSENT: not tracked), then an ABSENT pad.
     ``order`` sorts ``codes`` once, so ``locate`` finds the slots of pair
@@ -509,7 +515,9 @@ class _Union:
     ``sig`` ranks every slot's init signature (``_init_ranks``), the tracked
     ones first. A union is built only on sessions at t = 0, and numbers t = 0
     with it (the read-outs' ranks closed up over the later pairs'); a
-    session past t = 0 steps only through the union that numbered it. A step
+    session past t = 0 steps only through the union that numbered it. Its
+    ``state`` at t = 0 is then (``bound``, tracked units): the tracked ids
+    are the dense ranks 0 .. bound - 1, so their number is their bound. A step
     ranks every line (``_Lines``), and a slot's new colour is the dense rank
     of its key (head, ranks of its lines). The head is the slot's colour if
     it was tracked, else C + its ``sig`` (C above every colour), as the tag
@@ -536,9 +544,14 @@ class _Union:
         offset = self.offset = list(itertools.accumulate((s.graph.n for s in sessions), initial=0))
         n = self.n = offset[-1]
         adj = self.adj = _adjacency([s.eff.adj for s in sessions])  # all but dense kinds' nbrs
+        edges = _edge_codes(n, *adj)
         nbrs = _adjacency([s.nbrs for s in sessions]) if kind.dense else adj
-        deg, flat = nbrs if kind.pair_indexed else (1, np.arange(n))  # a node v is (v, v)
-        units = np.repeat(np.arange(n) * n, deg) + flat
+        if not kind.pair_indexed:
+            units = np.arange(n) * (n + 1)  # a node v is (v, v)
+        elif kind.dense:
+            units = _edge_codes(n, *nbrs)
+        else:
+            units = edges  # the local kinds track the observed edges
         tracked = len(units)
         pairs = [(off + p, off + q) for s, off in zip(sessions, offset) for p, q in s.reads]
         reads = _pair_codes(pairs, 0, n)
@@ -548,24 +561,26 @@ class _Union:
         self.order = np.argsort(codes)  # sorts the codes, for ``locate``
         read = self.read = np.arange(len(codes)) >= tracked + len(later)
         read[tracked + at[at >= 0]] = True
-        self.since = np.where(np.arange(len(codes)) < tracked, 0, np.iinfo(np.int64).max)
+        self.since = np.full(len(codes), NEVER)
+        self.since[:tracked] = 0
         self.on = slice(tracked)  # the tracked slots
 
         p, q = np.divmod(codes, n)
         part = np.searchsorted(offset[1:], p, side="right") if own else None  # each slot's session
-        self.sig, self.sig_bound = _init_ranks(sessions, p, q, tracked, *adj, part)
+        self.sig, self.sig_bound = _init_ranks(sessions, codes, p, q, tracked, edges, part)
         ids = self.ids = self.sig.copy()
+        # the tracked ids are the lowest ranks, dense: their number bounds them
+        self.bound = int(ids[:tracked].max(initial=-1)) + 1
+        self.state = (self.bound, tracked)
         if self.grow:  # close up the read-outs' ranks over the later pairs'
-            ids[read] = _dense_ranks(ids[read])[0] + int(ids[:tracked].max(initial=-1)) + 1
+            ids[read] = _dense_ranks(ids[read])[0] + self.bound
         for i, s in enumerate(sessions):
             s._union, s._index = self, i
         self.vals = np.full(len(codes) + 1, ABSENT, np.int64)
         self.vals[:tracked] = ids[:tracked]
-        self.bound = int(self.vals.max()) + 1  # above every colour
         # the heads of untracked slots past the step's: read-outs, then the rest
         self.rest = self.sig + 2 * self.sig_bound
         self.rest[read] -= self.sig_bound
-        self.state = (_dense_ranks(self.vals[:tracked])[1], tracked)
 
         self.line_of = [slice(None)]  # a slot's own line, or plain's two
         if not kind.pair_indexed:
@@ -639,14 +654,14 @@ class _Union:
         pairs of the session."""
         if not readers:
             return np.empty((0, 2), np.int64)
-        pairs = []
+        n, codes = self.n, []
         for s, target in readers:
             if s._union is not self:
                 raise RefinementError("a reader's session is not in the run")
-            off = self.offset[s._index]
-            p, q = (off + v for v in check_target(s.graph, target))
-            pairs += [(p, q), (q, p)] if self.kind.pair_indexed else [(p, p), (q, q)]
-        slots = self.locate(_pair_codes(pairs, 0, self.n))
+            p, q = check_target(s.graph, target)
+            p, q = p + self.offset[s._index], q + self.offset[s._index]
+            codes += [p * n + q, q * n + p] if self.kind.pair_indexed else [p * (n + 1), q * (n + 1)]
+        slots = self.locate(np.array(codes))
         if ((slots < 0) | ~((self.since[slots] == 0) | self.read[slots])).any():
             raise RefinementError("a reader's target is neither tracked nor read out")
         return slots.reshape(-1, 2)

@@ -15,8 +15,13 @@ Three tree builders mirror the three refinement rules:
 There is no FWL2_Local tree yet. In the pair trees a target's tree is the
 target pair's own tree. Trees are built on the masked graph, so the
 target's label carries no edge bit, and are compared via hash-consed
-canonical forms: equality is exact, never a lossy hash. Each builder is
-memoised per unit and depth.
+canonical forms: equality is exact, never a lossy hash. The node tree is
+memoised per node and depth. A pair tree is memoised per pair and depth,
+and builds each node's row (the trees of (r, u)) and column (of (u, s))
+once per depth, which every pair of that row or column then shares: the
+plain tree's sorted multisets, the folklore tree's lists in node order,
+zipped into its entry pairs. Every pair's label comes from one n x n table
+built once per tree.
 
 ``link_isomorphic`` (networkx's VF2++, up to ``DEFAULT_DENSE_NODE_LIMIT`` =
 128 nodes) and ``link_certificate`` (an exhaustive search, numpy codes over a
@@ -51,8 +56,16 @@ class UnrollTree:
     interner: Interner
 
 
-def _pair_label(eff: Graph, r: int, s: int):
-    return (eff.labels[r], eff.labels[s], int(eff.has_edge(r, s)), int(r == s))
+def _pair_labels(eff: Graph):
+    """Every pair (r, s)'s label at [r][s]: the labels of r and s, the edge
+    bit and the diagonal bit."""
+    lab = eff.labels
+    table = [[(x, y, 0, 0) for y in lab] for x in lab]
+    for r, (x, nb) in enumerate(zip(lab, eff.adj)):
+        for s in nb:
+            table[r][s] = (x, lab[s], 1, 0)
+        table[r][r] = (x, x, 0, 1)
+    return table
 
 
 def _node_tree(eff: Graph, intern):
@@ -66,24 +79,41 @@ def _node_tree(eff: Graph, intern):
 
 
 def _plain_pair_tree(eff: Graph, nbrs, intern):
+    label = _pair_labels(eff)
+
+    @functools.cache
+    def row(r, d):  # the sorted trees of (r, i), i in nbrs[r]
+        return tuple(sorted(pair(r, i, d) for i in nbrs[r]))
+
+    @functools.cache
+    def col(s, d):  # the sorted trees of (j, s), j in nbrs[s]
+        return tuple(sorted(pair(j, s, d) for j in nbrs[s]))
+
     @functools.cache
     def pair(r, s, d):
         if d == 0:
-            return intern((_pair_label(eff, r, s),))
-        left = tuple(sorted(pair(r, i, d - 1) for i in nbrs[r]))
-        right = tuple(sorted(pair(j, s, d - 1) for j in nbrs[s]))
-        return intern((_pair_label(eff, r, s), left, right))
+            return intern((label[r][s],))
+        return intern((label[r][s], row(r, d - 1), col(s, d - 1)))
 
     return pair
 
 
 def _folklore_tree(eff: Graph, intern):
+    label, nodes = _pair_labels(eff), range(eff.n)
+
+    @functools.cache
+    def row(r, d):  # the trees of (r, u) in node order
+        return [pair(r, u, d) for u in nodes]
+
+    @functools.cache
+    def col(s, d):  # the trees of (u, s) in node order
+        return [pair(u, s, d) for u in nodes]
+
     @functools.cache
     def pair(r, s, d):
         if d == 0:
-            return intern((_pair_label(eff, r, s),))
-        via = tuple(sorted((pair(r, u, d - 1), pair(u, s, d - 1)) for u in range(eff.n)))
-        return intern((_pair_label(eff, r, s), via))
+            return intern((label[r][s],))
+        return intern((label[r][s], tuple(sorted(zip(row(r, d - 1), col(s, d - 1))))))
 
     return pair
 

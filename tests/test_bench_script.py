@@ -120,3 +120,57 @@ def test_code_size_sums_the_modules(tmp_path):
     (package / "b.py").write_text('"""doc"""\nimport os\n')
     (package / "notes.txt").write_text("x = 1\n")
     assert bench.code_size(tmp_path) == {"files": {"a.py": 2, "b.py": 1}, "total": 3}
+
+
+def fake_perfbench(calls):
+    def run(root, workload, seed):
+        calls.append((Path(root).name, workload, seed))
+        value = 100.0 + seed + (5 if Path(root).name == "head" else 0)
+        return {"metrics": {"items_per_ref_s": value}, "attempted": 10, "failed": 0}
+
+    return run
+
+
+def run_main(tmp_path, monkeypatch, argv):
+    """``bench.main(argv)`` with the checkouts at tmp_path/base and
+    tmp_path/head and every measurement faked; returns the report and the
+    perfbench calls as (side, workload, seed)."""
+    head = tmp_path / "head"
+    head.mkdir()
+    (head / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    calls = []
+    monkeypatch.setattr(bench, "HEAD", head)
+    monkeypatch.setattr(bench, "perfbench", fake_perfbench(calls))
+    monkeypatch.setattr(bench, "probe_rounds", lambda *args: {"probe": args[-1]})
+    monkeypatch.setattr(bench, "tier1", lambda root: {"summary": "1 passed"})
+    bench.main(["--base", str(tmp_path / "base"), "--tag", "t"] + argv)
+    return json.loads((head / "BENCH_t.json").read_text()), calls
+
+
+def test_workloads_filter_runs_only_those(tmp_path, monkeypatch):
+    report, calls = run_main(tmp_path, monkeypatch, ["--workloads", "oracle-small", "--seeds", "1", "2"])
+    # the sides alternate, base first on odd seeds
+    assert calls == [
+        ("base", "oracle-small", 1), ("head", "oracle-small", 1),
+        ("head", "oracle-small", 2), ("base", "oracle-small", 2),
+    ]
+    assert list(report["perfbench"]["workloads"]) == ["oracle-small"]
+    row = report["perfbench"]["workloads"]["oracle-small"]["comparison"]["items_per_ref_s"]
+    assert row["head_won"] == 2 and row["pairs"] == 2
+    # the perfbench part alone: no corpus, ring200 or tier-1 section
+    assert set(report) == {"machine", "perfbench", "code_lines"}
+
+
+def test_a_full_run_keeps_every_part(tmp_path, monkeypatch):
+    report, calls = run_main(tmp_path, monkeypatch, ["--seeds", "3"])
+    assert [w for _, w, _ in calls] == [w for w in bench.WORKLOADS for _ in range(2)]
+    assert set(report["perfbench"]["workloads"]) == set(bench.WORKLOADS)
+    assert report["default_corpus_batch_refine"] == {"probe": "default corpus"}
+    assert report["ring200_benchmark"] == {"probe": "ring200"}
+    assert report["tier1"] == {side: {"summary": "1 passed"} for side in ("base", "head")}
+
+
+def test_workloads_filter_refuses_unknown_names(tmp_path, monkeypatch, capsys):
+    with pytest.raises(SystemExit):
+        run_main(tmp_path, monkeypatch, ["--workloads", "oracle-big"])
+    assert "invalid choice" in capsys.readouterr().err

@@ -589,6 +589,47 @@ class TestOneTablePerIteration:
             lockstep([wl1, wl2])
 
 
+class TestInitState:
+    """At t = 0 a union's ``state`` is (distinct tracked ids, tracked units),
+    read here off the sessions' colour dicts."""
+
+    @staticmethod
+    def counted(sessions, own):
+        # an own-numbered union's ids never span two sessions: count (session, id)
+        ids = [(i if own else 0, c) for i, s in enumerate(sessions) for c in s.colors.values()]
+        return len(set(ids)), len(ids)
+
+    @pytest.mark.parametrize("kind", ALL)
+    @pytest.mark.parametrize("expand,own", [(True, False), (False, False), (False, True)])
+    def test_state_counts_the_tracked_colours(self, kind, expand, own):
+        instances = [
+            (erdos_renyi(7, 0.4, seed=3), (0, 1)),
+            (erdos_renyi(7, 0.4, seed=3), (2, 6)),
+            (cycle_graph(6), (0, 3)),
+            (Graph.build(4, [], [1, 0, 1, 2]), (0, 3)),
+        ]
+        sessions, _ = open_sessions(kind, instances)
+        union = refine._Union(sessions, expand, own)
+        assert union.t == 0
+        assert union.state == self.counted(sessions, own)
+
+    @pytest.mark.parametrize(
+        "kind,state",
+        [
+            (TestKind.WL1, (2, 5)),  # two labels
+            (TestKind.WL1_LABEL01, (4, 5)),  # (label, target or not)
+            (TestKind.WL2, (6, 25)),  # label pairs off the diagonal, labels on it
+            (TestKind.FWL2, (6, 25)),
+            (TestKind.WL2_LOCAL, (0, 0)),  # no edge, no tracked unit
+            (TestKind.FWL2_LOCAL, (0, 0)),
+        ],
+    )
+    def test_edgeless_graph(self, kind, state):
+        session = RefinementSession(kind, Graph.build(5, [], [0, 1, 0, 1, 1]), mask=(0, 1))
+        union = refine._Union([session], expand=True)
+        assert union.state == self.counted([session], False) == state
+
+
 class TestOneUnionPerSession:
     """A union is built on sessions at t = 0; a session past t = 0 steps only
     through its own union."""

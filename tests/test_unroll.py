@@ -1,7 +1,9 @@
+import functools
 import itertools
 import random
 import sys
 
+import networkx as nx
 import pytest
 
 from wl2link.generate import cycle_graph, erdos_renyi, path_graph
@@ -105,6 +107,75 @@ class TestUnrollBasics:
             t1 = unroll(kind, g, (1, 4), depth, it)
             t2 = unroll(kind, h, (pi[1], pi[4]), depth, it)
             assert tree_equal(t1, t2)
+
+
+def reference_unroll(kind, g, e, depth, interner):
+    """A tree's canonical id as a direct recursion: every (r, s, d) builds
+    its own multisets and asks the graph for its label, memoised only per
+    (r, s, d); the folklore tree takes its entry pairs node by node."""
+    p, q = e
+    eff = g.without_edge(p, q)
+    intern = interner.intern
+
+    def label(r, s):
+        return (eff.labels[r], eff.labels[s], int(eff.has_edge(r, s)), int(r == s))
+
+    @functools.cache
+    def node(k, d):
+        if d == 0:
+            return intern((eff.labels[k],))
+        return intern((eff.labels[k], tuple(sorted(node(v, d - 1) for v in eff.adj[k]))))
+
+    nbrs = eff.adj if kind == "T_A" else (tuple(range(eff.n)),) * eff.n
+
+    @functools.cache
+    def pair(r, s, d):
+        if d == 0:
+            return intern((label(r, s),))
+        if kind == "T_D":
+            via = tuple(sorted((pair(r, u, d - 1), pair(u, s, d - 1)) for u in range(eff.n)))
+            return intern((label(r, s), via))
+        left = tuple(sorted(pair(r, i, d - 1) for i in nbrs[r]))
+        right = tuple(sorted(pair(j, s, d - 1) for j in nbrs[s]))
+        return intern((label(r, s), left, right))
+
+    return intern((node(p, depth), node(q, depth))) if kind == "T_B" else pair(p, q, depth)
+
+
+def atlas_links():
+    """Every ordered target (p, q) of every atlas graph with 2 to 5 nodes,
+    unlabelled and with labels v % 2."""
+    links = []
+    for h in nx.graph_atlas_g()[2:53]:
+        n = h.number_of_nodes()
+        for labels in (None, [v % 2 for v in range(n)]):
+            g = Graph.build(n, h.edges(), labels)
+            links += [(g, e) for e in itertools.permutations(range(n), 2)]
+    return links
+
+
+class TestTreesMatchTheReference:
+    """The builders memoise rows, columns and labels; the trees they give
+    are the direct recursion's."""
+
+    @pytest.mark.parametrize("kind", TREE_KINDS)
+    def test_same_partition_and_table_size(self, kind):
+        links = atlas_links()
+        assert len(links) == 2 * 840
+        for depth in range(4):
+            shared, ref_shared = Interner(), Interner()
+            ids = []
+            for g, e in links:
+                got = unroll(kind, g, e, depth, shared).canonical_id
+                want = reference_unroll(kind, g, e, depth, ref_shared)
+                ids.append((got, want))
+                alone, ref_alone = Interner(), Interner()
+                unroll(kind, g, e, depth, alone)
+                reference_unroll(kind, g, e, depth, ref_alone)
+                assert len(alone) == len(ref_alone), (kind, depth, g, e)
+            # equal trees under one builder are equal under the other
+            got, want = zip(*ids)
+            assert len(set(got)) == len(set(want)) == len(set(ids)), (kind, depth)
 
 
 class TestLinkIsomorphic:
