@@ -15,7 +15,11 @@ Four measurements, each run on both checkouts:
 - ``batch_refine`` per kind on the default corpus (the built-in fixtures
   plus ``random_corpus()``), one fresh process per kind, one round per seed
   with the sides alternating the same way: seconds, iterations, and the
-  process's peak RSS, every sample and the medians.
+  process's peak RSS, every sample and the medians. Each run also gives
+  the sha256 of its ``BatchResult.history`` (every iteration's ordered
+  keys), and ``history_differs`` lists per kind the seeds whose base and
+  head hashes differ: an empty list means the two sides gave byte-identical
+  ids in every round.
 - ``benchmark()`` per kind on ring200 (``ring:n=200,k=4,rewire=0.1,seed=0``,
   split seed 0), likewise one fresh process per kind and one round per
   seed: wall seconds and test AUC.
@@ -57,7 +61,7 @@ RING_KINDS = ("WL1", "WL1_Label01", "WL2_Local", "FWL2_Local")
 
 # Runs in the checkout under test: one kind of batch_refine on the default corpus.
 CORPUS_PROBE = """
-import json, resource, sys, time
+import hashlib, json, resource, sys, time
 from wl2link.harness import Corpus, batch_refine, fixtures_corpus, random_corpus
 from wl2link.refine import TestKind
 corpus = Corpus.merge(fixtures_corpus(), random_corpus())
@@ -68,6 +72,7 @@ print(json.dumps({
     "seconds": time.perf_counter() - start,
     "iterations": result.iterations,
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "history_sha256": hashlib.sha256(result.history.tobytes()).hexdigest(),
 }))
 """
 
@@ -141,7 +146,9 @@ def tier1(root):
 
 
 def probe_rounds(sides, seeds, kinds, source, label):
-    """One fresh process per side, kind and seed; the sides alternate as above."""
+    """One fresh process per side, kind and seed; the sides alternate as above.
+    Where the probe gives a ``history_sha256``, ``history_differs`` lists per
+    kind the seeds whose base and head hashes differ."""
     out = {side: {kind: [] for kind in kinds} for side in sides}
     for seed in seeds:
         order = ("base", "head") if seed % 2 else ("head", "base")
@@ -149,16 +156,30 @@ def probe_rounds(sides, seeds, kinds, source, label):
             for side in order:
                 out[side][kind].append(probe(sides[side], source, kind))
                 print(f"{label} {kind} {side}: {out[side][kind][-1]}", file=sys.stderr)
-    return {
+    report = {
         side: {
             kind: {
                 "samples": samples,
-                "median": {k: statistics.median(r[k] for r in samples) for k in samples[0]},
+                "median": {
+                    k: statistics.median(r[k] for r in samples)
+                    for k, v in samples[0].items()
+                    if not isinstance(v, str)
+                },
             }
             for kind, samples in per.items()
         }
         for side, per in out.items()
     }
+    if "history_sha256" in out["head"][kinds[0]][0]:
+        report["history_differs"] = {
+            kind: [
+                seed
+                for seed, b, h in zip(seeds, out["base"][kind], out["head"][kind])
+                if b["history_sha256"] != h["history_sha256"]
+            ]
+            for kind in kinds
+        }
+    return report
 
 
 def summarize(runs):

@@ -24,6 +24,15 @@ label ranks, edge bit and diagonal bit (``_init_ranks``). A step ranks (old
 colour, sorted lines of colours): 1-WL reads a node's neighbour colours,
 plain 2-WL a pair's row and column, 2-FWL a pair's entries (the tensor form
 of Maron et al., NeurIPS 2019), all lines ranked at once by ``_Lines``.
+A step ranks only the keys that can still split: of the untracked units
+and of the tracked ones whose class has two or more units. Refinement
+never merges classes, so a singleton class stays one, and its next id
+follows from its old colour alone: the number of distinct keys under lower
+heads. Once at most half of the ranked units are live, a union drops the
+rest for good and ranks the lines of the live ones only (``_Union``). The
+ids stay the ranks of every unit's sorted signature, as in canonical
+refinement that re-examines only what can still change (Berkholz, Bonsma
+& Grohe, ESA 2013).
 Every iteration runs over the disjoint union of a lockstep run's sessions
 (``_Union``); a lone session is a union of one. The union keeps the ids by
 slot, each slot found by its pair's code p * n + q (``_locate``), and a run
@@ -506,11 +515,12 @@ class _Union:
     Lines per rule: a node's neighbour colours (node kinds); row p and column
     q of a pair (p, q), the colours of (p, v), v in nbrs[p], and of (u, q),
     u in nbrs[q] (plain kinds: lines 0..n-1 are the rows, n..2n-1 the
-    columns); a pair's folklore entries (``_entry_plan``), each packed as
-    (C[u, q] + 1, C[p, u] + 1) by ``_pack`` and ranked among all entries of
-    the step. An expanding step starts tracking every untracked slot with
-    an entry whose two sides are tracked: that adds the pairs one walk step
-    further away, so (p, q) joins at step max(dist(p, q) - 1, 1).
+    columns, until a rebuild numbers the lines it keeps); a pair's folklore
+    entries (``_entry_plan``), each packed as (C[u, q] + 1, C[p, u] + 1) by
+    ``_pack`` and ranked among all entries of the step. An expanding step
+    starts tracking every untracked slot with an entry whose two sides are
+    tracked: that adds the pairs one walk step further away, so (p, q) joins
+    at step max(dist(p, q) - 1, 1).
 
     ``sig`` ranks every slot's init signature (``_init_ranks``), the tracked
     ones first. A union is built only on sessions at t = 0, and numbers t = 0
@@ -529,6 +539,30 @@ class _Union:
     signature it stands for, so a lone session gets the canonical ids of
     sorted signatures, and a run of several sessions ids that compare
     across them.
+
+    A step ranks the keys of its ``rows`` only: every slot, until a step
+    drops some. A slot is live if it is untracked or its class has two or
+    more slots. A tracked slot whose class is a singleton keeps a class of
+    its own for the rest of the run (classes only split): its key is the
+    only one under its head, its old colour. Its id is offset[head], and a
+    ranked key's id is offset[head] + (its rank - the first rank of its
+    head), where offset is the exclusive cumsum, over all bound + 3 *
+    sig_bound heads, of each head's number of distinct keys: those of the
+    ranked keys, and 1 for the head of a dropped slot. That is the dense
+    rank of the key among the keys of every slot: the ranked keys of a head
+    are all of its keys, and the line ranks over a smaller table keep the
+    order of the lines in it. So the ids stay canonical, and
+    ``_check_splits`` checks every tracked slot as before. ``_compact``
+    drops the dead rows (into ``drop``) once at most half of the rows are
+    live, and rebuilds the line table (``lines``, ``entry`` and a plain
+    kind's ``line_of``) over the lines the live rows read once those are at
+    most half of it; the rebuilt table replaces the old one. Each table is
+    at most half the one before, so all rebuilds together cost at most one
+    more full ``_Lines`` build. At most ``bound`` rows are singletons, so a
+    step counts them only when 2 (rows - bound) <= rows: a small run pays
+    one comparison per step, and until a step drops rows, it is the step
+    that ranks every slot. Untracked slots are always live, so an
+    expanding step still sees every candidate's entries.
 
     An ``own`` union ranks each slot's session right after the tier in its
     init signature. Its ids then never span two sessions, every later id
@@ -582,7 +616,9 @@ class _Union:
         self.rest = self.sig + 2 * self.sig_bound
         self.rest[read] -= self.sig_bound
 
-        self.line_of = [slice(None)]  # a slot's own line, or plain's two
+        self.rows = slice(len(codes))  # the slots whose keys a step ranks: all, until a rebuild
+        self.drop = codes[:0]  # the slots of dropped singleton classes
+        self.line_of = [slice(None)]  # a row's own line, or plain's two
         if not kind.pair_indexed:
             deg, flat = adj
             self.entry = (flat,)
@@ -599,27 +635,83 @@ class _Union:
             self.lines = _Lines(line[order], 2 * n)
             self.line_of = [q + n, p]
 
+    def _compact(self):
+        """Drop the rows of singleton classes if at most half of the rows stay,
+        and rebuild the line table over the lines that the rest read if at
+        most half of it stays."""
+        rows = np.arange(len(self.codes))[self.rows]
+        v = self.vals[rows] + 1  # 0: untracked
+        size = np.bincount(v, minlength=self.bound + 1)
+        size[0] = 2  # an untracked row is always live
+        live = size[v] > 1
+        keep = np.flatnonzero(live)
+        if not rows.size or 2 * keep.size > rows.size:
+            return
+        self.drop = np.concatenate((self.drop, rows[~live]))
+        self.rows = rows[keep]
+        plain = self.kind.pair_indexed and not self.kind.folklore
+        kept, table = keep, self.lines.lines  # row i reads line i, but for the plain kinds
+        if plain:
+            self.line_of = [line[keep] for line in self.line_of]
+            read = np.zeros(table, bool)
+            for line in self.line_of:
+                read[line] = True
+            kept = np.flatnonzero(read)
+            if 2 * kept.size > table:
+                return
+        renumber = np.full(table, -1)
+        renumber[kept] = np.arange(kept.size)
+        if plain:
+            self.line_of = [renumber[line] for line in self.line_of]
+        line = renumber[self.lines.line]
+        self.lines = None  # the union keeps no copy of the old table
+        on = line >= 0
+        self.entry = tuple(e[on] for e in self.entry)
+        self.lines = _Lines(line[on], kept.size)
+
     def step(self):
         """Step every session once; returns the new ``state``: the number of
         distinct tracked colours, and of tracked units."""
         self.t += 1
         vals, bound, old = self.vals, self.bound, self.on
+        heads = bound + 3 * self.sig_bound
+        # at most bound rows are singletons: count them only where they could be half
+        ranked = len(self.codes) - self.drop.size
+        if 2 * (ranked - bound) <= ranked:
+            self._compact()
+        rows = self.rows
         if self.kind.folklore:
             codes = _dense_ranks(_pack([(vals[e] + 1, bound + 1) for e in self.entry]))
             line_rank, k = self.lines.rank(*codes)
         else:
             line_rank, k = self.lines.rank(vals[self.entry[0]], bound)
-        head = self.rest + bound
+        v = vals[rows]
+        was = v != ABSENT  # tracked before the step
+        head = self.rest[rows] + bound
+        head[was] = v[was]
         if self.grow:
             # a pair joins once one of its entries has both sides tracked
             both = np.minimum(*(vals[e] for e in self.entry)) != ABSENT
-            joins = np.bincount(self.lines.line, both, len(head))
-            new = np.flatnonzero(joins * (vals[:-1] == ABSENT))
-            head[new], self.since[new] = self.sig[new] + bound, self.t
+            joins = np.bincount(self.lines.line, both, self.lines.lines) > 0
+            joins = np.flatnonzero(joins & ~was)
+            new = joins if isinstance(rows, slice) else rows[joins]
+            head[joins], self.since[new] = self.sig[new] + bound, self.t
             self.on = np.flatnonzero(self.since <= self.t)
-        head[old] = vals[old]
-        fields = [(head, bound + 3 * self.sig_bound)] + [(line_rank[i], k) for i in self.line_of]
-        ids = _dense_ranks(_pack(fields))[0]
+        fields = [(head, heads)] + [(line_rank[i], k) for i in self.line_of]
+        ids, count = _dense_ranks(_pack(fields))
+        if self.drop.size:
+            # a dropped singleton's key is the one key of its old colour's head:
+            # a key's id is its head's offset plus its rank within the head
+            key_head = np.empty(count, np.int64)
+            key_head[ids] = head
+            per = np.bincount(key_head, minlength=heads)
+            first = np.cumsum(per) - per  # each head's first rank
+            dropped = vals[self.drop]
+            per[dropped] = 1
+            offset = np.cumsum(per) - per
+            rank, ids = ids, np.empty(len(self.codes), np.int64)
+            ids[self.drop] = offset[dropped]
+            ids[rows] = rank + (offset - first)[head]
         _check_splits(vals[old], ids[old])
         tracked = vals[self.on] = ids[self.on]
         self.bound = int(tracked.max(initial=-1)) + 1

@@ -1,10 +1,14 @@
 """``scripts/bench.py`` reads every end-to-end metric against its bound."""
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
+
+from wl2link.harness import batch_refine
+from wl2link.refine import TestKind
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -174,3 +178,32 @@ def test_workloads_filter_refuses_unknown_names(tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit):
         run_main(tmp_path, monkeypatch, ["--workloads", "oracle-big"])
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_probe_rounds_flag_histories_that_differ(monkeypatch):
+    # a fake probe whose head gives another FWL2 history in the second round
+    rounds = {}
+
+    def probe(root, source, kind):
+        i = rounds[root, kind] = rounds.get((root, kind), -1) + 1
+        differs = root.name == "head" and kind == "FWL2" and i == 1
+        return {"seconds": 1.0 + i, "history_sha256": "b" if differs else "a"}
+
+    monkeypatch.setattr(bench, "probe", probe)
+    sides = {"base": Path("base"), "head": Path("head")}
+    report = bench.probe_rounds(sides, [1, 2], ("WL1", "FWL2"), "source", "corpus")
+    assert report["history_differs"] == {"WL1": [], "FWL2": [2]}
+    # the hashes are kept with every sample, and take no median
+    assert report["head"]["FWL2"]["median"] == {"seconds": 1.5}
+    assert [r["history_sha256"] for r in report["head"]["FWL2"]["samples"]] == ["a", "b"]
+    # a probe that gives no hash (ring200's) gets no flags
+    monkeypatch.setattr(bench, "probe", lambda root, source, kind: {"seconds": 1.0})
+    assert "history_differs" not in bench.probe_rounds(sides, [1], ("WL1",), "source", "ring")
+
+
+def test_corpus_probe_hashes_the_history(default_corpus):
+    # the probe's hash is the sha256 of the bytes of BatchResult.history
+    out = bench.probe(ROOT, bench.CORPUS_PROBE, "WL1")
+    history = batch_refine(TestKind.WL1, default_corpus).history
+    assert out["history_sha256"] == hashlib.sha256(history.tobytes()).hexdigest()
+    assert out["instances"] == len(default_corpus)

@@ -331,6 +331,31 @@ class TestCanonicalIds:
             assert cross in a.final.readouts
 
 
+def _full_table(union):
+    """The number of lines of a union's first table: one per node (node
+    kinds), a row and a column per node (plain kinds), one per slot
+    (folklore kinds). A union whose table is smaller has rebuilt it."""
+    if not union.kind.pair_indexed:
+        return union.n
+    return len(union.codes) if union.kind.folklore else 2 * union.n
+
+
+def _record_tables(monkeypatch):
+    """Per step of every union from now on: (whether the step ranked on a
+    rebuilt table, the step's state before and after)."""
+    steps = []
+    step = refine._Union.step
+
+    def spy(union):
+        before = union.state
+        after = step(union)
+        steps.append((union.lines.lines < _full_table(union), before, after))
+        return after
+
+    monkeypatch.setattr(refine._Union, "step", spy)
+    return steps
+
+
 class TestSplitOnlyGuard:
     def test_merge_detected(self):
         session = RefinementSession(TestKind.WL1, path_graph(3))
@@ -361,6 +386,28 @@ class TestSplitOnlyGuard:
         monkeypatch.setattr(refine, "_pack", lambda fields: 0 * fields[0][0])
         with pytest.raises(RefinementError, match="merged"):
             session.step()
+
+    @pytest.mark.parametrize("kind", ALL)
+    def test_steps_on_a_rebuilt_table_check_their_ranks(self, kind, monkeypatch):
+        # keys that lose the old colour merge on the step that first ranks
+        # the live rows of a rebuilt table: the asymmetric graph's units soon
+        # have classes of their own, the path's mirror images keep pairs
+        sessions = [
+            RefinementSession(kind, erdos_renyi(9, 0.6, seed=0), mask=(0, 1)),
+            RefinementSession(kind, path_graph(4), mask=(0, 3)),
+        ]
+        compact, rebuilt = refine._Union._compact, []
+
+        def compact_then_break(union):
+            compact(union)
+            if union.lines.lines < _full_table(union) and not rebuilt:
+                rebuilt.append(union.t)
+                monkeypatch.setattr(refine, "_pack", lambda fields: 0 * fields[0][0])
+
+        monkeypatch.setattr(refine._Union, "_compact", compact_then_break)
+        with pytest.raises(RefinementError, match="merged"):
+            lockstep(sessions)
+        assert rebuilt
 
     def test_merge_detected_under_optimize(self):
         # the invariant is a raised error, not an assert, so -O keeps it
@@ -395,6 +442,36 @@ class TestSplitOnlyGuard:
         assert "merged" in out.stdout
         assert "array refinement merged" in out.stdout
         assert "do not fit" in out.stdout
+
+    def test_merge_detected_on_a_rebuilt_table_under_optimize(self):
+        code = (
+            "from wl2link import refine\n"
+            "from wl2link.generate import erdos_renyi, path_graph\n"
+            "from wl2link.refine import RefinementError, RefinementSession, TestKind, lockstep\n"
+            "assert False, 'asserts are live'\n"
+            "kind = TestKind.FWL2\n"
+            "sessions = [RefinementSession(kind, erdos_renyi(9, 0.6, seed=0), mask=(0, 1)),\n"
+            "            RefinementSession(kind, path_graph(4), mask=(0, 3))]\n"
+            "compact = refine._Union._compact\n"
+            "def compact_then_break(union):\n"
+            "    compact(union)\n"
+            "    if union.lines.lines < len(union.codes):  # a rebuilt table\n"
+            "        print('rebuilt at', union.t)\n"
+            "        refine._pack = lambda fields: 0 * fields[0][0]\n"
+            "refine._Union._compact = compact_then_break\n"
+            "try:\n"
+            "    lockstep(sessions)\n"
+            "except RefinementError as err:\n"
+            "    print(err)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        rebuilt, error = out.stdout.splitlines()[-2:]
+        assert rebuilt == "rebuilt at 3" and error == "refinement merged two color classes"
 
 
 class TestFwl2LocalReadouts:
@@ -967,11 +1044,18 @@ class TestPlainReference:
             assert history == reference(kind, g, mask, targets, len(history) - 1)
 
     @pytest.mark.parametrize("kind", ALL)
-    def test_lockstep_partitions_match_one_shared_dict(self, kind):
+    def test_lockstep_partitions_match_one_shared_dict(self, kind, monkeypatch):
         # every case of one kind in one run, against the dict rule with one
-        # table per iteration shared by all sessions in first-appearance order
-        cases = _cases(kind)
+        # table per iteration shared by all sessions in first-appearance order;
+        # then the asymmetric cases alone: a joint run that rebuilds its table
+        steps = _record_tables(monkeypatch)
+        self.check_joint_run(kind, _cases(kind))
+        steps.clear()
+        self.check_joint_run(kind, _asymmetric_cases())
+        assert any(rebuilt for rebuilt, _, _ in steps)
 
+    @staticmethod
+    def check_joint_run(kind, cases):
         def open_all():
             return [RefinementSession(kind, g, mask=m, extra_targets=ts) for g, m, ts in cases]
 
@@ -993,3 +1077,49 @@ class TestPlainReference:
                 s.readouts = {pair: table.setdefault(sig, len(table)) for pair, sig in read.items()}
             expected.append(_partitions(reference))
         assert seen == expected
+
+
+def _asymmetric_cases():
+    """Cases of ``_folklore_cases`` whose units soon have classes of their
+    own, so that a run of them drops rows and rebuilds its table."""
+    return [_folklore_cases()[i] for i in (0, 1, 5, 7, 15)]
+
+
+class TestLiveRows:
+    """Once at most half of a union's rows are live, a step ranks those
+    only, over a rebuilt table; the ids stay those of the dict rules, which
+    rank every unit."""
+
+    @pytest.mark.parametrize("kind", ALL)
+    def test_rebuilt_tables_match_the_dict_rule(self, kind, monkeypatch):
+        if kind.folklore:
+            reference, cases = _reference_folklore, _folklore_cases()
+        else:
+            reference = _reference_plain if kind.pair_indexed else _reference_wl1
+            cases = _cases(kind)
+        steps, rebuilt = _record_tables(monkeypatch), 0
+        for g, mask, targets in cases:
+            steps.clear()
+            result = refine_to_stable(kind, g, mask=mask, extra_targets=targets)
+            if any(on_rebuilt for on_rebuilt, _, _ in steps):
+                rebuilt += 1
+                history = [(m.colors, m.readouts) for m in result.history]
+                assert history == reference(kind, g, mask, targets, len(history) - 1)
+        assert rebuilt >= 5
+
+    def test_expansion_continues_on_a_rebuilt_table(self, monkeypatch):
+        # untracked slots stay live, so FWL2_Local still starts tracking the
+        # pairs one walk step further away, as far as the distance rule says
+        steps, grew = _record_tables(monkeypatch), 0
+        for g, mask, targets in _folklore_cases():
+            steps.clear()
+            result = refine_to_stable(TestKind.FWL2_LOCAL, g, mask=mask, extra_targets=targets)
+            eff = nx.Graph(list(result.session.eff.edges))
+            dist = dict(nx.all_pairs_shortest_path_length(eff))
+            for t, (on_rebuilt, before, after) in enumerate(steps, 1):
+                if on_rebuilt and after[1] > before[1]:
+                    grew += 1
+                    assert set(result.history[t].colors) == {
+                        (p, q) for p in dist for q, d in dist[p].items() if d - 1 <= t
+                    }
+        assert grew
