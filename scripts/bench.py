@@ -22,7 +22,10 @@ Four measurements, each run on both checkouts:
   ids in every round.
 - ``benchmark()`` per kind on ring200 (``ring:n=200,k=4,rewire=0.1,seed=0``,
   split seed 0), likewise one fresh process per kind and one round per
-  seed: wall seconds and test AUC.
+  seed: wall seconds, test AUC and the report's ``featurize_seconds``.
+  Each run also gives the sha256 of the report's JSON with
+  ``featurize_seconds`` removed, and ``report_differs`` lists per kind the
+  seeds whose base and head hashes differ, as ``history_differs`` does.
 - The tier-1 suite (``python -m pytest -q --continue-on-collection-errors``),
   once per side: wall seconds and pytest's summary line.
 
@@ -78,14 +81,22 @@ print(json.dumps({
 
 # Runs in the checkout under test: one kind of benchmark() on ring200.
 RING_PROBE = """
-import json, sys, time
+import hashlib, json, sys, time
 from wl2link.generate import ring_lattice
 from wl2link.linkpred import benchmark
 from wl2link.refine import TestKind
 g = ring_lattice(200, 4, 0.1, seed=0)
 start = time.perf_counter()
 report = benchmark(g, TestKind.parse(sys.argv[1]), split_seed=0)
-print(json.dumps({"seconds": time.perf_counter() - start, "test_auc": report.test_auc}))
+seconds = time.perf_counter() - start
+fields = json.loads(report.to_json())
+del fields["featurize_seconds"]
+print(json.dumps({
+    "seconds": seconds,
+    "test_auc": report.test_auc,
+    "featurize_seconds": report.featurize_seconds,
+    "report_sha256": hashlib.sha256(json.dumps(fields).encode()).hexdigest(),
+}))
 """
 
 
@@ -147,8 +158,8 @@ def tier1(root):
 
 def probe_rounds(sides, seeds, kinds, source, label):
     """One fresh process per side, kind and seed; the sides alternate as above.
-    Where the probe gives a ``history_sha256``, ``history_differs`` lists per
-    kind the seeds whose base and head hashes differ."""
+    For every hash ``<name>_sha256`` that the probe gives, ``<name>_differs``
+    lists per kind the seeds whose base and head hashes differ."""
     out = {side: {kind: [] for kind in kinds} for side in sides}
     for seed in seeds:
         order = ("base", "head") if seed % 2 else ("head", "base")
@@ -170,15 +181,16 @@ def probe_rounds(sides, seeds, kinds, source, label):
         }
         for side, per in out.items()
     }
-    if "history_sha256" in out["head"][kinds[0]][0]:
-        report["history_differs"] = {
-            kind: [
-                seed
-                for seed, b, h in zip(seeds, out["base"][kind], out["head"][kind])
-                if b["history_sha256"] != h["history_sha256"]
-            ]
-            for kind in kinds
-        }
+    for key in out["head"][kinds[0]][0]:
+        if key.endswith("_sha256"):
+            report[key.removesuffix("_sha256") + "_differs"] = {
+                kind: [
+                    seed
+                    for seed, b, h in zip(seeds, out["base"][kind], out["head"][kind])
+                    if b[key] != h[key]
+                ]
+                for kind in kinds
+            }
     return report
 
 

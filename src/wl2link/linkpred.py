@@ -220,18 +220,21 @@ class LinearScorer:
         return x @ self.weights + self.bias
 
 
-def _sigmoid(z):
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
-
-
 def train_scorer(features, labels) -> LinearScorer:
-    """Logistic regression by full-batch gradient descent from zero init."""
+    """Logistic regression by full-batch gradient descent from zero init.
+
+    The labels are 0 and 1. ``loss_history`` holds each epoch's mean
+    log-loss, taken in the descent's own pass from the predictions of that
+    epoch's step; the loss never feeds the descent. Every epoch works in
+    place on (rows,) buffers, so the memory stays O(rows)."""
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
     if x.ndim != 2 or len(x) != len(y) or len(y) < 2:
         raise LinkPredError("need >= 2 feature rows matching the labels")
     if not np.isfinite(x).all():
         raise LinkPredError("non-finite feature values")
+    if not np.isin(y, (0.0, 1.0)).all():
+        raise LinkPredError("training labels must be 0 or 1")
     if len(set(y.tolist())) < 2:
         raise LinkPredError("training labels contain a single class")
     mean = x.mean(axis=0)
@@ -241,17 +244,26 @@ def train_scorer(features, labels) -> LinearScorer:
     w = np.zeros(x.shape[1])
     b = 0.0
     n = len(y)
+    pos = y == 1.0
+    pred, like, grad = np.empty(n), np.empty(n), np.empty(n)
     losses = []
     for _ in range(EPOCHS):
-        z = xs @ w + b
-        pred = _sigmoid(z)
-        eps = 1e-12
-        losses.append(
-            float(-np.mean(y * np.log(pred + eps) + (1 - y) * np.log(1 - pred + eps)))
-        )
-        grad = pred - y
+        # the sigmoid 0.5 * (1 + tanh(z / 2)), in place
+        np.dot(xs, w, out=pred)
+        pred += b
+        pred *= 0.5
+        np.tanh(pred, out=pred)
+        pred += 1.0
+        pred *= 0.5
+        # each label's likelihood: pred where y is 1, else 1 - pred
+        np.subtract(1.0, pred, out=like)
+        np.copyto(like, pred, where=pos)
+        like += 1e-12
+        np.log(like, out=like)
+        losses.append(-(float(like.sum()) / n))
+        np.subtract(pred, y, out=grad)
         w -= LEARNING_RATE * (xs.T @ grad) / n
-        b -= LEARNING_RATE * float(grad.mean())
+        b -= LEARNING_RATE * (float(grad.sum()) / n)
     return LinearScorer(weights=w, bias=b, mean=mean, std=std, loss_history=losses)
 
 

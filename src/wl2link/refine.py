@@ -440,27 +440,42 @@ def _entry_plan(codes, n: int, deg, flat, dense: bool, order=None):
     """Where the folklore entries (C[u, q], C[p, u]), u in nbrs[p] ∪ nbrs[q],
     of each pair p * n + q in ``codes`` are among them: per entry its pair's
     index, in ascending order, and the indices of (u, q) and (p, u) (-1: not
-    in ``codes``). nbrs is given as ``_adjacency`` gives it; ``order`` sorts
-    ``codes`` (None: they are sorted)."""
+    in ``codes``). nbrs is given as ``_adjacency`` gives it, and ``codes``
+    starts with the tracked units ``_edge_codes(n, deg, flat)`` in that CSR
+    order, as a union's slots do; ``order`` sorts ``codes`` (None: they are
+    sorted).
+
+    So the index of (p, u), u in nbrs[p], is u's CSR position in p's row,
+    and for a local kind, whose nbrs are symmetric, that of (u, q), u in
+    nbrs[q], is the index of the reverse of (q, u). Only (u, q) for u in
+    nbrs[p], and (p, u) for u in nbrs[q] outside nbrs[p], are searched for."""
     start = np.cumsum(deg) - deg
     ps, qs = np.divmod(codes, n)
 
     def spread(pairs, nodes):
-        # (pair, u) for every u in nbrs[node], per pair and its node
+        # (pair, u, u's CSR position) for every u in nbrs[node], per pair and its node
         which, at = _ranges(start[nodes], start[nodes] + deg[nodes])
-        return pairs[which], flat[at]
+        return pairs[which], flat[at], at
 
-    line, u = spread(np.arange(len(codes)), ps)
+    line, u, b = spread(np.arange(len(codes)), ps)
+    a = _locate(codes, u * n + qs[line], order)
     if not dense:
         # u runs over nbrs[q] too where that is another set, and a common
-        # neighbour of p and q is one entry: drop its copy in nbrs[q]
+        # neighbour of p and q is one entry: drop its copy in nbrs[q], whose
+        # (p, u) is a tracked unit
         other = np.flatnonzero(ps != qs)
-        line_q, u_q = spread(other, qs[other])
-        keep = _locate(_edge_codes(n, deg, flat), ps[line_q] * n + u_q) < 0
-        line, u = np.concatenate((line, line_q[keep])), np.concatenate((u, u_q[keep]))
+        line_q, u_q, at_q = spread(other, qs[other])
+        # each tracked unit's reverse, by slot: the symmetric nbrs make the
+        # sorted reversed codes the tracked codes again
+        reverse = np.argsort(flat * n + np.repeat(np.arange(n), deg))
+        b_q = _locate(codes, ps[line_q] * n + u_q, order)
+        keep = (b_q < 0) | (b_q >= len(flat))
+        line = np.concatenate((line, line_q[keep]))
         by_line = np.argsort(line, kind="stable")
-        line, u = line[by_line], u[by_line]
-    return line, _locate(codes, u * n + qs[line], order), _locate(codes, ps[line] * n + u, order)
+        line = line[by_line]
+        a = np.concatenate((a, reverse[at_q[keep]]))[by_line]
+        b = np.concatenate((b, b_q[keep]))[by_line]
+    return line, a, b
 
 
 def _component_pairs(sessions, offset, n: int, units):

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from wl2link.generate import ring_lattice
 from wl2link.harness import batch_refine
+from wl2link.linkpred import benchmark
 from wl2link.refine import TestKind
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -196,9 +198,36 @@ def test_probe_rounds_flag_histories_that_differ(monkeypatch):
     # the hashes are kept with every sample, and take no median
     assert report["head"]["FWL2"]["median"] == {"seconds": 1.5}
     assert [r["history_sha256"] for r in report["head"]["FWL2"]["samples"]] == ["a", "b"]
-    # a probe that gives no hash (ring200's) gets no flags
+    # a probe that gives no hash gets no flags
     monkeypatch.setattr(bench, "probe", lambda root, source, kind: {"seconds": 1.0})
-    assert "history_differs" not in bench.probe_rounds(sides, [1], ("WL1",), "source", "ring")
+    assert set(bench.probe_rounds(sides, [1], ("WL1",), "source", "ring")) == {"base", "head"}
+
+
+def test_probe_rounds_flag_reports_that_differ(monkeypatch):
+    # ring200's probe hashes its report: the base gives another WL1 report
+    # in the first round
+    rounds = {}
+
+    def probe(root, source, kind):
+        i = rounds[root, kind] = rounds.get((root, kind), -1) + 1
+        differs = root.name == "base" and kind == "WL1" and i == 0
+        return {"seconds": 2.0, "featurize_seconds": 1.0, "report_sha256": "d" if differs else "c"}
+
+    monkeypatch.setattr(bench, "probe", probe)
+    sides = {"base": Path("base"), "head": Path("head")}
+    report = bench.probe_rounds(sides, [3, 4], ("WL1", "FWL2_Local"), "source", "ring200")
+    assert report["report_differs"] == {"WL1": [3], "FWL2_Local": []}
+    assert "history_differs" not in report
+    assert report["head"]["WL1"]["median"] == {"seconds": 2.0, "featurize_seconds": 1.0}
+
+
+def test_ring_probe_hashes_the_report_without_its_timing():
+    out = bench.probe(ROOT, bench.RING_PROBE, "WL1")
+    report = benchmark(ring_lattice(200, 4, 0.1, seed=0), TestKind.WL1, split_seed=0)
+    fields = json.loads(report.to_json())
+    assert fields.pop("featurize_seconds") > 0 and out["featurize_seconds"] > 0
+    assert out["report_sha256"] == hashlib.sha256(json.dumps(fields).encode()).hexdigest()
+    assert out["test_auc"] == report.test_auc
 
 
 def test_corpus_probe_hashes_the_history(default_corpus):

@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from wl2link import refine
+from wl2link import linkpred, refine
 from wl2link.generate import (
     complete_graph,
     cycle_graph,
@@ -22,6 +22,8 @@ from wl2link.generate import (
 from wl2link.graph import Graph, GraphError, permute, sample_non_edges
 from wl2link.linkpred import (
     _UNION_SLOTS,
+    EPOCHS,
+    LEARNING_RATE,
     LinkPredError,
     auc,
     benchmark,
@@ -296,7 +298,80 @@ class TestFeaturizeMany:
         assert featurize_many(kind, cycle_graph(8), [], width=5).shape == (0, 3 + 5)
 
 
+def reference_train(features, labels):
+    """The scorer's descent in its plain form: a fresh array per operation,
+    and the loss from both log terms."""
+
+    def sigmoid(z):
+        return 0.5 * (1.0 + np.tanh(0.5 * z))
+
+    x = np.asarray(features, dtype=float)
+    y = np.asarray(labels, dtype=float)
+    mean = x.mean(axis=0)
+    std = x.std(axis=0)
+    std[std == 0.0] = 1.0
+    xs = (x - mean) / std
+    w = np.zeros(x.shape[1])
+    b = 0.0
+    n = len(y)
+    losses = []
+    for _ in range(EPOCHS):
+        z = xs @ w + b
+        pred = sigmoid(z)
+        eps = 1e-12
+        losses.append(
+            float(-np.mean(y * np.log(pred + eps) + (1 - y) * np.log(1 - pred + eps)))
+        )
+        grad = pred - y
+        w -= LEARNING_RATE * (xs.T @ grad) / n
+        b -= LEARNING_RATE * float(grad.mean())
+    return w, b, mean, std, losses
+
+
+def _scorer_cases(monkeypatch):
+    """(features, labels) of ``benchmark``'s training (its ``featurize_many``
+    rows) for the four linkpred kinds on ring(60) seeds 1-3 and on ring200,
+    random features with a constant column, and the separable and XOR cases."""
+    cases = []
+
+    def record(x, y):
+        cases.append((x, y))
+        return train_scorer(x, y)
+
+    monkeypatch.setattr(linkpred, "train_scorer", record)
+    graphs = [(ring_lattice(60, 4, 0.1, seed=s), s) for s in (1, 2, 3)]
+    graphs.append((ring_lattice(200, 4, 0.1, seed=0), 0))
+    for g, seed in graphs:
+        for kind in (TestKind.WL1, TestKind.WL1_LABEL01, TestKind.WL2_LOCAL, TestKind.FWL2_LOCAL):
+            benchmark(g, kind, split_seed=seed)
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(90, 5))
+    x[:, 2] = 3.5
+    cases.append((x, rng.integers(0, 2, 90)))
+    cases.append(([[0.0], [1.0], [2.0], [3.0]], [0, 0, 1, 1]))
+    cases.append(([[0.0], [1.0], [0.0], [1.0]] * 10, [0, 0, 1, 1] * 10))
+    return cases
+
+
 class TestTrainScorer:
+    def test_matches_the_reference_descent(self, monkeypatch):
+        cases = _scorer_cases(monkeypatch)
+        assert len(cases) == 19
+        for x, y in cases:
+            scorer = train_scorer(x, y)
+            w, b, mean, std, losses = reference_train(x, y)
+            assert scorer.weights.tobytes() == w.tobytes()
+            assert scorer.bias == b
+            assert scorer.mean.tobytes() == mean.tobytes()
+            assert scorer.std.tobytes() == std.tobytes()
+            assert scorer.loss_history == losses
+
+    @pytest.mark.parametrize("labels", [[0, 2], [-1, 1], [0.5, 1], [1, 2, 1]])
+    def test_rejects_labels_other_than_zero_and_one(self, labels):
+        x = [[float(i)] for i in range(len(labels))]
+        with pytest.raises(LinkPredError, match="0 or 1"):
+            train_scorer(x, labels)
+
     def test_separable_loss_decreases(self):
         x = [[0.0], [1.0], [2.0], [3.0]]
         y = [0, 0, 1, 1]

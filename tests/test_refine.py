@@ -33,8 +33,12 @@ from wl2link.refine import (
     TestKind,
     _adjacency,
     _check_splits,
+    _edge_codes,
     _entry_plan,
+    _locate,
     _pack,
+    _ranges,
+    _Union,
     indistinguishable,
     lockstep,
     open_sessions,
@@ -875,6 +879,27 @@ def _folklore_cases():
     return cases
 
 
+def reference_entry_plan(codes, n, deg, flat, dense, order=None):
+    """The folklore entry plan that searches for every entry's two pairs
+    among ``codes``, and for a common neighbour among the edge codes."""
+    start = np.cumsum(deg) - deg
+    ps, qs = np.divmod(codes, n)
+
+    def spread(pairs, nodes):
+        which, at = _ranges(start[nodes], start[nodes] + deg[nodes])
+        return pairs[which], flat[at]
+
+    line, u = spread(np.arange(len(codes)), ps)
+    if not dense:
+        other = np.flatnonzero(ps != qs)
+        line_q, u_q = spread(other, qs[other])
+        keep = _locate(_edge_codes(n, deg, flat), ps[line_q] * n + u_q) < 0
+        line, u = np.concatenate((line, line_q[keep])), np.concatenate((u, u_q[keep]))
+        by_line = np.argsort(line, kind="stable")
+        line, u = line[by_line], u[by_line]
+    return line, _locate(codes, u * n + qs[line], order), _locate(codes, ps[line] * n + u, order)
+
+
 class TestFolkloreReference:
     @pytest.mark.parametrize("kind", [TestKind.FWL2, TestKind.FWL2_LOCAL])
     def test_matches_pure_python_rule(self, kind):
@@ -891,9 +916,12 @@ class TestFolkloreReference:
             session = RefinementSession(kind, g, mask=mask, extra_targets=targets)
             for _ in range(3):
                 get, nbrs = session.colors.get, session.nbrs
-                pairs = [(p, q) for p in range(g.n) for q in range(g.n)]
-                codes = np.array([p * g.n + q for p, q in pairs], np.int64)
-                line, a, b = _entry_plan(codes, g.n, *_adjacency([session.nbrs]), kind.dense)
+                # the session's edge codes first, in CSR order, as in a union
+                deg, flat = _adjacency([session.nbrs])
+                units = _edge_codes(g.n, deg, flat)
+                codes = np.concatenate((units, np.setdiff1d(np.arange(g.n * g.n), units)))
+                pairs = [divmod(c, g.n) for c in codes.tolist()]
+                line, a, b = _entry_plan(codes, g.n, deg, flat, kind.dense, np.argsort(codes))
                 assert (np.diff(line) >= 0).all()
                 vals = np.array([get(pair, ABSENT) for pair in pairs] + [ABSENT], np.int64)
                 base = int(vals.max()) + 2  # the step's colour bound + 1
@@ -905,6 +933,24 @@ class TestFolkloreReference:
                     row = sorted(entries[lo:hi])
                     assert [tuple(x - 1 for x in divmod(c, base)) for c in row] == pairs_row
                 session.step()
+
+    @pytest.mark.parametrize("kind", [TestKind.FWL2, TestKind.FWL2_LOCAL])
+    def test_entry_plan_matches_the_search_plan(self, kind):
+        # every union of the cases: each lone session and all in one run,
+        # joint and own-numbered, expanding and not
+        def sessions():
+            return [RefinementSession(kind, g, mask=m, extra_targets=ts) for g, m, ts in cases]
+
+        cases = _folklore_cases()
+        runs = [[s] for s in sessions()] + [sessions()]
+        for run, expand, own in itertools.product(runs, (False, True), (False, True)):
+            union = _Union(run, expand, own)
+            nbrs = _adjacency([s.nbrs for s in run]) if kind.dense else union.adj
+            want = reference_entry_plan(union.codes, union.n, *nbrs, kind.dense, union.order)
+            got = _entry_plan(union.codes, union.n, *nbrs, kind.dense, union.order)
+            for x, y in zip(got, want):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+            assert union.lines.line.tobytes() == want[0].tobytes()
 
     def test_tracked_pairs_follow_distance(self):
         # (p, q) is tracked from step max(dist(p, q) - 1, 0) on, and (p, p)
