@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -244,6 +245,8 @@ class PowerReport:
     implications: dict  # "A->B" -> {"holds": bool, "violations": int}
     witnesses: list  # strictness witnesses per ordered kind pair
     results: dict = field(repr=False, default=None)  # kind -> BatchResult
+    # kind -> {"seconds", "iterations"} of its batch_refine; timings, so not in to_json
+    stats: dict = field(repr=False, compare=False, default=None)
 
     @property
     def num_pairs(self) -> int:
@@ -299,7 +302,11 @@ def power_check(corpus: Corpus, kinds=None, max_iters: int = None) -> PowerRepor
         raise ValueError("corpus is empty")
     if kinds is None:
         kinds = [k for k in ALL_KINDS if k is not TestKind.WL1_LABEL01]
-    results = {k: batch_refine(k, corpus, max_iters=max_iters) for k in kinds}
+    results, stats = {}, {}
+    for k in kinds:
+        start = time.perf_counter()
+        results[k] = batch_refine(k, corpus, max_iters=max_iters)
+        stats[k] = {"seconds": time.perf_counter() - start, "iterations": results[k].iterations}
     keys = {k: results[k].final_keys() for k in kinds}
     implications = {}
     for a, b in itertools.permutations(kinds, 2):
@@ -329,6 +336,7 @@ def power_check(corpus: Corpus, kinds=None, max_iters: int = None) -> PowerRepor
         implications=implications,
         witnesses=witnesses,
         results=results,
+        stats=stats,
     )
 
 

@@ -23,7 +23,10 @@ int64 key (``_pack``, ``_dense_ranks``): the id of the sorted signature
 label ranks, edge bit and diagonal bit (``_init_ranks``). A step ranks (old
 colour, sorted lines of colours): 1-WL reads a node's neighbour colours,
 plain 2-WL a pair's row and column, 2-FWL a pair's entries (the tensor form
-of Maron et al., NeurIPS 2019), all lines ranked at once by ``_Lines``.
+of Maron et al., NeurIPS 2019), all lines ranked at once by ``_Lines``. A
+folklore entry enters its line as the raw int64 code of its colour pair,
+which sorts like the pair. Large arrays are ranked by one value sort of
+each key with its position packed in below it (``_dense_ranks``).
 A step ranks only the keys that can still split: of the untracked units
 and of the tracked ones whose class has two or more units. Refinement
 never merges classes, so a singleton class stays one, and its next id
@@ -163,14 +166,36 @@ def _check_splits(old, new):
         raise RefinementError("refinement merged two color classes")
 
 
+# From this many keys on, ``_dense_ranks`` orders keys that fit by one value
+# sort: below it an argsort is faster (the crossover is about 1 k keys with
+# numpy 2.4's AVX-512 sorts on x86-64).
+_VALUE_SORT_MIN = 1024
+
+
 def _dense_ranks(keys):
-    """Dense ranks of the 1-d ``keys`` in sorted order, and their number."""
-    order = np.argsort(keys)
-    keys = keys[order]
-    step = np.zeros(len(keys), np.int64)
+    """Dense ranks of the 1-d int64 ``keys`` in sorted order, and their number.
+
+    An array of at least ``_VALUE_SORT_MIN`` keys, each of which still fits
+    in an int64 when shifted left by the b bits of a position, is ordered by
+    one value sort of key << b | position, which numpy does about 3 times
+    faster than an argsort: the low bits give the order, the high bits the
+    sorted keys. Any other array is ordered by an argsort."""
+    n = len(keys)
+    b = (n - 1).bit_length()
+    if n >= _VALUE_SORT_MIN and -(1 << 63 - b) <= keys.min() and keys.max() < 1 << 63 - b:
+        order = np.arange(n)
+        keys = keys << b
+        keys |= order
+        keys.sort()
+        np.bitwise_and(keys, (1 << b) - 1, out=order)
+        keys >>= b
+    else:
+        order = np.argsort(keys)
+        keys = keys[order]
+    step = np.zeros(n, np.int64)
     np.not_equal(keys[1:], keys[:-1], out=step[1:])
     keys[order] = np.cumsum(step, out=step)  # the ranks, in the sorted copy's place
-    return keys, int(step[-1]) + 1 if len(keys) else 0
+    return keys, int(step[-1]) + 1 if n else 0
 
 
 def _pack(fields):
@@ -389,11 +414,15 @@ class _Lines:
 
     def rank(self, values, bound: int):
         """Dense ranks of the lines whose entries are ``values`` (0 <= values <
-        bound), and the number of distinct lines."""
-        if self.lines * bound > 2**63:
-            raise RefinementError("line entries do not fit in int64 keys")
-        entries = self.line * bound
-        entries += values
+        bound), and the number of distinct lines; ``values`` is overwritten.
+        Where lines * (bound + 1) does not fit in an int64, so that neither
+        an entry beside its line nor ``_rank_rows``' keys would, the entries
+        are ranked first (``_dense_ranks``), and their ranks, which keep
+        their order, stand for them."""
+        if self.lines * (bound + 1) >= 2**63:
+            values, bound = _dense_ranks(values)
+        entries = values
+        entries += self.line * bound
         entries.sort()
         entries %= bound
         rank = None
@@ -445,10 +474,12 @@ def _entry_plan(codes, n: int, deg, flat, dense: bool, order=None):
     order, as a union's slots do; ``order`` sorts ``codes`` (None: they are
     sorted).
 
-    So the index of (p, u), u in nbrs[p], is u's CSR position in p's row,
-    and for a local kind, whose nbrs are symmetric, that of (u, q), u in
-    nbrs[q], is the index of the reverse of (q, u). Only (u, q) for u in
-    nbrs[p], and (p, u) for u in nbrs[q] outside nbrs[p], are searched for."""
+    So the index of (p, u), u in nbrs[p], is u's CSR position in p's row.
+    For a dense kind, nbrs[u] is u's session in node order, so that of (u,
+    q) is q's CSR position in u's row, and nothing is searched for. For a
+    local kind, whose nbrs are symmetric, that of (u, q), u in nbrs[q], is
+    the index of the reverse of (q, u); only (u, q) for u in nbrs[p], and
+    (p, u) for u in nbrs[q] outside nbrs[p], are searched for."""
     start = np.cumsum(deg) - deg
     ps, qs = np.divmod(codes, n)
 
@@ -458,23 +489,27 @@ def _entry_plan(codes, n: int, deg, flat, dense: bool, order=None):
         return pairs[which], flat[at], at
 
     line, u, b = spread(np.arange(len(codes)), ps)
+    if dense:
+        a = start[u]  # u's row starts at its session's first node
+        a -= flat[a]
+        a += qs[line]
+        return line, a, b
     a = _locate(codes, u * n + qs[line], order)
-    if not dense:
-        # u runs over nbrs[q] too where that is another set, and a common
-        # neighbour of p and q is one entry: drop its copy in nbrs[q], whose
-        # (p, u) is a tracked unit
-        other = np.flatnonzero(ps != qs)
-        line_q, u_q, at_q = spread(other, qs[other])
-        # each tracked unit's reverse, by slot: the symmetric nbrs make the
-        # sorted reversed codes the tracked codes again
-        reverse = np.argsort(flat * n + np.repeat(np.arange(n), deg))
-        b_q = _locate(codes, ps[line_q] * n + u_q, order)
-        keep = (b_q < 0) | (b_q >= len(flat))
-        line = np.concatenate((line, line_q[keep]))
-        by_line = np.argsort(line, kind="stable")
-        line = line[by_line]
-        a = np.concatenate((a, reverse[at_q[keep]]))[by_line]
-        b = np.concatenate((b, b_q[keep]))[by_line]
+    # u runs over nbrs[q] too where that is another set, and a common
+    # neighbour of p and q is one entry: drop its copy in nbrs[q], whose
+    # (p, u) is a tracked unit
+    other = np.flatnonzero(ps != qs)
+    line_q, u_q, at_q = spread(other, qs[other])
+    # each tracked unit's reverse, by slot: the symmetric nbrs make the
+    # sorted reversed codes the tracked codes again
+    reverse = np.argsort(flat * n + np.repeat(np.arange(n), deg))
+    b_q = _locate(codes, ps[line_q] * n + u_q, order)
+    keep = (b_q < 0) | (b_q >= len(flat))
+    line = np.concatenate((line, line_q[keep]))
+    by_line = np.argsort(line, kind="stable")
+    line = line[by_line]
+    a = np.concatenate((a, reverse[at_q[keep]]))[by_line]
+    b = np.concatenate((b, b_q[keep]))[by_line]
     return line, a, b
 
 
@@ -532,7 +567,8 @@ class _Union:
     u in nbrs[q] (plain kinds: lines 0..n-1 are the rows, n..2n-1 the
     columns, until a rebuild numbers the lines it keeps); a pair's folklore
     entries (``_entry_plan``), each packed as (C[u, q] + 1, C[p, u] + 1) by
-    ``_pack`` and ranked among all entries of the step. An expanding step
+    ``_pack``: the lines rank these raw codes, below (bound + 1)², with no
+    ranking pass of their own. An expanding step
     starts tracking every untracked slot with an entry whose two sides are
     tracked: that adds the pairs one walk step further away, so (p, q) joins
     at step max(dist(p, q) - 1, 1).
@@ -696,8 +732,8 @@ class _Union:
             self._compact()
         rows = self.rows
         if self.kind.folklore:
-            codes = _dense_ranks(_pack([(vals[e] + 1, bound + 1) for e in self.entry]))
-            line_rank, k = self.lines.rank(*codes)
+            entries = _pack([(vals[e] + 1, bound + 1) for e in self.entry])
+            line_rank, k = self.lines.rank(entries, (bound + 1) ** 2)
         else:
             line_rank, k = self.lines.rank(vals[self.entry[0]], bound)
         v = vals[rows]

@@ -1,5 +1,3 @@
-import time
-
 import pytest
 
 from wl2link.harness import Corpus, fixtures_corpus, power_check, random_corpus
@@ -13,7 +11,4 @@ def default_corpus():
 @pytest.fixture(scope="session")
 def default_power_report(default_corpus):
     """The expensive full-corpus report, shared by every test that needs it."""
-    t0 = time.monotonic()
-    report = power_check(default_corpus)
-    report.wall_seconds = time.monotonic() - t0
-    return report
+    return power_check(default_corpus)

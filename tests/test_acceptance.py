@@ -63,7 +63,9 @@ class TestCriterion1PowerTable:
             assert not entry["holds"] and entry["violations"] >= 1
 
     def test_runtime_budget(self, default_power_report):
-        assert default_power_report.wall_seconds <= 600
+        stats = default_power_report.stats
+        assert list(stats) == default_power_report.kinds
+        assert sum(s["seconds"] for s in stats.values()) <= 600
 
 
 # -- 2. WL1 ~ WL2_Local over the full corpus ---------------------------------

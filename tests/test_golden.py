@@ -4,6 +4,9 @@ The files under ``tests/golden/`` hold what ``refine``, ``distinguish``,
 ``power-check`` and ``predict`` print with ``--output json``, and the
 manifest that ``fixtures`` writes, for small fixed graphs. ``predict``'s
 ``featurize_seconds`` is a timing, so it is dropped before comparing.
+``batch-refine-histories`` pins ``batch_refine``'s ids of every kind, as
+the sha256 of each ``BatchResult.history``, on a corpus whose runs rank
+tens of thousands of keys at once.
 After a deliberate output change, regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -12,6 +15,7 @@ and record the change in CHANGES.md.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
@@ -20,9 +24,11 @@ import tempfile
 
 import pytest
 
+from wl2link import refine
 from wl2link.cli import main
 from wl2link.generate import erdos_renyi, path_graph, rook_graph
 from wl2link.graph import Graph, disjoint_union
+from wl2link.harness import Corpus, batch_refine, fixtures_corpus, random_corpus
 from wl2link.refine import ALL_KINDS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -59,6 +65,24 @@ for _k in ("WL1", "WL1_Label01", "WL2_Local", "FWL2_Local"):
         "predict", "--generate", "ring:n=60,k=4,rewire=0.1,seed=1", "--test", _k, "--seed", "1",
     )
 MANIFEST = "fixtures-manifest"
+HISTORIES = "batch-refine-histories"
+# the fixtures plus 16 random graphs: 1,018 instances, whose every kind has
+# steps that rank more than 1,024 keys at once
+HISTORY_CORPUS = {"count": 16, "seed": 7}
+
+
+def _histories() -> str:
+    corpus = Corpus.merge(fixtures_corpus(), random_corpus(**HISTORY_CORPUS))
+    rows = {}
+    for kind in ALL_KINDS:
+        result = batch_refine(kind, corpus)
+        rows[kind.value] = {
+            "iterations": result.iterations,
+            "stable": result.stable,
+            "shape": list(result.history.shape),
+            "history_sha256": hashlib.sha256(result.history.tobytes()).hexdigest(),
+        }
+    return json.dumps({"corpus": corpus.spec, "kinds": rows}, indent=2) + "\n"
 
 
 def _output(name, workdir: pathlib.Path) -> str:
@@ -89,9 +113,24 @@ def test_cli_output_matches_golden(name, tmp_path):
     assert _output(name, tmp_path).encode() == expected
 
 
+def test_batch_histories_match_golden(monkeypatch):
+    # the runs rank arrays past the value-sort cut
+    lengths, dense_ranks = [], refine._dense_ranks
+
+    def spy(keys):
+        lengths.append(len(keys))
+        return dense_ranks(keys)
+
+    monkeypatch.setattr(refine, "_dense_ranks", spy)
+    expected = (GOLDEN / f"{HISTORIES}.json").read_text()
+    assert _histories() == expected
+    assert max(lengths) >= refine._VALUE_SORT_MIN
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name in sorted(CASES) + [MANIFEST]:
             (GOLDEN / f"{name}.json").write_bytes(_output(name, pathlib.Path(tmp)).encode())
-    print(f"wrote {len(CASES) + 1} files to {GOLDEN}", file=sys.stderr)
+    (GOLDEN / f"{HISTORIES}.json").write_text(_histories())
+    print(f"wrote {len(CASES) + 2} files to {GOLDEN}", file=sys.stderr)

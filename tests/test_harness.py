@@ -243,6 +243,14 @@ class TestPowerCheck:
             i, j = w["instances"]
             assert 0 <= i < j < small_report.num_instances
 
+    def test_stats_per_kind_stay_out_of_json(self, small_report):
+        stats = small_report.stats
+        assert list(stats) == small_report.kinds
+        for kind, s in stats.items():
+            assert s["iterations"] == small_report.results[kind].iterations >= 1
+            assert s["seconds"] > 0
+        assert "stats" not in small_report.to_json() and "seconds" not in small_report.to_json()
+
     def test_deterministic(self):
         corpus = Corpus.merge(fixtures_corpus(), random_corpus(count=3, seed=9))
         a = power_check(corpus).to_json()

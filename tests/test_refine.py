@@ -33,8 +33,10 @@ from wl2link.refine import (
     TestKind,
     _adjacency,
     _check_splits,
+    _dense_ranks,
     _edge_codes,
     _entry_plan,
+    _Lines,
     _locate,
     _pack,
     _ranges,
@@ -807,6 +809,66 @@ class TestEntryEncoding:
         for bounds in ((top + 1, top + 1), (2**62, 3), (3, 2**62)):
             with pytest.raises(RefinementError, match="do not fit"):
                 _pack([(np.array([0]), bound) for bound in bounds])
+
+
+class TestDenseRanks:
+    """``_dense_ranks`` is ``np.unique``'s inverse on either side of its
+    value-sort cut, whether or not the keys fit beside their positions."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from([0, 1, 2, 1023, 1024, 1025, 4999]),
+        st.sampled_from(["narrow", "at the limits", "past the top", "past the bottom", "wide"]),
+        st.integers(1, 5000),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_unique(self, length, spread, distinct, seed):
+        rng = np.random.default_rng(seed)
+        # a key fits beside a position if -limit <= key < limit
+        limit = 2 ** (63 - max(length - 1, 0).bit_length())
+        lo, hi = {
+            "narrow": (0, 7),
+            "at the limits": (-limit, limit - 1),
+            "past the top": (limit - 8, limit),
+            "past the bottom": (-limit - 1, -limit + 8),
+            "wide": (-(2**63), 2**63 - 1),
+        }[spread]
+        lo, hi = max(lo, -(2**63)), min(hi, 2**63 - 1)  # no limit below one position bit
+        # both ends, then keys drawn from a pool of distinct values
+        pool = rng.integers(lo, hi, min(distinct, length) or 1, np.int64, endpoint=True)
+        ends = np.array([lo, hi][:length], np.int64)
+        keys = rng.permutation(np.concatenate((ends, rng.choice(pool, length - len(ends)))))
+        copy = keys.copy()
+        ranks, count = _dense_ranks(keys)
+        values, inverse = np.unique(keys, return_inverse=True)
+        assert ranks.dtype == np.int64
+        assert ranks.tolist() == inverse.tolist() and count == len(values)
+        assert keys.tobytes() == copy.tobytes()  # the keys are left as they were
+
+
+class TestLinesRank:
+    """``_Lines.rank`` ranks lines in tuple order, also where a line and an
+    entry do not fit in one int64 key and it ranks the entries first."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.lists(st.integers(0, 6), max_size=40), min_size=1, max_size=30),
+        st.sampled_from([7, 2**40, 2**61, 2**62, 2**63 - 1]),
+    )
+    def test_ranks_sorted_tuples(self, rows, bound):
+        # entry i of a row stands for the value i * (bound - 1) // 6: ties,
+        # 0 and bound - 1 included; rows longer than a block cross blocks
+        values = np.array([i * (bound - 1) // 6 for row in rows for i in row], np.int64)
+        line = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+        lines = _Lines(line, len(rows))
+        rank, count = lines.rank(values.copy(), bound)
+        tuples = [tuple(sorted(row)) for row in rows]
+        want = {t: i for i, t in enumerate(sorted(set(tuples)))}
+        assert rank.tolist() == [want[t] for t in tuples] and count == len(want)
+        if len(rows) * (bound + 1) >= 2**63:
+            # past int64: the same ranks as the entries' dense ranks give
+            dense = lines.rank(*_dense_ranks(values))
+            assert dense[0].tolist() == rank.tolist() and dense[1] == count
 
 
 def _init_pair_sig(labels, eff, r, s):
