@@ -2,7 +2,7 @@
 
     python3 scripts/bench.py --base ../base-checkout --tag 11
 
-Four measurements, each run on both checkouts:
+Five measurements, each run on both checkouts:
 
 - ``perfbench/run.py --workload W --seed S --seconds 30 --trace 0`` for every
   workload and seed (1 to 10 by default, ten pairs); the two sides
@@ -26,6 +26,14 @@ Four measurements, each run on both checkouts:
   Each run also gives the sha256 of the report's JSON with
   ``featurize_seconds`` removed, and ``report_differs`` lists per kind the
   seeds whose base and head hashes differ, as ``history_differs`` does.
+- ``unroll`` per tree kind on a fixed seeded set of 240 pairs of targets on
+  n = 5-8 (``TREE_PAIRS``), likewise one fresh process per kind and one
+  round per seed: microseconds per pair, building at depth 3 the first
+  target's tree and the second's in both orientations with a fresh
+  ``Interner`` per pair (best of 5 passes), and the interner entries summed
+  over depths 0-4. Each run also gives the sha256 of every pair's two
+  ``tree_equal`` verdicts at depths 0-4, and ``trees_differs`` lists per
+  kind the seeds whose base and head hashes differ.
 - The tier-1 suite (``python -m pytest -q --continue-on-collection-errors``),
   once per side: wall seconds and pytest's summary line.
 
@@ -38,7 +46,7 @@ Run it from the root of the checkout to measure; the base is any other
 checkout of the repository.
 
 ``--workloads W ...`` runs the perfbench measurement alone, on those
-workloads only: the file then has no corpus, ring200 or tier-1 section.
+workloads only: the file then has no corpus, ring200, tree or tier-1 section.
 It serves a standing gate on one workload against an older commit:
 
     python3 scripts/bench.py --base ../old-checkout --workloads oracle-small --tag gate
@@ -61,6 +69,7 @@ HEAD = Path(__file__).resolve().parent.parent
 WORKLOADS = ("power-er", "linkpred-ring", "oracle-small")
 POWER_KINDS = ("WL1", "WL2", "FWL2", "WL2_Local", "FWL2_Local")
 RING_KINDS = ("WL1", "WL1_Label01", "WL2_Local", "FWL2_Local")
+TREE_KINDS = ("T_A", "T_B", "T_C", "T_D")
 
 # Runs in the checkout under test: one kind of batch_refine on the default corpus.
 CORPUS_PROBE = """
@@ -96,6 +105,55 @@ print(json.dumps({
     "test_auc": report.test_auc,
     "featurize_seconds": report.featurize_seconds,
     "report_sha256": hashlib.sha256(json.dumps(fields).encode()).hexdigest(),
+}))
+"""
+
+# A fixed seeded set of pairs of targets on n = 5-8, in oracle-small's three
+# shapes: a relabelled copy, a second target on the same graph, an independent
+# graph. TREE_PROBE runs one tree kind over them in the checkout under test.
+TREE_PAIRS = """
+import random
+from wl2link.generate import erdos_renyi
+from wl2link.graph import permute
+rng, pairs = random.Random(26), []
+for i in range(240):
+    n, p = rng.randint(5, 8), rng.choice((0.2, 0.35, 0.5))
+    g1 = erdos_renyi(n, p, seed=rng.randrange(2**31))
+    e1 = tuple(rng.sample(range(n), 2))
+    if i % 3 == 0:
+        pi = rng.sample(range(n), n)
+        pairs.append((g1, e1, permute(g1, pi), (pi[e1[0]], pi[e1[1]])))
+    elif i % 3 == 1:
+        pairs.append((g1, e1, g1, tuple(rng.sample(range(n), 2))))
+    else:
+        pairs.append((g1, e1, erdos_renyi(n, p, seed=rng.randrange(2**31)), e1))
+"""
+TREE_PROBE = TREE_PAIRS + """
+import hashlib, json, sys, time
+from wl2link.refine import Interner
+from wl2link.unroll import tree_equal, unroll
+kind = sys.argv[1]
+
+def build(depth):
+    verdicts, entries = [], 0
+    for g1, e1, g2, e2 in pairs:
+        interner = Interner()
+        t1 = unroll(kind, g1, e1, depth, interner)
+        verdicts.append([tree_equal(t1, unroll(kind, g2, e, depth, interner)) for e in (e2, e2[::-1])])
+        entries += len(interner)
+    return verdicts, entries
+
+seconds = []
+for _ in range(5):
+    start = time.perf_counter()
+    build(3)
+    seconds.append(time.perf_counter() - start)
+verdicts, entries = zip(*map(build, range(5)))
+print(json.dumps({
+    "pairs": len(pairs),
+    "us_per_pair": min(seconds) / len(pairs) * 1e6,
+    "interner_entries": sum(entries),
+    "trees_sha256": hashlib.sha256(json.dumps(verdicts).encode()).hexdigest(),
 }))
 """
 
@@ -298,6 +356,7 @@ def main(argv=None):
             sides, args.seeds, POWER_KINDS, CORPUS_PROBE, "default corpus"
         )
         report["ring200_benchmark"] = probe_rounds(sides, args.seeds, RING_KINDS, RING_PROBE, "ring200")
+        report["unroll_trees"] = probe_rounds(sides, args.seeds, TREE_KINDS, TREE_PROBE, "trees")
         report["tier1"] = {}
         for side in ("base", "head"):
             report["tier1"][side] = tier1(sides[side])

@@ -376,14 +376,14 @@ _LINE_BLOCK = 16
 def _rank_rows(block, bound: int):
     """Dense ranks of the rows of ``block`` (entries in [-1, bound)) in tuple
     order, and their number. The columns fold into the ranks left to right,
-    as many at a time as fit in an int64 key beside the ranks so far."""
+    as many at a time as fit in an int64 key beside the ranks so far, and at
+    least one: ``_Lines.rank`` keeps rows * (bound + 1) below 2**63, and the
+    ranks so far never outnumber the rows."""
     base, rank, count, j = bound + 1, 0, 1, 0
     while j < block.shape[1]:
         m = 1
         while j + m < block.shape[1] and count * base ** (m + 1) < 2**63:
             m += 1
-        if count * base**m >= 2**63:
-            raise RefinementError("line entries do not fit in int64 keys")
         digits = base ** np.arange(m - 1, -1, -1, dtype=np.int64)
         key = rank * base**m + block[:, j: j + m] @ digits + int(digits.sum())  # pads read 0
         rank, count = _dense_ranks(key)

@@ -1,27 +1,45 @@
 """Ground truth: bounded unrolling trees, link isomorphism, certificates.
 
-Three tree builders mirror the three refinement rules:
+Three tree builders mirror the refinement rules:
 
 - node tree (T_B), the 1-WL rule: a node's label and the multiset of its
   neighbours' trees. A target's tree is the pair of its endpoints' trees.
   It mirrors WL1, and WL1_Label01 when built over the 0/1 labels of
   ``label01``.
-- plain-pair tree (T_A, T_C): a pair (r, s)'s label and the multisets of
-  the trees of (r, i) and of (j, s), for i in nbrs[r] and j in nbrs[s].
-  T_A takes the observed neighbours (WL2_Local), T_C every node (WL2).
-- folklore tree (T_D): a pair's label and the multiset of the tree pairs
-  of (r, u) and (u, s) over every node u (FWL2).
+- local pair tree (T_A), the plain rule over observed neighbours: a pair
+  (r, s)'s label and the multisets of the trees of (r, i) and of (j, s),
+  for i in adj[r] and j in adj[s]. It mirrors WL2_Local.
+- dense pair tree, over every node: the plain rule with every node for a
+  neighbour (T_C, WL2), or the folklore rule (T_D, FWL2), a pair's label
+  and the multiset of the tree pairs of (r, u) and (u, s) over every u.
 
 There is no FWL2_Local tree yet. In the pair trees a target's tree is the
 target pair's own tree. Trees are built on the masked graph, so the
 target's label carries no edge bit, and are compared via hash-consed
-canonical forms: equality is exact, never a lossy hash. The node tree is
-memoised per node and depth. A pair tree is memoised per pair and depth,
-and builds each node's row (the trees of (r, u)) and column (of (u, s))
-once per depth, which every pair of that row or column then shares: the
-plain tree's sorted multisets, the folklore tree's lists in node order,
-zipped into its entry pairs. Every pair's label comes from one n x n table
-built once per tree.
+canonical forms: equality is exact, never a lossy hash. Every pair's label
+comes from one n x n table built once per tree.
+
+A builder fills one depth at a time, from depth 0 up to the root at depth
+D, each from the one below it, with no recursion and no cache:
+
+- The local builders first walk down from the root to find the units each
+  depth reads: the node tree's nodes at depth d are the neighbours of its
+  nodes at d + 1; the local pair tree's pairs at depth d are the (r, i) and
+  (j, s) of the rows r and columns s of its pairs at d + 1. They then fill
+  those units bottom-up in dicts, each row and column once per depth.
+- The dense builder needs no walk. Depths 0 to D - 2 are full n x n
+  tables of ids: for the plain rule each row and column is sorted once,
+  for the folklore rule they are kept in node order and zipped into the
+  entry pairs. Depth D - 1 builds only row p and column q, and depth D the
+  root. For D >= 2 the depth above every full table reads all its rows or
+  all its columns, so all its pairs; for D = 1 depth 0 is row p and
+  column q alone.
+
+These are exactly the (unit, depth) that the recursion, a tree at depth d
+asking for its children's at d - 1, reaches from the root. So the interner
+receives the recursion's signatures up to the children's ids: the same
+partition of trees and the same table size. Only the ids, numbered in
+first-appearance order, differ.
 
 ``link_isomorphic`` (networkx's VF2++, up to ``DEFAULT_DENSE_NODE_LIMIT`` =
 128 nodes) and ``link_certificate`` (an exhaustive search, numpy codes over a
@@ -68,54 +86,68 @@ def _pair_labels(eff: Graph):
     return table
 
 
-def _node_tree(eff: Graph, intern):
-    @functools.cache
-    def node(k, d):
-        if d == 0:
-            return intern((eff.labels[k],))
-        return intern((eff.labels[k], tuple(sorted(node(l, d - 1) for l in eff.adj[k]))))
-
-    return node
-
-
-def _plain_pair_tree(eff: Graph, nbrs, intern):
-    label = _pair_labels(eff)
-
-    @functools.cache
-    def row(r, d):  # the sorted trees of (r, i), i in nbrs[r]
-        return tuple(sorted(pair(r, i, d) for i in nbrs[r]))
-
-    @functools.cache
-    def col(s, d):  # the sorted trees of (j, s), j in nbrs[s]
-        return tuple(sorted(pair(j, s, d) for j in nbrs[s]))
-
-    @functools.cache
-    def pair(r, s, d):
-        if d == 0:
-            return intern((label[r][s],))
-        return intern((label[r][s], row(r, d - 1), col(s, d - 1)))
-
-    return pair
+def _node_tree(eff: Graph, p: int, q: int, depth: int, intern):
+    """The node tree of (p, q) (T_B): the pair of its endpoints' trees."""
+    adj, lab = eff.adj, eff.labels
+    nodes, levels = {p, q}, []  # per depth from the top: its nodes
+    for _ in range(depth):
+        levels.append(nodes)
+        nodes = {l for k in nodes for l in adj[k]}
+    ids = {k: intern((lab[k],)) for k in nodes}
+    for nodes in reversed(levels):
+        ids = {k: intern((lab[k], tuple(sorted([ids[l] for l in adj[k]])))) for k in nodes}
+    return intern((ids[p], ids[q]))
 
 
-def _folklore_tree(eff: Graph, intern):
-    label, nodes = _pair_labels(eff), range(eff.n)
+def _local_pair_tree(eff: Graph, p: int, q: int, depth: int, intern):
+    """The plain-pair tree of (p, q) over the observed neighbours (T_A)."""
+    label, nbrs = _pair_labels(eff), eff.adj
+    units, levels = {(p, q)}, []  # per depth from the top: its pairs, rows and columns
+    for _ in range(depth):
+        rows, cols = {r for r, _ in units}, {s for _, s in units}
+        levels.append((units, rows, cols))
+        units = {(r, i) for r in rows for i in nbrs[r]} | {(j, s) for s in cols for j in nbrs[s]}
+    ids = {(r, s): intern((label[r][s],)) for r, s in units}
+    for units, rows, cols in reversed(levels):
+        row = {r: tuple(sorted([ids[r, i] for i in nbrs[r]])) for r in rows}
+        col = {s: tuple(sorted([ids[j, s] for j in nbrs[s]])) for s in cols}
+        ids = {(r, s): intern((label[r][s], row[r], col[s])) for r, s in units}
+    return ids[p, q]
 
-    @functools.cache
-    def row(r, d):  # the trees of (r, u) in node order
-        return [pair(r, u, d) for u in nodes]
 
-    @functools.cache
-    def col(s, d):  # the trees of (u, s) in node order
-        return [pair(u, s, d) for u in nodes]
+def _dense_tree(eff: Graph, p: int, q: int, depth: int, intern, folklore: bool):
+    """The pair tree of (p, q) over every node: plain (T_C) or folklore (T_D)."""
+    label, repeat = _pair_labels(eff), itertools.repeat
+    if depth == 0:
+        return intern((label[p][q],))
+    if folklore:  # rows and columns in node order, zipped into entry pairs
+        line = tuple
 
-    @functools.cache
-    def pair(r, s, d):
-        if d == 0:
-            return intern((label[r][s],))
-        return intern((label[r][s], tuple(sorted(zip(row(r, d - 1), col(s, d - 1))))))
+        def sigs(labs, rows, cols):
+            return zip(labs, [tuple(sorted(zip(r, c))) for r, c in zip(rows, cols)])
 
-    return pair
+    else:  # sorted rows and columns: a signature is (label, row, column)
+
+        def line(trees):
+            return tuple(sorted(trees))
+
+        sigs = zip
+
+    def ids(labs, rows, cols):  # the trees of the pairs with labs[i], rows[i] and cols[i]
+        return list(map(intern, sigs(labs, rows, cols)))
+
+    def lines(table):  # every row's and every column's line
+        return list(map(line, table)), list(map(line, zip(*table)))
+
+    col_q = [labs[q] for labs in label]
+    if depth == 1:  # depth 0's row p and column q
+        row, col = [intern((lab,)) for lab in label[p]], [intern((lab,)) for lab in col_q]
+    else:
+        rows, cols = lines([[intern((lab,)) for lab in labs] for labs in label])
+        for _ in range(depth - 2):
+            rows, cols = lines([ids(labs, repeat(r), cols) for labs, r in zip(label, rows)])
+        row, col = ids(label[p], repeat(rows[p]), cols), ids(col_q, rows, repeat(cols[q]))
+    return ids([label[p][q]], [line(row)], [line(col)])[0]
 
 
 def unroll(kind: str, g: Graph, e, depth: int, interner: Interner = None) -> UnrollTree:
@@ -133,13 +165,11 @@ def unroll(kind: str, g: Graph, e, depth: int, interner: Interner = None) -> Unr
     intern = interner.intern
     eff = g.without_edge(p, q)
     if kind == "T_B":
-        node = _node_tree(eff, intern)
-        cid = intern((node(p, depth), node(q, depth)))
-    elif kind == "T_D":
-        cid = _folklore_tree(eff, intern)(p, q, depth)
+        cid = _node_tree(eff, p, q, depth, intern)
+    elif kind == "T_A":
+        cid = _local_pair_tree(eff, p, q, depth, intern)
     else:
-        nbrs = eff.adj if kind == "T_A" else (tuple(range(eff.n)),) * eff.n
-        cid = _plain_pair_tree(eff, nbrs, intern)(p, q, depth)
+        cid = _dense_tree(eff, p, q, depth, intern, folklore=kind == "T_D")
     return UnrollTree(kind=kind, depth=depth, canonical_id=cid, interner=interner)
 
 

@@ -10,7 +10,8 @@ import pytest
 from wl2link.generate import ring_lattice
 from wl2link.harness import batch_refine
 from wl2link.linkpred import benchmark
-from wl2link.refine import TestKind
+from wl2link.refine import Interner, TestKind
+from wl2link.unroll import tree_equal, unroll
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -163,7 +164,7 @@ def test_workloads_filter_runs_only_those(tmp_path, monkeypatch):
     assert list(report["perfbench"]["workloads"]) == ["oracle-small"]
     row = report["perfbench"]["workloads"]["oracle-small"]["comparison"]["items_per_ref_s"]
     assert row["head_won"] == 2 and row["pairs"] == 2
-    # the perfbench part alone: no corpus, ring200 or tier-1 section
+    # the perfbench part alone: no corpus, ring200, tree or tier-1 section
     assert set(report) == {"machine", "perfbench", "code_lines"}
 
 
@@ -173,6 +174,7 @@ def test_a_full_run_keeps_every_part(tmp_path, monkeypatch):
     assert set(report["perfbench"]["workloads"]) == set(bench.WORKLOADS)
     assert report["default_corpus_batch_refine"] == {"probe": "default corpus"}
     assert report["ring200_benchmark"] == {"probe": "ring200"}
+    assert report["unroll_trees"] == {"probe": "trees"}
     assert report["tier1"] == {side: {"summary": "1 passed"} for side in ("base", "head")}
 
 
@@ -236,3 +238,27 @@ def test_corpus_probe_hashes_the_history(default_corpus):
     history = batch_refine(TestKind.WL1, default_corpus).history
     assert out["history_sha256"] == hashlib.sha256(history.tobytes()).hexdigest()
     assert out["instances"] == len(default_corpus)
+
+
+def test_tree_probe_hashes_the_verdicts():
+    # the probe's hash is the sha256 of every pair's two verdicts at depths 0-4
+    out = bench.probe(ROOT, bench.TREE_PROBE, "T_B")
+    pairs = {}
+    exec(bench.TREE_PAIRS, pairs)
+    pairs = pairs["pairs"]
+    assert out["pairs"] == len(pairs) == 240 and out["us_per_pair"] > 0
+    assert {g1.n for g1, *_ in pairs} == {5, 6, 7, 8}
+    verdicts, entries = [], 0
+    for depth in range(5):
+        verdicts.append([])
+        for g1, e1, g2, e2 in pairs:
+            interner = Interner()
+            t1 = unroll("T_B", g1, e1, depth, interner)
+            verdicts[-1].append(
+                [tree_equal(t1, unroll("T_B", g2, e, depth, interner)) for e in (e2, e2[::-1])]
+            )
+            entries += len(interner)
+    assert out["trees_sha256"] == hashlib.sha256(json.dumps(verdicts).encode()).hexdigest()
+    assert out["interner_entries"] == entries
+    # both verdicts occur at depth 3
+    assert {v for row in verdicts[3] for v in row} == {True, False}

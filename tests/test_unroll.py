@@ -103,7 +103,7 @@ class TestUnrollBasics:
         random.Random(5).shuffle(pi)
         h = permute(g, pi)
         it = Interner()
-        for depth in range(4):
+        for depth in range(5):
             t1 = unroll(kind, g, (1, 4), depth, it)
             t2 = unroll(kind, h, (pi[1], pi[4]), depth, it)
             assert tree_equal(t1, t2)
@@ -154,15 +154,28 @@ def atlas_links():
     return links
 
 
-class TestTreesMatchTheReference:
-    """The builders memoise rows, columns and labels; the trees they give
-    are the direct recursion's."""
+def labelled_er_links():
+    """Targets on labelled G(n, p) graphs with n = 6 to 8, each in both
+    orientations and on a relabelled copy."""
+    rng = random.Random(26)
+    links = []
+    for n in range(6, 9):
+        for p in (0.3, 0.5, 0.7):
+            g = random_graph(rng, n, p, (0, 1, 5))
+            a, b = rng.sample(range(n), 2)
+            pi = rng.sample(range(n), n)
+            links += [(g, (a, b)), (g, (b, a)), (permute(g, pi), (pi[a], pi[b]))]
+    return links
 
-    @pytest.mark.parametrize("kind", TREE_KINDS)
-    def test_same_partition_and_table_size(self, kind):
-        links = atlas_links()
-        assert len(links) == 2 * 840
-        for depth in range(4):
+
+class TestTreesMatchTheReference:
+    """The builders fill one depth at a time; the trees they give are the
+    direct recursion's. Depth 4 is the first at which the dense builder
+    fills two full tables past depth 0."""
+
+    @staticmethod
+    def check(kind, links):
+        for depth in range(5):
             shared, ref_shared = Interner(), Interner()
             ids = []
             for g, e in links:
@@ -173,9 +186,23 @@ class TestTreesMatchTheReference:
                 unroll(kind, g, e, depth, alone)
                 reference_unroll(kind, g, e, depth, ref_alone)
                 assert len(alone) == len(ref_alone), (kind, depth, g, e)
+            assert len(shared) == len(ref_shared), (kind, depth)
             # equal trees under one builder are equal under the other
             got, want = zip(*ids)
             assert len(set(got)) == len(set(want)) == len(set(ids)), (kind, depth)
+
+    @pytest.mark.parametrize("kind", TREE_KINDS)
+    def test_same_partition_and_table_size(self, kind):
+        links = atlas_links()
+        assert len(links) == 2 * 840
+        self.check(kind, links)
+
+    @pytest.mark.parametrize("kind", TREE_KINDS)
+    def test_labelled_er_graphs(self, kind):
+        links = labelled_er_links()
+        assert {g.n for g, _ in links} == {6, 7, 8}
+        assert all(len(set(g.labels)) > 1 for g, _ in links)
+        self.check(kind, links)
 
 
 class TestLinkIsomorphic:
