@@ -37,6 +37,11 @@ Five measurements, each run on both checkouts:
 - The tier-1 suite (``python -m pytest -q --continue-on-collection-errors``),
   once per side: wall seconds and pytest's summary line.
 
+After the perfbench pairs, one traced pass per workload runs on this
+checkout alone (``--seed 1 --seconds 5 --trace 1``, ``traced_pass``): its
+exit code, the number of metrics on its last line, the per-layer metrics of
+``BENCHMARK.json`` that line lacks, and the entry points it reports absent.
+
 The file also gives each side's code size: the lines of ``src/wl2link`` that
 hold code, per file and in all, counting no comment, docstring or blank
 line (``code_lines``). Each end-to-end comparison row gives its relative
@@ -46,7 +51,8 @@ Run it from the root of the checkout to measure; the base is any other
 checkout of the repository.
 
 ``--workloads W ...`` runs the perfbench measurement alone, on those
-workloads only: the file then has no corpus, ring200, tree or tier-1 section.
+workloads only: the file then has no traced, corpus, ring200, tree or tier-1
+section.
 It serves a standing gate on one workload against an older commit:
 
     python3 scripts/bench.py --base ../old-checkout --workloads oracle-small --tag gate
@@ -194,6 +200,27 @@ def perfbench(root, workload, seed):
     result = last_json_line(cmd, root)
     metrics = {name: m["value"] for name, m in result["metrics"].items()}
     return {"metrics": metrics, "attempted": result["attempted"], "failed": result["failed"]}
+
+
+def traced_pass(root, workload):
+    """One traced perfbench run of ``workload`` in the checkout at ``root``."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+           "--seconds", "5", "--trace", "1"]
+    proc = subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        metrics = json.loads(lines[-1])["metrics"]
+    except (IndexError, ValueError, KeyError, TypeError):
+        metrics = {}  # the last line is not a result
+    declared = json.loads((Path(root) / "BENCHMARK.json").read_text())["per_layer"]
+    prefix = "absent entry points: "
+    return {
+        "returncode": proc.returncode,
+        "per_layer_names": len(metrics),
+        "missing": sorted({m["name"] for m in declared} - set(metrics)),
+        "absent": [name for line in lines if line.startswith(prefix)
+                   for name in line.removeprefix(prefix).split(", ")],
+    }
 
 
 def src_env(root):
@@ -352,6 +379,10 @@ def main(argv=None):
         "code_lines": {side: code_size(root) for side, root in sides.items()},
     }
     if args.workloads is None:
+        report["traced_head"] = {}
+        for w in WORKLOADS:
+            report["traced_head"][w] = traced_pass(HEAD, w)
+            print(f"traced {w}: {report['traced_head'][w]}", file=sys.stderr)
         report["default_corpus_batch_refine"] = probe_rounds(
             sides, args.seeds, POWER_KINDS, CORPUS_PROBE, "default corpus"
         )

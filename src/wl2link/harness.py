@@ -302,6 +302,9 @@ def power_check(corpus: Corpus, kinds=None, max_iters: int = None) -> PowerRepor
         raise ValueError("corpus is empty")
     if kinds is None:
         kinds = [k for k in ALL_KINDS if k is not TestKind.WL1_LABEL01]
+    repeated = [k.value for i, k in enumerate(kinds) if k in kinds[:i]]
+    if repeated:
+        raise ValueError(f"test kinds given more than once: {', '.join(repeated)}")
     results, stats = {}, {}
     for k in kinds:
         start = time.perf_counter()

@@ -108,7 +108,7 @@ def _runs(kind: TestKind, instances):
     run, size = [], 0
     for g, mask, group in session_groups(kind, instances):
         session = RefinementSession(kind, g, mask=mask, extra_targets=group)
-        slots = len(session.reads) + (sum(map(len, session.nbrs)) if kind.pair_indexed else g.n)
+        slots = len(session.reads) + session.num_units()
         if run and size + slots > _UNION_SLOTS:
             yield run
             run, size = [], 0
@@ -124,14 +124,14 @@ def _run_features(kind: TestKind, run, width: int):
     union = _Union(sessions, expand=False, own=True)
     # FWL2_Local: one sharpening step over the observed pairs; expansion to
     # longer walks is not needed for target-incident read-out
-    lockstep(sessions, 1 if kind is TestKind.FWL2_LOCAL else None, _union=union)
-    readers = [(s, t) for s, group in run for t in group]
+    lockstep(sessions, 1 if kind is TestKind.FWL2_LOCAL else None, union=union)
+    readers = [(i, t) for i, (_, group) in enumerate(run) for t in group]
     indices = [ix for _, group in run for ix in group.values()]
     features = np.zeros((len(readers), 3 + width))
     if kind.pair_indexed:
         features[:, :3] = [
             (heuristic_cn(s.eff, p, q), heuristic_pa(s.eff, p, q), heuristic_ra(s.eff, p, q))
-            for s, (p, q) in readers
+            for s, group in run for p, q in group
         ]
     features[:, 3:] = _histograms(union, readers, width)
     return indices, features

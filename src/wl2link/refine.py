@@ -36,11 +36,11 @@ rest for good and ranks the lines of the live ones only (``_Union``). The
 ids stay the ranks of every unit's sorted signature, as in canonical
 refinement that re-examines only what can still change (Berkholz, Bonsma
 & Grohe, ESA 2013).
-Every iteration runs over the disjoint union of a lockstep run's sessions
-(``_Union``); a lone session is a union of one. The union keeps the ids by
-slot, each slot found by its pair's code p * n + q (``_locate``), and a run
-reads its targets' keys off them in one gather; a session's colour dicts
-are built only when they are read.
+A session only describes a refinement. Every iteration runs over the
+disjoint union of a run's sessions (``_Union``); a lone session is a union
+of one. The union keeps the ids by slot, each slot found by its pair's
+code p * n + q (``_locate``), and a run reads its targets' keys off them
+in one gather; ``color_map`` builds a session's colour dicts.
 
 ``lockstep`` steps a union until a step changes neither its number of
 colours nor its number of units. A joint union (``batch_refine``,
@@ -57,7 +57,6 @@ import enum
 import itertools
 import json
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -244,30 +243,20 @@ def _init_ranks(sessions, codes, p, q, tracked: int, edges, part=None):
 
 
 class RefinementSession:
-    """One refinement run: a graph, a test kind, an optional masked target.
+    """What one refinement refines: a test kind, a graph, an optional masked
+    target, and the units and pairs that a run of it colours.
 
     ``extra_targets`` are further pairs whose link colours the caller reads.
     A pair kind keeps every target coloured: a target it does not track
     already (a dense kind tracks every pair) is read out, and ``reads``
     lists these read pairs, both orientations. Node kinds only check them.
 
-    Every iteration has its own colour ids, which restart at 0 and number
-    the iteration's distinct signatures in sorted order. Tracked ids depend
-    only on (kind, graph, mask) up to isomorphism; read-out-only ids follow
-    them, in signature order, so the targets never shift a tracked id. A
-    ``_Union`` is built only on sessions at t = 0 and numbers their t = 0
-    (on the first read of ``colors`` or ``readouts``, a union of one); the
-    union that steps a session numbers all its later iterations, and a
-    step at t = 0 reuses that union of one where it grows as asked. In a
-    joint ``lockstep`` run of several sessions, every iteration numbers the
-    signatures of all of them together, and every signature is purely
-    structural, so ids compare across the sessions of one iteration (an
-    own-numbered run's ids do not: see ``_Union``).
-
-    The ids live on the session's latest union, by slot. ``colors`` (tracked
-    unit -> id) and ``readouts`` (read-out target -> id) are dicts built
-    from them on the first read of an iteration, so a run that nobody reads
-    through them builds none.
+    A session holds no colours, so it can join any number of runs: a run's
+    ``_Union`` holds them, and the runners return them. Every iteration
+    numbers its distinct signatures from 0 in sorted order. Tracked ids
+    depend only on (kind, graph, mask) up to isomorphism; read-out ids
+    follow them, so the targets never shift a tracked id. A joint run
+    numbers all its sessions together, so ids compare across them.
     """
 
     def __init__(
@@ -302,65 +291,22 @@ class RefinementSession:
         pairs = dict.fromkeys(pair for p, q in targets for pair in ((p, q), (q, p)))
         reads = [(p, q) for p, q in pairs if q not in self.nbrs[p]]
         self.reads = tuple(reads) if kind.pair_indexed else ()  # the read pairs
-        self._union = self._index = None  # the union that holds the ids, and where
-        self._view = None  # (union, t, colors, readouts) of the last read
+        self._run = None  # ``step``'s lone run
 
-    def __getattr__(self, name):
-        # colors and readouts, built from the union's ids once per iteration;
-        # a plain attribute of either name shadows them
-        if name not in ("colors", "readouts"):
-            raise AttributeError(name)
-        if self._union is None:
-            _Union([self], expand=False)  # numbers t = 0
-        union, view = self._union, self._view
-        if view is None or view[0] is not union or view[1] != union.t:
-            view = self._view = (union, union.t, *union.dicts(self, union.t, union.ids))
-        return view[2] if name == "colors" else view[3]
-
-    def _stepped(self) -> bool:
-        """Whether the session is past t = 0."""
-        return self._union is not None and self._union.t > 0
-
-    # -- stepping ---------------------------------------------------------
-
-    def step(self, expand: bool = True) -> dict:
-        """Advance one iteration; returns the new color map. An expanding
-        step of the local folklore test starts tracking every pair that has
-        an entry with both sides tracked. At t = 0 the session steps as a
-        union of one: the union that numbered t = 0 if it holds this session
-        alone and grows as ``expand`` asks, else a new one. Past t = 0 it
-        steps its own union, which must hold no other session and grow as
-        ``expand`` asks."""
-        union, kind = self._union, self.kind
-        grow = expand and kind.folklore and kind.local
-        if union is None or len(union.offset) > 2 or union.grow != grow:
-            if self._stepped():
-                raise RefinementError(
-                    "a session of a shared run steps only with its run"
-                    if len(union.offset) > 2
-                    else "a session past t = 0 cannot change whether it expands"
-                )
-            union = _Union([self], expand)
-        union.step()
-        return self.colors
-
-    # -- readout ----------------------------------------------------------
-
-    def ordered_key(self, pair):
-        """Colours of both orientations: tracked if tracked, else read out."""
-        p, q = pair
-        c = self.colors
-        if not self.kind.pair_indexed:
-            return (c[p], c[q])
-        pq, qp, r = (p, q), (q, p), self.readouts
-        return (c[pq] if pq in c else r[pq], c[qp] if qp in c else r[qp])
-
-    def link_key(self, pair):
-        """Undirected link color: the multiset over both orientations."""
-        return tuple(sorted(self.ordered_key(pair)))
+    def step(self) -> ColorMap:
+        """Advance the session's own lone expanding run, built on the first
+        call, by one iteration; returns that iteration's colours."""
+        if self._run is None:
+            self._run = _Union([self], expand=True)
+        run = self._run
+        run.step()
+        return run.color_map(0, run.t, run.ids)
 
     def num_units(self) -> int:
-        return len(self.colors)
+        """The units that ``step``'s run tracks now (before it, at t = 0)."""
+        if self._run is not None:
+            return self._run.state[1]
+        return sum(map(len, self.nbrs)) if self.kind.pair_indexed else self.graph.n
 
     @property
     def default_max_iters(self) -> int:
@@ -557,10 +503,10 @@ class _Union:
     colours of the tracked ones (ABSENT: not tracked), then an ABSENT pad.
     ``order`` sorts ``codes`` once, so ``locate`` finds the slots of pair
     codes by binary search, a run reads its readers' keys off ``ids``
-    (``slots``), and a session's dicts are built only when read (``dicts``),
-    from its slots' run of the sorted codes. ``adj`` is the union's observed
-    adjacency as ``_adjacency`` gives it. The union holds none of
-    its sessions: once they are gone, so are its arrays.
+    (``slots``), and ``color_map`` finds a session's slots as a run of the
+    sorted codes. ``adj`` is the union's observed adjacency as
+    ``_adjacency`` gives it. The union writes nothing on its sessions and
+    keeps only their graphs.
 
     Lines per rule: a node's neighbour colours (node kinds); row p and column
     q of a pair (p, q), the colours of (p, v), v in nbrs[p], and of (u, q),
@@ -574,11 +520,9 @@ class _Union:
     at step max(dist(p, q) - 1, 1).
 
     ``sig`` ranks every slot's init signature (``_init_ranks``), the tracked
-    ones first. A union is built only on sessions at t = 0, and numbers t = 0
-    with it (the read-outs' ranks closed up over the later pairs'); a
-    session past t = 0 steps only through the union that numbered it. Its
-    ``state`` at t = 0 is then (``bound``, tracked units): the tracked ids
-    are the dense ranks 0 .. bound - 1, so their number is their bound. A step
+    ones first, and numbers t = 0 (the read-outs' ranks closed up over the
+    later pairs'). ``state`` at t = 0 is then (``bound``, tracked units):
+    the tracked ids are the dense ranks 0 .. bound - 1. A step
     ranks every line (``_Lines``), and a slot's new colour is the dense rank
     of its key (head, ranks of its lines). The head is the slot's colour if
     it was tracked, else C + its ``sig`` (C above every colour), as the tag
@@ -659,8 +603,7 @@ class _Union:
         self.state = (self.bound, tracked)
         if self.grow:  # close up the read-outs' ranks over the later pairs'
             ids[read] = _dense_ranks(ids[read])[0] + self.bound
-        for i, s in enumerate(sessions):
-            s._union, s._index = self, i
+        self.graphs = [s.graph for s in sessions]  # for ``slots``' target check
         self.vals = np.full(len(codes) + 1, ABSENT, np.int64)
         self.vals[:tracked] = ids[:tracked]
         # the heads of untracked slots past the step's: read-outs, then the rest
@@ -774,35 +717,36 @@ class _Union:
         """The slot of each pair code of ``x``, or -1 where it is none."""
         return _locate(self.codes, x, self.order)
 
-    def dicts(self, session, t: int, ids):
-        """``session``'s dicts of iteration t, whose ids are ``ids``: tracked
-        unit -> id, and read-out (a read pair not tracked yet) -> id."""
-        n, (lo, hi) = self.n, self.offset[session._index: session._index + 2]
+    def color_map(self, i: int, t: int, ids) -> ColorMap:
+        """The i-th session's colours of iteration t, whose ids are ``ids``:
+        tracked unit -> id, and read-out (a read pair not tracked yet) -> id."""
+        n, (lo, hi) = self.n, self.offset[i: i + 2]
         # the session's slots are the codes in [lo * n, hi * n), in slot order
         run = np.searchsorted(self.codes, (lo * n, hi * n), sorter=self.order)
         mine = np.sort(self.order[slice(*run)])
-        mine = mine[self.since[mine] <= t]
-        p, q = np.divmod(self.codes[mine] - lo * (n + 1), n)
-        units = zip(p.tolist(), q.tolist()) if self.kind.pair_indexed else p.tolist()
-        at = self.locate(_pair_codes(session.reads, lo, n))
-        late = self.since[at] > t
-        reads = itertools.compress(session.reads, late.tolist())
-        return dict(zip(units, ids[mine].tolist())), dict(zip(reads, ids[at[late]].tolist()))
+        on = self.since[mine] <= t
+
+        def colors(slots):
+            p, q = np.divmod(self.codes[slots] - lo * (n + 1), n)
+            units = zip(p.tolist(), q.tolist()) if self.kind.pair_indexed else p.tolist()
+            return dict(zip(units, ids[slots].tolist()))
+
+        return ColorMap(colors(mine[on]), colors(mine[self.read[mine] & ~on]))
 
     def slots(self, readers):
-        """The slots of every reader ``(session, (p, q))``'s ordered key, as
-        an (R, 2) int64 array: of p and q for a node kind, else of (p, q)
-        and (q, p). A target must be one of its session's graph (else
-        GraphError), and a pair kind's orientations tracked units or read
-        pairs of the session."""
+        """The slots of every reader ``(i, (p, q))``'s ordered key, of the
+        i-th session's target (p, q), as an (R, 2) int64 array: of p and q
+        for a node kind, else of (p, q) and (q, p). A target must be one of
+        its session's graph (else GraphError), and a pair kind's
+        orientations tracked units or read pairs of the session."""
         if not readers:
             return np.empty((0, 2), np.int64)
         n, codes = self.n, []
-        for s, target in readers:
-            if s._union is not self:
+        for i, target in readers:
+            if not 0 <= i < len(self.graphs):
                 raise RefinementError("a reader's session is not in the run")
-            p, q = check_target(s.graph, target)
-            p, q = p + self.offset[s._index], q + self.offset[s._index]
+            p, q = check_target(self.graphs[i], target)
+            p, q = p + self.offset[i], q + self.offset[i]
             codes += [p * n + q, q * n + p] if self.kind.pair_indexed else [p * (n + 1), q * (n + 1)]
         slots = self.locate(np.array(codes))
         if ((slots < 0) | ~((self.since[slots] == 0) | self.read[slots])).any():
@@ -810,28 +754,29 @@ class _Union:
         return slots.reshape(-1, 2)
 
 
-def lockstep(sessions, max_iters: int = None, observe=None, readers=(), *, _union=None):
+def lockstep(sessions, max_iters: int = None, observe=None, readers=(), *, union=None):
     """Step ``sessions`` together until their partition stops splitting.
 
     ``observe(t, keys)`` runs after init (t = 0) and after every step; a true
-    result stops the run there. ``keys`` holds the ordered key of every
-    reader ``(session, target)`` of ``readers`` (``ordered_key``'s, row by
-    row) as one (len(readers), 2) int64 array, read off the union's ids. The
-    run is stable at the first step that changes neither the union's number
-    of distinct colours nor its number of units; a run stable only after
-    more steps than units + 1 breaks the refinement bound and raises
-    RefinementError. ``max_iters`` must be >= 1 and defaults to the largest
-    session default. Returns ``(iterations, stable)``.
+    result stops the run there. ``keys`` holds, row by row, the ordered key
+    of every reader ``(i, target)`` of ``readers``, the target of the i-th
+    session: the colours of both orientations (tracked, else read out), or
+    of both nodes for a node kind, as one (len(readers), 2) int64 array read
+    off the union's ids. The run is stable at the first step that changes
+    neither the union's number of distinct colours nor its number of units;
+    a run stable only after more steps than units + 1 breaks the refinement
+    bound and raises RefinementError. ``max_iters`` must be >= 1 and
+    defaults to the largest session default. Returns ``(iterations, stable)``.
 
-    The sessions must share one kind, and none may be past t = 0. By default
-    they share their colour ids in every iteration: one expanding ``_Union``
-    numbers all of them together, t = 0 by their sorted init signatures and
-    every step by the step's, as it numbers a lone session. So the run stops
-    once the joint partition stops splitting. ``_union``, an unstepped union
-    built on exactly ``sessions``, is stepped instead: ``featurize_many``
-    passes an own-numbered one (``_Union``'s ``own``), whose colours never
-    span two sessions, so its run stops at the first step where no
-    session's own partition splits.
+    The sessions must share one kind. By default they share their colour
+    ids in every iteration: one expanding ``_Union`` numbers all of them
+    together, t = 0 by their sorted init signatures and every step by the
+    step's, as it numbers a lone session. So the run stops once the joint
+    partition stops splitting. ``union``, an unstepped union built on
+    exactly ``sessions``, is stepped instead: ``featurize_many`` passes an
+    own-numbered one (``_Union``'s ``own``), whose colours never span two
+    sessions, so its run stops at the first step where no session's own
+    partition splits.
     """
     if not sessions:
         raise RefinementError("no sessions were given to lockstep")
@@ -842,10 +787,9 @@ def lockstep(sessions, max_iters: int = None, observe=None, readers=(), *, _unio
     kind = sessions[0].kind
     if any(s.kind is not kind for s in sessions):
         raise RefinementError("sessions in lockstep must share one kind")
-    if any(s._stepped() for s in sessions):
-        raise RefinementError("sessions in lockstep must start at t = 0")
 
-    union = _Union(sessions, expand=True) if _union is None else _union
+    if union is None:
+        union = _Union(sessions, expand=True)
     slots = union.slots(readers)
     if observe is not None and observe(0, union.ids[slots]):
         return 0, False
@@ -885,42 +829,23 @@ def session_groups(kind: TestKind, instances):
 
 def open_sessions(kind: TestKind, instances):
     """One session per ``session_groups`` group, tracking all its targets: the
-    sessions, and per instance the ``(session, target)`` that reads it."""
+    sessions, and per instance the reader ``(session's position, target)``."""
     sessions, readers = [], [None] * len(instances)
     for g, mask, targets in session_groups(kind, instances):
-        session = RefinementSession(kind, g, mask=mask, extra_targets=sorted(targets))
-        sessions.append(session)
+        sessions.append(RefinementSession(kind, g, mask=mask, extra_targets=sorted(targets)))
         for target, indices in targets.items():
             for i in indices:
-                readers[i] = (session, target)
+                readers[i] = (len(sessions) - 1, target)
     return sessions, readers
-
-
-class _History(Sequence):
-    """The ColorMap of every iteration of a lone session's run, each built
-    on its first read from the ids that the run's union had then."""
-
-    def __init__(self, session, ids):
-        self._session, self._ids, self._maps = session, ids, {}
-
-    def __len__(self):
-        return len(self._ids)
-
-    def __getitem__(self, t):
-        t = range(len(self))[t]
-        if t not in self._maps:
-            self._maps[t] = ColorMap(*self._session._union.dicts(self._session, t, self._ids[t]))
-        return self._maps[t]
 
 
 @dataclass
 class RefinementResult:
     kind: TestKind
     mask: tuple
-    history: Sequence  # ColorMap per iteration, t = 0..T (built on read)
+    history: list  # ColorMap per iteration, t = 0..T
     stable_at: int  # first t with partition unchanged; None if cap reached
     reached_cap: bool
-    session: RefinementSession = field(repr=False, compare=False)
 
     @property
     def final(self) -> ColorMap:
@@ -953,17 +878,17 @@ def refine_to_stable(
 ) -> RefinementResult:
     """Refine one lone, canonically numbered session until it stops splitting."""
     session = RefinementSession(kind, g, mask=mask, extra_targets=extra_targets)
+    union = _Union([session], expand=True)
     ids = []  # every iteration's ids: a step makes new ones
     iterations, stable = lockstep(
-        [session], max_iters, lambda t, keys: ids.append(session._union.ids)
+        [session], max_iters, lambda t, keys: ids.append(union.ids), union=union
     )
     return RefinementResult(
         kind=kind,
         mask=session.mask,
-        history=_History(session, ids),
+        history=[union.color_map(0, t, x) for t, x in enumerate(ids)],
         stable_at=iterations if stable else None,
         reached_cap=not stable,
-        session=session,
     )
 
 

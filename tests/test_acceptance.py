@@ -265,7 +265,7 @@ def test_criterion9_monotone_refinement():
             counts = [c.num_classes() for c in result.history]
             assert counts == sorted(counts), kind
             assert result.stable_at is not None
-            assert result.stable_at <= result.session.num_units() + 1
+            assert result.stable_at <= len(result.final.colors) + 1
 
 
 # -- 10. Complexity sanity ---------------------------------------------------

@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -150,6 +151,7 @@ def run_main(tmp_path, monkeypatch, argv):
     monkeypatch.setattr(bench, "perfbench", fake_perfbench(calls))
     monkeypatch.setattr(bench, "probe_rounds", lambda *args: {"probe": args[-1]})
     monkeypatch.setattr(bench, "tier1", lambda root: {"summary": "1 passed"})
+    monkeypatch.setattr(bench, "traced_pass", lambda root, w: {"traced": (Path(root).name, w)})
     bench.main(["--base", str(tmp_path / "base"), "--tag", "t"] + argv)
     return json.loads((head / "BENCH_t.json").read_text()), calls
 
@@ -164,7 +166,7 @@ def test_workloads_filter_runs_only_those(tmp_path, monkeypatch):
     assert list(report["perfbench"]["workloads"]) == ["oracle-small"]
     row = report["perfbench"]["workloads"]["oracle-small"]["comparison"]["items_per_ref_s"]
     assert row["head_won"] == 2 and row["pairs"] == 2
-    # the perfbench part alone: no corpus, ring200, tree or tier-1 section
+    # the perfbench part alone: no traced, corpus, ring200, tree or tier-1 section
     assert set(report) == {"machine", "perfbench", "code_lines"}
 
 
@@ -175,6 +177,8 @@ def test_a_full_run_keeps_every_part(tmp_path, monkeypatch):
     assert report["default_corpus_batch_refine"] == {"probe": "default corpus"}
     assert report["ring200_benchmark"] == {"probe": "ring200"}
     assert report["unroll_trees"] == {"probe": "trees"}
+    # one traced pass per workload, on the head only
+    assert report["traced_head"] == {w: {"traced": ["head", w]} for w in bench.WORKLOADS}
     assert report["tier1"] == {side: {"summary": "1 passed"} for side in ("base", "head")}
 
 
@@ -262,3 +266,44 @@ def test_tree_probe_hashes_the_verdicts():
     assert out["interner_entries"] == entries
     # both verdicts occur at depth 3
     assert {v for row in verdicts[3] for v in row} == {True, False}
+
+
+DECLARED = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+# the metrics derived from RefinementSession.step's spans
+STEP = sorted(n for n in DECLARED
+              if n.startswith(("refine.step.", "refine.units_per_step.", "refine.iterations.")))
+
+
+def result_line(names):
+    return json.dumps({"metrics": {n: {"value": 0.0, "unit": ""} for n in names}})
+
+
+@pytest.mark.parametrize(
+    "printed,returncode,names,missing,absent",
+    [
+        # a full result: every declared per-layer metric, nothing absent
+        (["facts {}", result_line(DECLARED)], 0, 117, [], []),
+        # an entry point gone: the metrics of its spans are left out
+        (
+            ["absent entry points: wl2link.refine.RefinementSession.step",
+             result_line(n for n in DECLARED if n not in STEP)],
+            0, 93, STEP, ["wl2link.refine.RefinementSession.step"],
+        ),
+        # a last line that is not a result, and no output at all
+        (["absent entry points: a.b, c.d"], 0, 0, sorted(DECLARED), ["a.b", "c.d"]),
+        ([], 1, 0, sorted(DECLARED), []),
+    ],
+)
+def test_traced_pass_reads_the_last_line(monkeypatch, printed, returncode, names, missing, absent):
+    calls = []
+
+    def run(cmd, cwd, stdout, text):
+        calls.append((cmd[1:], cwd))
+        return SimpleNamespace(returncode=returncode, stdout="".join(f"{x}\n" for x in printed))
+
+    monkeypatch.setattr(bench, "subprocess", SimpleNamespace(run=run, PIPE=-1))
+    assert bench.traced_pass(ROOT, "power-er") == {
+        "returncode": returncode, "per_layer_names": names, "missing": missing, "absent": absent,
+    }
+    assert calls == [(["perfbench/run.py", "--workload", "power-er", "--seed", "1",
+                       "--seconds", "5", "--trace", "1"], ROOT)]

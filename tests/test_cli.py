@@ -160,6 +160,13 @@ class TestPowerCheckCommand:
         assert main(["power-check", "--corpus", "fixtures", "--max-iters", "0"]) == 2
         assert "max_iters must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tests", ["WL1,WL1", "WL1,WL2,WL1"])
+    def test_repeated_kind_runtime_error(self, capsys, tests):
+        assert main(["--output", "json", "power-check", "--corpus", "fixtures", "--tests", tests]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: test kinds given more than once: WL1\n"
+
 
 class TestPredictCommand:
     def test_deterministic_json(self, capsys):

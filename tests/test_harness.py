@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from wl2link import refine
+from wl2link import harness, refine
 from wl2link.generate import (
     cycle_graph,
     erdos_renyi,
@@ -260,6 +260,16 @@ class TestPowerCheck:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             power_check(Corpus([], {}))
+
+    def test_repeated_kind_rejected(self, monkeypatch):
+        # refused before any kind is refined, whatever its position
+        refined = []
+        monkeypatch.setattr(harness, "batch_refine", lambda kind, *a, **kw: refined.append(kind))
+        corpus = fixtures_corpus()
+        for kinds in ([TestKind.WL1, TestKind.WL1], [TestKind.WL1, TestKind.WL2, TestKind.WL1]):
+            with pytest.raises(ValueError, match="more than once: WL1$"):
+                power_check(corpus, kinds=kinds)
+        assert refined == []
 
     def test_oracle_soundness_on_small_corpus(self, small_report):
         corpus = Corpus.merge(fixtures_corpus(), random_corpus(count=8, seed=2))

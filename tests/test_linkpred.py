@@ -160,12 +160,14 @@ def _reference_row(kind, g, target, width):
     id) in Python, the target's read-outs counting as units of their own."""
     p, q = target
     mask = target if kind is TestKind.WL1_LABEL01 or g.has_edge(p, q) else None
+    session = RefinementSession(kind, g, mask=mask, extra_targets=[target])
     if kind is TestKind.FWL2_LOCAL:
-        session = RefinementSession(kind, g, mask=mask, extra_targets=[target])
-        session.step(expand=False)
+        union = refine._Union([session], expand=False)  # one step over the observed pairs
+        union.step()
+        final = union.color_map(0, 1, union.ids)
     else:
-        session = refine_to_stable(kind, g, mask=mask, extra_targets=[target]).session
-    colors, readouts, eff = session.colors, session.readouts, session.eff
+        final = refine_to_stable(kind, g, mask=mask, extra_targets=[target]).final
+    colors, readouts, eff = final.colors, final.readouts, session.eff
     sizes = Counter(colors.values())
     keys = sorted((size, c) for c, size in sizes.items())
     if kind.pair_indexed:

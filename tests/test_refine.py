@@ -70,6 +70,33 @@ def brute_force_node_orbits(g):
     return sorted(orbits)
 
 
+def init_map(session):
+    """A session's colours at t = 0, numbered by an unexpanding union of one."""
+    union = _Union([session], expand=False)
+    return union.color_map(0, 0, union.ids)
+
+
+def joint_maps(sessions, max_iters=None, readers=()):
+    """A joint lockstep run of ``sessions``: per t, every session's ColorMap
+    and the readers' observed keys, and the run's (iterations, stable)."""
+    union, seen = _Union(sessions, expand=True), []
+
+    def observe(t, keys):
+        maps = [union.color_map(i, t, union.ids) for i in range(len(sessions))]
+        seen.append((maps, keys.tolist()))
+
+    return seen, lockstep(sessions, max_iters, observe, readers, union=union)
+
+
+def ordered_key(kind, cmap, target):
+    """A target's colours in ``cmap``: of both orientations, tracked or read
+    out, or of both nodes for a node kind."""
+    p, q = target
+    if not kind.pair_indexed:
+        return [cmap.colors[p], cmap.colors[q]]
+    return [cmap.colors.get(pair, cmap.readouts.get(pair)) for pair in ((p, q), (q, p))]
+
+
 class TestKindBasics:
     def test_parse_roundtrip(self):
         for kind in ALL:
@@ -100,13 +127,13 @@ class TestInterner:
 class TestInitColors:
     def test_wl1_by_label(self):
         g = Graph.build(3, [(0, 1)], labels=[5, 5, 7])
-        colors = RefinementSession(TestKind.WL1, g).colors
+        colors = init_map(RefinementSession(TestKind.WL1, g)).colors
         assert colors[0] == colors[1] != colors[2]
 
     def test_fwl2_init_on_path_three_classes(self):
         # P3 pairs split into: diagonal, edge, non-edge (single label).
         classes = {}
-        for pair, c in RefinementSession(TestKind.FWL2, path_graph(3)).colors.items():
+        for pair, c in init_map(RefinementSession(TestKind.FWL2, path_graph(3))).colors.items():
             classes.setdefault(c, set()).add(pair)
         assert len(classes) == 3
         by_kind = {frozenset(v) for v in classes.values()}
@@ -119,23 +146,26 @@ class TestInitColors:
         g = path_graph(3)
         masked = RefinementSession(TestKind.WL2, g, mask=(0, 1))
         unmasked = RefinementSession(TestKind.WL2, g)
+        readers = [(0, (0, 1)), (1, (0, 1)), (1, (0, 2))]
 
         def check(t, keys):
-            assert masked.colors[(0, 1)] != unmasked.colors[(0, 1)]
-            assert masked.colors[(0, 1)] == unmasked.colors[(0, 2)]  # both non-edges now
+            masked01, unmasked01, unmasked02 = keys[:, 0].tolist()
+            assert masked01 != unmasked01
+            assert masked01 == unmasked02  # both non-edges now
             return True
 
-        assert lockstep([masked, unmasked], observe=check) == (0, False)
+        assert lockstep([masked, unmasked], observe=check, readers=readers) == (0, False)
 
     def test_local_reads_out_its_target(self):
         g = path_graph(4)
         session = RefinementSession(TestKind.WL2_LOCAL, g, mask=(0, 3))
-        assert (0, 1) in session.colors and (1, 0) in session.colors
-        assert not {(0, 3), (3, 0), (0, 2)} & set(session.colors)
-        assert set(session.readouts) == {(0, 3), (3, 0)}
-        session.step()
-        r = session.readouts
-        assert session.link_key((0, 3)) == tuple(sorted((r[(0, 3)], r[(3, 0)])))
+        init = init_map(session)
+        assert (0, 1) in init.colors and (1, 0) in init.colors
+        assert not {(0, 3), (3, 0), (0, 2)} & set(init.colors)
+        assert set(init.readouts) == {(0, 3), (3, 0)}
+        r = session.step().readouts
+        seen, _ = joint_maps([session], 1, readers=[(0, (0, 3))])
+        assert seen[1][1] == [[r[(0, 3)], r[(3, 0)]]]
 
     def test_label01_requires_mask(self):
         with pytest.raises(RefinementError):
@@ -297,11 +327,11 @@ class TestInitRanks:
         # (read-out, init signature) over all of its sessions
         cases = [(g, mask, ts) for g, mask, ts in _cases(kind) if g.n < 30]
         sessions = [RefinementSession(kind, g, mask=m, extra_targets=ts) for g, m, ts in cases]
-        assert lockstep(sessions, observe=lambda t, keys: True) == (0, False)
+        seen, _ = joint_maps(sessions, 1)
 
         ids, keys = {}, {}
-        for i, s in enumerate(sessions):
-            for read, colors in ((0, s.colors), (1, s.readouts)):
+        for i, (s, m) in enumerate(zip(sessions, seen[0][0])):
+            for read, colors in ((0, m.colors), (1, m.readouts)):
                 for unit, c in colors.items():
                     p, q = unit if kind.pair_indexed else (unit, unit)
                     ids[i, read, unit] = c
@@ -365,11 +395,11 @@ def _record_tables(monkeypatch):
 class TestSplitOnlyGuard:
     def test_merge_detected(self):
         session = RefinementSession(TestKind.WL1, path_graph(3))
-        session.step()  # colors now {0: a, 1: b, 2: a}
-        a = session.colors[0]
-        b = session.colors[1]
+        colors = session.step().colors  # {0: a, 1: b, 2: a}
+        a = colors[0]
+        b = colors[1]
         assert a != b
-        old = np.fromiter(session.colors.values(), np.int64)
+        old = np.fromiter(colors.values(), np.int64)
         _check_splits(old, np.array([1, 0, 1]))  # renumbered, not merged
         with pytest.raises(RefinementError, match="merged"):
             _check_splits(old, np.array([99, 99, 99]))
@@ -387,8 +417,7 @@ class TestSplitOnlyGuard:
     def test_node_and_folklore_steps_check_their_ranks(self, kind, monkeypatch):
         # the same guard on the other rules: two classes a step in
         session = RefinementSession(kind, Graph.build(3, [(0, 1), (1, 2)], labels=[0, 1, 0]))
-        session.step()
-        assert len(set(session.colors.values())) > 1
+        assert len(set(session.step().colors.values())) > 1
         monkeypatch.setattr(refine, "_pack", lambda fields: 0 * fields[0][0])
         with pytest.raises(RefinementError, match="merged"):
             session.step()
@@ -422,11 +451,11 @@ class TestSplitOnlyGuard:
             "from wl2link.refine import RefinementError, RefinementSession, TestKind\n"
             "assert False, 'asserts are live'\n"
             "s = RefinementSession(TestKind.WL1, path_graph(3))\n"
-            "s.step()\n"
+            "colors = s.step().colors\n"
             "import numpy as np\n"
             "from wl2link.refine import _check_splits\n"
             "try:\n"
-            "    _check_splits(np.array(list(s.colors.values())), np.array([99, 99, 99]))\n"
+            "    _check_splits(np.array(list(colors.values())), np.array([99, 99, 99]))\n"
             "except RefinementError as err:\n"
             "    print(err)\n"
             "try:\n"
@@ -483,53 +512,51 @@ class TestSplitOnlyGuard:
 class TestFwl2LocalReadouts:
     def test_targets_are_not_tracked(self):
         # both sessions step in one lockstep run and share colour ids
-        self._check_targets_not_tracked(
-            lambda sessions, check: lockstep(sessions, 3, lambda t, keys: check(t))
-        )
+        def joint(session, plain):
+            seen, _ = joint_maps([session, plain], 3, readers=[(0, (0, 2))])
+            return [(maps[0], maps[1], keys[0]) for maps, keys in seen]
+
+        self._check_targets_not_tracked(joint)
 
     def test_targets_are_not_tracked_canonical(self):
         # each session runs alone and numbers its own colours, read-outs
         # after tracked ones
-        def alone(sessions, check):
-            for t in range(1, 4):
-                for s in sessions:
-                    s.step()
-                check(t)
+        def alone(session, plain):
+            maps = [(init_map(session), init_map(plain))]
+            maps += [(session.step(), plain.step()) for _ in range(3)]
+            return [(a, b, [a.colors.get((0, 2)), a.colors.get((2, 0))]) for a, b in maps]
 
         self._check_targets_not_tracked(alone)
 
     @staticmethod
     def _check_targets_not_tracked(run):
+        # run(session, plain) gives per t = 0..3 the two sessions' colours and
+        # the session's key of (0, 2)
         g = path_graph(4)
         session = RefinementSession(TestKind.FWL2_LOCAL, g, mask=(0, 3), extra_targets=[(0, 2)])
-        assert not {(0, 3), (3, 0), (0, 2), (2, 0)} & set(session.colors)
-        assert set(session.readouts) == {(0, 3), (3, 0), (0, 2), (2, 0)}
+        init = init_map(session)
+        assert not {(0, 3), (3, 0), (0, 2), (2, 0)} & set(init.colors)
+        assert set(init.readouts) == {(0, 3), (3, 0), (0, 2), (2, 0)}
         assert session.num_units() == 2 * g.m
         # targets change neither the tracked colours nor their growth
         plain = RefinementSession(TestKind.FWL2_LOCAL, g)
-        assert session.colors == plain.colors
         steps = []
-
-        def check(t):
-            assert session.colors == plain.colors
+        for t, (ours, theirs, key) in enumerate(run(session, plain)):
+            assert ours.colors == theirs.colors
             if t:
                 # (0, 2) is walk-reachable and now tracked: the key reads it there
-                assert session.ordered_key((0, 2)) == (
-                    plain.colors[(0, 2)], plain.colors[(2, 0)]
-                )
+                assert key == [theirs.colors[(0, 2)], theirs.colors[(2, 0)]]
                 steps.append(t)
-
-        run([session, plain], check)
         assert steps == [1, 2, 3]
 
     def test_readout_carries_on_when_tracked(self):
         # a step that does not expand reads (0, 2) out, an expanding one
-        # tracks it; one lockstep run expands every session alike
+        # tracks it
         g = path_graph(5)
-        read = RefinementSession(TestKind.FWL2_LOCAL, g, extra_targets=[(0, 2)])
-        grow = RefinementSession(TestKind.FWL2_LOCAL, g, extra_targets=[(0, 2)])
-        read.step(expand=False)
-        grow.step()
+        read = _Union([RefinementSession(TestKind.FWL2_LOCAL, g, extra_targets=[(0, 2)])], False)
+        read.step()
+        read = read.color_map(0, 1, read.ids)
+        grow = RefinementSession(TestKind.FWL2_LOCAL, g, extra_targets=[(0, 2)]).step()
         assert (0, 2) not in read.colors and (0, 2) not in grow.readouts
         assert (0, 2) in read.readouts and (0, 2) in grow.colors
 
@@ -559,18 +586,21 @@ class TestOneTablePerIteration:
         sizes = []
 
         def spy(sessions, max_iters=None, observe=None, readers=()):
+            union = _Union(sessions, expand=True)
+
             def check(t, keys):
+                maps = [union.color_map(i, t, union.ids) for i in range(len(sessions))]
                 ids, tracked = set(), set()
-                for s in sessions:
-                    ids.update(s.colors.values(), s.readouts.values())
-                    tracked.update(s.colors.values())
+                for m in maps:
+                    ids.update(m.colors.values(), m.readouts.values())
+                    tracked.update(m.colors.values())
                 assert ids == set(range(len(ids))), f"t = {t}"
                 # a read-out's id follows every tracked colour
-                assert all(c >= len(tracked) for s in sessions for c in s.readouts.values())
+                assert all(c >= len(tracked) for m in maps for c in m.readouts.values())
                 sizes.append(len(sessions))
                 return observe(t, keys)
 
-            return lockstep(sessions, max_iters, check, readers)
+            return lockstep(sessions, max_iters, check, readers, union=union)
 
         monkeypatch.setattr(harness, "lockstep", spy)
         monkeypatch.setattr(refine, "lockstep", spy)
@@ -583,17 +613,21 @@ class TestOneTablePerIteration:
     @pytest.mark.parametrize("kind", ALL)
     def test_observed_keys_are_the_ordered_keys(self, kind):
         # the keys gathered off the run's ids are the readers' ordered keys
-        # read from the dicts, at every t
+        # read from the colour maps, at every t
         sessions, readers = open_sessions(kind, _shared_instances())
+        union = _Union(sessions, expand=True)
         tracked = []  # per t: the readers whose target orientation is tracked
 
         def check(t, keys):
+            maps = [union.color_map(i, t, union.ids) for i in range(len(sessions))]
             assert keys.dtype == np.int64 and keys.shape == (len(readers), 2)
-            assert keys.tolist() == [list(s.ordered_key(target)) for s, target in readers]
+            assert keys.tolist() == [ordered_key(kind, maps[i], target) for i, target in readers]
             if kind.pair_indexed:
-                tracked.append({r for r, (s, target) in enumerate(readers) if target in s.colors})
+                tracked.append(
+                    {r for r, (i, target) in enumerate(readers) if target in maps[i].colors}
+                )
 
-        iterations, _ = lockstep(sessions, observe=check, readers=readers)
+        iterations, _ = lockstep(sessions, observe=check, readers=readers, union=union)
         assert len(tracked) == (iterations + 1 if kind.pair_indexed else 0)
         if kind is TestKind.FWL2_LOCAL:
             assert tracked[-1] - tracked[0]  # read out at t = 0, tracked by a layer later
@@ -604,7 +638,7 @@ class TestOneTablePerIteration:
         def no_dicts(*args):
             raise AssertionError("a session's dicts were built")
 
-        monkeypatch.setattr(refine._Union, "dicts", no_dicts)
+        monkeypatch.setattr(refine._Union, "color_map", no_dicts)
         batch_refine(kind, Corpus(_shared_instances(), {}))
         c3c3, _ = disjoint_union(cycle_graph(3), cycle_graph(3))
         indistinguishable(kind, (0, 2), cycle_graph(6), (0, 3), c3c3)
@@ -614,17 +648,14 @@ class TestOneTablePerIteration:
     def test_dicts_read_after_the_run_are_the_last_iteration(self, kind):
         # a run that reads its dicts at every t, and one that reads them only
         # once it has returned, end on the same dicts
-        read = []
-
-        def record(t, keys):
-            read.append([(s.colors, s.readouts) for s in watched])
-
         watched, readers = open_sessions(kind, _shared_instances())
-        iterations, _ = lockstep(watched, observe=record, readers=readers)
+        read, (iterations, _) = joint_maps(watched, readers=readers)
         sessions, readers = open_sessions(kind, _shared_instances())
-        assert lockstep(sessions, readers=readers) == (iterations, True)
-        assert [(s.colors, s.readouts) for s in sessions] == read[-1]
-        assert read[-1] != read[0]
+        union = _Union(sessions, expand=True)
+        assert lockstep(sessions, readers=readers, union=union) == (iterations, True)
+        last = [union.color_map(i, union.t, union.ids) for i in range(len(sessions))]
+        assert union.t == iterations and last == read[-1][0]
+        assert read[-1][0] != read[0][0]
 
     def test_readers_are_checked(self):
         # a node kind's target must be one of its own session's graph, and a
@@ -633,32 +664,48 @@ class TestOneTablePerIteration:
             TestKind.WL1, cycle_graph(5)
         )
         with pytest.raises(GraphError, match="out of range"):
-            lockstep([a, b], readers=[(a, (0, 4))])
-        lockstep([a, b], max_iters=1, readers=[(b, (0, 4))])
+            lockstep([a, b], readers=[(0, (0, 4))])
+        lockstep([a, b], max_iters=1, readers=[(1, (0, 4))])
+        for i in (2, -1):  # a reader names a session of the run by its position
+            with pytest.raises(RefinementError, match="not in the run"):
+                lockstep([a, b], readers=[(i, (0, 1))])
         for kind in (TestKind.WL2_LOCAL, TestKind.FWL2_LOCAL):
             # (0, 2) is a later pair of the expanding run, but no read-out
             session = RefinementSession(kind, path_graph(3))
             with pytest.raises(RefinementError, match="neither tracked nor read out"):
-                lockstep([session], readers=[(session, (0, 2))])
+                lockstep([session], readers=[(0, (0, 2))])
         read = RefinementSession(TestKind.FWL2_LOCAL, path_graph(3), extra_targets=[(0, 2)])
-        lockstep([read], readers=[(read, (0, 2)), (read, (1, 0))])
+        lockstep([read], readers=[(0, (0, 2)), (0, (1, 0))])
 
     def test_init_joins_different_signatures(self):
         # each session numbers its init canonically; lockstep gives
         # different init signatures of different sessions different ids
         g, ones = path_graph(3), Graph.build(3, [(0, 1), (1, 2)], labels=[1, 1, 1])
         a, b = (RefinementSession(TestKind.WL1, h) for h in (g, ones))
-        assert a.colors == b.colors
+        assert init_map(a) == init_map(b)
         for _ in range(2):  # a second join keeps the joint ids
-            assert lockstep([a, b], observe=lambda t, keys: True) == (0, False)
-            assert a.colors[0] != b.colors[0]
+            seen, readers = [], [(0, (0, 2)), (1, (0, 2))]
+            run = lockstep([a, b], None, lambda t, keys: seen.append(keys) or True, readers)
+            assert run == (0, False) and seen[0][0, 0] != seen[0][1, 0]
         assert indistinguishable(TestKind.WL1, (0, 2), g, (0, 2), ones).distinguished_at == 0
 
     def test_sessions_start_at_init(self):
+        # a session stepped by hand still starts a lockstep run at t = 0
+        readers = [(0, (0, 2)), (1, (0, 1))]
         a, b = (RefinementSession(TestKind.WL2, path_graph(3)) for _ in range(2))
+        fresh = joint_maps([RefinementSession(TestKind.WL2, path_graph(3)), b], readers=readers)
         a.step()
-        with pytest.raises(RefinementError, match="t = 0"):
-            lockstep([a, b])
+        assert joint_maps([a, b], readers=readers) == fresh
+
+    @pytest.mark.parametrize("kind", ALL)
+    def test_a_session_joins_two_runs(self, kind):
+        # a run writes nothing on its sessions: sessions that ran once join a
+        # second run and observe the same keys from t = 0 on
+        sessions, readers = open_sessions(kind, _shared_instances())
+        keys = [[], []]
+        for seen in keys:
+            lockstep(sessions, observe=lambda t, k: seen.append(k.tolist()), readers=readers)
+        assert keys[0] == keys[1] and len(keys[0]) > 1
 
     def test_no_sessions(self):
         for run in (lambda: lockstep([]), lambda: batch_refine(TestKind.WL1, Corpus([], {}))):
@@ -674,12 +721,13 @@ class TestOneTablePerIteration:
 
 class TestInitState:
     """At t = 0 a union's ``state`` is (distinct tracked ids, tracked units),
-    read here off the sessions' colour dicts."""
+    read here off the sessions' colour maps."""
 
     @staticmethod
-    def counted(sessions, own):
+    def counted(union, own):
         # an own-numbered union's ids never span two sessions: count (session, id)
-        ids = [(i if own else 0, c) for i, s in enumerate(sessions) for c in s.colors.values()]
+        maps = [union.color_map(i, 0, union.ids) for i in range(len(union.graphs))]
+        ids = [(i if own else 0, c) for i, m in enumerate(maps) for c in m.colors.values()]
         return len(set(ids)), len(ids)
 
     @pytest.mark.parametrize("kind", ALL)
@@ -694,7 +742,7 @@ class TestInitState:
         sessions, _ = open_sessions(kind, instances)
         union = refine._Union(sessions, expand, own)
         assert union.t == 0
-        assert union.state == self.counted(sessions, own)
+        assert union.state == self.counted(union, own)
 
     @pytest.mark.parametrize(
         "kind,state",
@@ -710,28 +758,26 @@ class TestInitState:
     def test_edgeless_graph(self, kind, state):
         session = RefinementSession(kind, Graph.build(5, [], [0, 1, 0, 1, 1]), mask=(0, 1))
         union = refine._Union([session], expand=True)
-        assert union.state == self.counted([session], False) == state
+        assert union.state == self.counted(union, False) == state
 
 
 class TestOneUnionPerSession:
-    """A union is built on sessions at t = 0; a session past t = 0 steps only
-    through its own union."""
+    """``step`` advances a lone expanding run of the session's own, built on
+    its first call."""
 
     @pytest.mark.parametrize("kind", ALL)
     def test_hand_steps_match_refine_to_stable(self, kind):
-        # read at t = 0, then stepped one step at a time
+        # t = 0 numbered alone, then stepped one step at a time
         g, mask, targets = cycle_graph(7), (0, 2), [(0, 3)]
         result = refine_to_stable(kind, g, mask=mask, extra_targets=targets)
         session = RefinementSession(kind, g, mask=mask, extra_targets=targets)
-        for t, expected in enumerate(result.history):
-            if t:
-                session.step()
-            assert session.colors == expected.colors, f"t = {t}"
-            assert session.readouts == expected.readouts, f"t = {t}"
+        assert init_map(session) == result.history[0]
+        for t, expected in enumerate(result.history[1:], 1):
+            assert session.step() == expected, f"t = {t}"
+            assert session.num_units() == len(expected.colors)
 
     def test_steps_reuse_the_union(self, monkeypatch):
-        # expanding FWL2_Local: one union numbers the read at t = 0, one more
-        # runs all three steps
+        # every kind: one expanding union runs all three steps
         built = []
         init = refine._Union.__init__
 
@@ -741,50 +787,12 @@ class TestOneUnionPerSession:
 
         monkeypatch.setattr(refine._Union, "__init__", count)
         g = path_graph(4)
-        session = RefinementSession(TestKind.FWL2_LOCAL, g, mask=(0, 3), extra_targets=[(0, 2)])
-        assert set(session.readouts) == {(0, 3), (3, 0), (0, 2), (2, 0)}
-        for _ in range(3):
-            session.step()
-        assert built == [False, True]
-        # the union that numbered t = 0 takes the steps where it grows as they
-        # ask: for every kind that never expands, and for steps that do not
-        kinds = [(kind, True) for kind in ALL if kind is not TestKind.FWL2_LOCAL]
-        for kind, expand in kinds + [(TestKind.FWL2_LOCAL, False)]:
+        for kind in ALL:
             built.clear()
-            read, fresh = (
-                RefinementSession(kind, g, mask=(0, 3), extra_targets=[(0, 2)]) for _ in range(2)
-            )
-            assert read.readouts is not None  # numbers t = 0
+            session = RefinementSession(kind, g, mask=(0, 3), extra_targets=[(0, 2)])
             for _ in range(3):
-                read.step(expand)
-            assert built == [False], kind
-            for _ in range(3):
-                fresh.step(expand)
-            assert (read.colors, read.readouts) == (fresh.colors, fresh.readouts), kind
-
-    def test_a_shared_session_steps_only_with_its_run(self):
-        a, b = (RefinementSession(TestKind.WL2, path_graph(3)) for _ in range(2))
-        lockstep([a, b], max_iters=1)
-        with pytest.raises(RefinementError, match="shared run"):
-            a.step()
-
-    @pytest.mark.parametrize("first", [True, False])
-    def test_expand_is_kept_past_init(self, first):
-        session = RefinementSession(TestKind.FWL2_LOCAL, path_graph(5))
-        session.step(expand=first)
-        with pytest.raises(RefinementError, match="whether it expands"):
-            session.step(expand=not first)
-        session.step(expand=first)
-        # a kind that never expands steps on whatever it is asked
-        dense = RefinementSession(TestKind.FWL2, path_graph(5))
-        dense.step(expand=first)
-        dense.step(expand=not first)
-
-    def test_lockstep_refuses_a_lone_stepped_session(self):
-        session = RefinementSession(TestKind.WL1, path_graph(3))
-        session.step()
-        with pytest.raises(RefinementError, match="t = 0"):
-            lockstep([session])
+                session.step()
+            assert built == [True], kind
 
 
 class TestEntryEncoding:
@@ -898,7 +906,7 @@ def _folklore_signatures(session, colors):
             sigs[pair] = ("v", _init_pair_sig(labels, eff, *pair), entries(*pair))
     read = {
         pair: ("v", _init_pair_sig(labels, eff, *pair), entries(*pair))
-        for pair in session.readouts
+        for pair in session.reads
         if pair not in sigs
     }
     return sigs, read
@@ -908,8 +916,8 @@ def _reference_folklore(kind, g, mask, targets, iterations):
     """(colours, read-outs) per iteration of a lone folklore session, by the
     pure-Python rule (``_folklore_signatures``)."""
     session = RefinementSession(kind, g, mask=mask, extra_targets=targets)
-    colors = session.colors
-    history = [(colors, session.readouts)]
+    init = init_map(session)
+    colors, history = init.colors, [(init.colors, init.readouts)]
     for _ in range(iterations):
         sigs, read = _folklore_signatures(session, colors)
         ids = {}
@@ -976,8 +984,9 @@ class TestFolkloreReference:
         # (C[u, q], C[p, u]) over u in nbrs[p] ∪ nbrs[q], packed as a step packs it
         for g, mask, targets in _folklore_cases():
             session = RefinementSession(kind, g, mask=mask, extra_targets=targets)
+            cmap = init_map(session)
             for _ in range(3):
-                get, nbrs = session.colors.get, session.nbrs
+                get, nbrs = cmap.colors.get, session.nbrs
                 # the session's edge codes first, in CSR order, as in a union
                 deg, flat = _adjacency([session.nbrs])
                 units = _edge_codes(g.n, deg, flat)
@@ -994,7 +1003,7 @@ class TestFolkloreReference:
                     pairs_row = sorted((get((u, q), ABSENT), get((p, u), ABSENT)) for u in via)
                     row = sorted(entries[lo:hi])
                     assert [tuple(x - 1 for x in divmod(c, base)) for c in row] == pairs_row
-                session.step()
+                cmap = session.step()
 
     @pytest.mark.parametrize("kind", [TestKind.FWL2, TestKind.FWL2_LOCAL])
     def test_entry_plan_matches_the_search_plan(self, kind):
@@ -1021,6 +1030,7 @@ class TestFolkloreReference:
             session = RefinementSession(TestKind.FWL2_LOCAL, g, mask=mask, extra_targets=targets)
             eff = nx.Graph(list(session.eff.edges))
             dist = dict(nx.all_pairs_shortest_path_length(eff))
+            cmap = init_map(session)
             for t in range(g.n + 1):
                 expected = {
                     (p, q)
@@ -1028,8 +1038,8 @@ class TestFolkloreReference:
                     for q, d in dist[p].items()
                     if (t >= 1 if p == q else d - 1 <= t)
                 }
-                assert set(session.colors) == expected
-                session.step()
+                assert set(cmap.colors) == expected
+                cmap = session.step()
 
     def test_expansion_memory_gate(self):
         # expansion ends with every pair of every component that has an edge
@@ -1059,7 +1069,7 @@ def _plain_signatures(session, colors):
     labels, eff = session.labels, session.eff
     read = {
         (p, q): ("v", _init_pair_sig(labels, eff, p, q), cols[q], rows[p])
-        for p, q in session.readouts
+        for p, q in session.reads
     }
     return sigs, read
 
@@ -1068,8 +1078,8 @@ def _reference_plain(kind, g, mask, targets, iterations):
     """(colours, read-outs) per iteration of a lone plain session, by the
     dict rule with canonical ids: sorted signatures, tracked ones first."""
     session = RefinementSession(kind, g, mask=mask, extra_targets=targets)
-    colors = session.colors
-    history = [(colors, session.readouts)]
+    init = init_map(session)
+    colors, history = init.colors, [(init.colors, init.readouts)]
     for _ in range(iterations):
         sigs, read = _plain_signatures(session, colors)
         ids = {}
@@ -1092,8 +1102,8 @@ def _reference_wl1(kind, g, mask, targets, iterations):
     """Colours (and no read-outs) per iteration of a lone node session, by
     the dict rule with canonical ids: sorted signatures."""
     session = RefinementSession(kind, g, mask=mask, extra_targets=targets)
-    colors = session.colors
-    history = [(colors, session.readouts)]
+    init = init_map(session)
+    colors, history = init.colors, [(init.colors, init.readouts)]
     for _ in range(iterations):
         sigs, _ = _wl1_signatures(session, colors)
         ids = {sig: i for i, sig in enumerate(sorted(set(sigs.values())))}
@@ -1115,11 +1125,12 @@ def _plain_cases():
     ]
 
 
-def _partitions(sessions):
-    """The partition of all sessions' tracked and read-out units by colour."""
+def _partitions(maps):
+    """The partition of all sessions' tracked and read-out units by colour,
+    from each session's (colours, read-outs)."""
     classes = {}
-    for i, s in enumerate(sessions):
-        for side, colors in (("c", s.colors), ("r", s.readouts)):
+    for i, (tracked, readouts) in enumerate(maps):
+        for side, colors in (("c", tracked), ("r", readouts)):
             for unit, c in colors.items():
                 classes.setdefault(c, set()).add((i, side, unit))
     return {frozenset(units) for units in classes.values()}
@@ -1167,23 +1178,25 @@ class TestPlainReference:
         def open_all():
             return [RefinementSession(kind, g, mask=m, extra_targets=ts) for g, m, ts in cases]
 
-        sessions, seen = open_all(), []
-        iterations, _ = lockstep(
-            sessions, observe=lambda t, keys: seen.append(_partitions(sessions))
-        )
+        sessions = open_all()
+        seen, (iterations, _) = joint_maps(sessions)
+        seen = [_partitions((m.colors, m.readouts) for m in maps) for maps, _ in seen]
         reference = open_all()
-        assert lockstep(reference, observe=lambda t, keys: True) == (0, False)  # the t = 0 join
-        expected = [_partitions(reference)]
+        union = _Union(reference, expand=True)  # the t = 0 join
+        maps = [union.color_map(i, 0, union.ids) for i in range(len(reference))]
+        state = [(m.colors, m.readouts) for m in maps]
+        expected = [_partitions(state)]
         for _ in range(iterations):
             table, steps = {}, []
-            for s in reference:
-                sigs, read = _signatures(s, s.colors)
+            for s, (colors, _) in zip(reference, state):
+                sigs, read = _signatures(s, colors)
                 ids = [table.setdefault(sig, len(table)) for sig in sigs.values()]
                 steps.append((dict(zip(sigs, ids)), read))
-            for s, (colors, read) in zip(reference, steps):
-                s.colors = colors
-                s.readouts = {pair: table.setdefault(sig, len(table)) for pair, sig in read.items()}
-            expected.append(_partitions(reference))
+            state = [
+                (colors, {pair: table.setdefault(sig, len(table)) for pair, sig in read.items()})
+                for colors, read in steps
+            ]
+            expected.append(_partitions(state))
         assert seen == expected
 
 
@@ -1222,7 +1235,7 @@ class TestLiveRows:
         for g, mask, targets in _folklore_cases():
             steps.clear()
             result = refine_to_stable(TestKind.FWL2_LOCAL, g, mask=mask, extra_targets=targets)
-            eff = nx.Graph(list(result.session.eff.edges))
+            eff = nx.Graph(list(RefinementSession(TestKind.FWL2_LOCAL, g, mask=mask).eff.edges))
             dist = dict(nx.all_pairs_shortest_path_length(eff))
             for t, (on_rebuilt, before, after) in enumerate(steps, 1):
                 if on_rebuilt and after[1] > before[1]:
